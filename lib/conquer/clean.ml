@@ -9,6 +9,7 @@ type session = {
   engine : Engine.Database.t;
   env : Dirty_schema.env;
   shard : Engine.Shard.session option;
+  indexed : bool;  (* identifiers indexed and tables analyzed *)
 }
 
 let m_sessions =
@@ -27,28 +28,50 @@ let spanned mode f =
   Telemetry.Metrics.inc m_queries;
   Telemetry.Span.with_ ~name:"conquer.answers" ~attrs:[ ("mode", mode) ] f
 
-let create ?(index_identifiers = true) ?shards dirty =
+(* The one build path.  [prev], the session this one replaces, lends
+   every identifier index and statistics column whose cells are
+   physically unchanged; a fresh session is the case with no [prev].
+   Shard catalogs are always rebuilt in full. *)
+let build ?prev ~index_identifiers ?shards dirty =
   Telemetry.Metrics.inc m_sessions;
   Telemetry.Span.with_ ~name:"conquer.session_create" @@ fun () ->
+  let prev = Option.map (fun p -> p.engine) prev in
   let engine = Engine.Database.create () in
   List.iter
     (fun (t : Dirty_db.table) ->
       Engine.Database.add_relation engine ~name:t.name t.relation;
       if index_identifiers then begin
-        Engine.Database.create_index engine ~table:t.name ~attr:t.id_attr;
-        Engine.Database.analyze engine t.name;
+        Engine.Database.create_index ?prev engine ~table:t.name ~attr:t.id_attr;
+        Engine.Database.analyze ?prev engine t.name;
         Telemetry.Metrics.inc
           ~n:(Relation.cardinality t.relation)
           m_clusters_indexed
       end)
     (Dirty_db.tables dirty);
+  let reuse = Engine.Database.reuse ?prev engine in
+  Telemetry.Span.add_attr "tables_reused" (string_of_int reuse.tables_reused);
+  Telemetry.Span.add_attr "columns_analyzed" (string_of_int reuse.columns_analyzed);
   let shard =
     match shards with
     | None -> None
     | Some n ->
       Some (Engine.Shard.create ~index_identifiers ~base:engine ~shards:n dirty)
   in
-  { dirty; engine; env = Dirty_schema.of_dirty_db dirty; shard }
+  {
+    dirty;
+    engine;
+    env = Dirty_schema.of_dirty_db dirty;
+    shard;
+    indexed = index_identifiers;
+  }
+
+let create ?(index_identifiers = true) ?shards dirty =
+  build ~index_identifiers ?shards dirty
+
+let derive prev dirty =
+  build ~prev ~index_identifiers:prev.indexed
+    ?shards:(Option.map Engine.Shard.shards prev.shard)
+    dirty
 
 let dirty_db s = s.dirty
 let engine s = s.engine

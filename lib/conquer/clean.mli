@@ -25,6 +25,18 @@ val create : ?index_identifiers:bool -> ?shards:int -> Dirty.Dirty_db.t -> sessi
     are bag-identical whatever the shard count.  Budgets in [config]
     apply {e per shard}; cancellation tokens reach every shard. *)
 
+val derive : session -> Dirty.Dirty_db.t -> session
+(** [derive prev db] is the session {!create} would build over [db]
+    with [prev]'s settings (identifier indexing, shard count), built
+    from [prev]: every table and column whose cells are physically
+    those of [prev] ([==], row for row) keeps [prev]'s identifier
+    index and statistics, and only the rest is recomputed.  A
+    {!Dirty.Delta.apply} outcome shares untouched tables and cells
+    with its input, so after a reassign only the probability column of
+    one table is analyzed.  Plans and answers are identical to
+    [create]'s.  [prev] is not modified and keeps answering as before;
+    shard catalogs are rebuilt in full. *)
+
 val dirty_db : session -> Dirty.Dirty_db.t
 val engine : session -> Engine.Database.t
 val env : session -> Dirty_schema.env

@@ -32,17 +32,6 @@ let op_table = function
 
 (* {1 Record format} *)
 
-(* [Value.to_string] prints non-integer floats with %g, which loses
-   low-order bits; delta records must replay to the same values the
-   in-memory apply produced (given the same base), so floats render
-   with 17 significant digits.  Integer-valued floats keep
-   [to_string]'s "2.0" form so [Value.parse] reads them back as floats,
-   not ints. *)
-let render_value = function
-  | Value.Float f when not (Float.is_integer f && Float.abs f < 1e15) ->
-    Printf.sprintf "%.17g" f
-  | v -> Value.to_string v
-
 let render_weight f = Printf.sprintf "%.17g" f
 
 let int_field what s =
@@ -55,18 +44,20 @@ let float_field what s =
   | Some f -> f
   | None -> invalidf "%s: not a number: %S" what s
 
+(* delta records must replay to the same values the in-memory apply
+   produced (given the same base), so cells render exactly *)
 let op_to_row = function
   | Insert { table; row } ->
-    "insert" :: table :: Array.to_list (Array.map render_value row)
+    "insert" :: table :: Array.to_list (Array.map Value.to_exact_string row)
   | Delete { table; cluster; member } ->
-    [ "delete"; table; render_value cluster; string_of_int member ]
+    [ "delete"; table; Value.to_exact_string cluster; string_of_int member ]
   | Split { table; cluster; into; members } ->
-    "split" :: table :: render_value cluster :: render_value into
+    "split" :: table :: Value.to_exact_string cluster :: Value.to_exact_string into
     :: List.map string_of_int members
   | Merge { table; from_; into } ->
-    [ "merge"; table; render_value from_; render_value into ]
+    [ "merge"; table; Value.to_exact_string from_; Value.to_exact_string into ]
   | Reassign { table; cluster; weights } ->
-    "reassign" :: table :: render_value cluster
+    "reassign" :: table :: Value.to_exact_string cluster
     :: Array.to_list (Array.map render_weight weights)
 
 let op_of_row = function

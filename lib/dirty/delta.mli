@@ -10,10 +10,10 @@
     probability bits.
 
     Batches serialize to CSV rows (the journaled delta record format,
-    see DESIGN §5k).  Values round-trip through
-    {!Value.to_string}/{!Value.parse} with the same semantics as the
-    store's table snapshots, so replaying a journaled delta over a
-    loaded snapshot is deterministic. *)
+    see DESIGN §5k).  Values round-trip bit for bit through
+    {!Value.to_exact_string}/{!Value.parse}, as the store's table
+    snapshots do, so replaying a journaled delta over a loaded
+    snapshot is deterministic. *)
 
 type op =
   | Insert of { table : string; row : Value.t array }

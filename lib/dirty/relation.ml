@@ -34,6 +34,14 @@ let column t name =
 let column_slice t ~col ~lo ~len =
   Array.init len (fun i -> t.rows.(lo + i).(col))
 
+let shares_column a b name =
+  match (Schema.index_of_opt a.schema name, Schema.index_of_opt b.schema name) with
+  | Some i, Some j ->
+    let n = Array.length a.rows in
+    let rec same r = r >= n || (a.rows.(r).(i) == b.rows.(r).(j) && same (r + 1)) in
+    (a.rows == b.rows && i = j) || (Array.length b.rows = n && same 0)
+  | _ -> false
+
 let value t row name = row.(Schema.index_of t.schema name)
 
 let project t names =

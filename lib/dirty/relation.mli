@@ -33,6 +33,13 @@ val column_slice : t -> col:int -> lo:int -> len:int -> Value.t array
     (by position) for rows [lo .. lo+len-1], in row order — the
     row-major to column-major pivot used by columnar extraction. *)
 
+val shares_column : t -> t -> string -> bool
+(** [shares_column a b name] holds when [a] and [b] have the same
+    cardinality and, row for row, physically the same ([==]) value in
+    column [name] — the column provably did not change, so anything
+    computed from it carries over.  [false] when either lacks the
+    column. *)
+
 val value : t -> row -> string -> Value.t
 (** [value t row attr] looks up [attr] in [t]'s schema and returns the
     row's value there. *)

@@ -183,6 +183,20 @@ let to_string = function
   | String s -> s
   | Date d -> string_of_date d
 
+(* [%.15g] is enough for most floats and keeps store files short;
+   [%.17g] always reads back exactly.  Digits alone would parse as an
+   [Int], so an integral rendering gets a ".0". *)
+let to_exact_string = function
+  | Float f when not (Float.is_integer f && Float.abs f < 1e15) ->
+    let short = Printf.sprintf "%.15g" f in
+    let s =
+      if Float.equal (float_of_string short) f then short
+      else Printf.sprintf "%.17g" f
+    in
+    if String.exists (fun c -> c = '.' || c = 'e' || c = 'n') s then s
+    else s ^ ".0"
+  | v -> to_string v
+
 let to_sql = function
   | Null -> "NULL"
   | Bool b -> if b then "TRUE" else "FALSE"

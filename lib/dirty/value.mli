@@ -80,7 +80,16 @@ val parse : string -> t
 
 val to_string : t -> string
 (** Display form ([Null] prints as ["NULL"], dates as
-    ["YYYY-MM-DD"]). *)
+    ["YYYY-MM-DD"]).  Non-integral floats print with 6 significant
+    digits, so this form does not round-trip through {!parse}. *)
+
+val to_exact_string : t -> string
+(** Storage form: {!to_string}, except that a float prints as the
+    shortest of ["%.15g"] and ["%.17g"] that reads back to the same
+    bits, and always with a ['.'] or an exponent.  [parse
+    (to_exact_string (Float f))] is [Float f] bit for bit for every
+    float; the store's table files and the delta journal write cells
+    this way. *)
 
 val to_sql : t -> string
 (** SQL literal form (strings quoted with escaping, dates as

@@ -43,10 +43,26 @@ let relation t name = (entry t name).relation
 let relation_opt t name = Option.map (fun e -> e.relation) (Hashtbl.find_opt t name)
 let table_names t = List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t [])
 
-let create_index t ~table ~attr =
+(* [prev]'s entry for [table], when there is one to build from.  A
+   catalog built from [prev] copies what it reuses into its own entry
+   records and never writes to [prev]'s, so a reader still holding
+   [prev] sees it unchanged. *)
+let prev_entry prev table = Option.bind prev (fun p -> Hashtbl.find_opt p table)
+
+(* An index maps a key to row positions, so it carries over when the
+   key column's cells are physically unchanged row for row. *)
+let create_index ?prev t ~table ~attr =
   let e = entry t table in
   let attr = String.lowercase_ascii attr in
-  let index = Index.build e.relation attr in
+  let carried =
+    match prev_entry prev table with
+    | Some pe when Relation.shares_column pe.relation e.relation attr ->
+      List.assoc_opt attr pe.indexes
+    | _ -> None
+  in
+  let index =
+    match carried with Some index -> index | None -> Index.build e.relation attr
+  in
   e.indexes <- (attr, index) :: List.remove_assoc attr e.indexes
 
 let index t ~table ~attr =
@@ -56,13 +72,41 @@ let index t ~table ~attr =
 
 let has_index t ~table ~attr = index t ~table ~attr <> None
 
-let analyze t name =
+let analyze ?prev t name =
   let e = entry t name in
+  let prev =
+    match prev_entry prev name with
+    | Some { relation; stats = Some stats; _ } -> Some (relation, stats)
+    | _ -> None
+  in
   Telemetry.Span.with_ ~name:"engine.analyze" ~attrs:[ ("table", name) ]
-    (fun () -> e.stats <- Some (Stats.analyze e.relation))
+    (fun () -> e.stats <- Some (Stats.analyze ?prev e.relation))
 
 let analyze_all t = List.iter (analyze t) (table_names t)
 let stats t name = Option.bind (Hashtbl.find_opt t name) (fun e -> e.stats)
+
+type reuse = { tables_reused : int; columns_analyzed : int }
+
+let reuse ?prev t =
+  Hashtbl.fold
+    (fun name e acc ->
+      let pe = prev_entry prev name in
+      let shared = match pe with Some pe -> pe.relation == e.relation | None -> false in
+      let carried (n, cs) =
+        match Option.bind pe (fun pe -> Option.bind pe.stats (fun s -> Stats.column s n)) with
+        | Some pcs -> pcs == cs
+        | None -> false
+      in
+      let analyzed =
+        match e.stats with
+        | Some s -> List.length (List.filter (fun c -> not (carried c)) s.Stats.columns)
+        | None -> 0
+      in
+      {
+        tables_reused = acc.tables_reused + Bool.to_int shared;
+        columns_analyzed = acc.columns_analyzed + analyzed;
+      })
+    t { tables_reused = 0; columns_analyzed = 0 }
 
 let planner_env t : Planner.env =
   {

@@ -25,18 +25,37 @@ val relation : t -> string -> Dirty.Relation.t
 val relation_opt : t -> string -> Dirty.Relation.t option
 val table_names : t -> string list
 
-val create_index : t -> table:string -> attr:string -> unit
-(** Build (or rebuild) a hash index. @raise Not_found for an unknown
+val create_index : ?prev:t -> t -> table:string -> attr:string -> unit
+(** Build (or rebuild) a hash index.  With [prev], the catalog [t]
+    replaces, [prev]'s index on the same table and attribute is reused
+    when the attribute's cells are physically those [prev] indexed,
+    row for row ({!Dirty.Relation.shares_column}); lookups are then
+    identical to a rebuilt index's.  @raise Not_found for an unknown
     table or attribute. *)
 
 val has_index : t -> table:string -> attr:string -> bool
 val index : t -> table:string -> attr:string -> Index.t option
 
-val analyze : t -> string -> unit
-(** RUNSTATS: collect statistics for the table. *)
+val analyze : ?prev:t -> t -> string -> unit
+(** RUNSTATS: collect statistics for the table.  With [prev], the
+    columns {!Stats.analyze} can carry over from [prev]'s statistics
+    for the same table keep them; the result equals a fresh analysis. *)
 
 val analyze_all : t -> unit
 val stats : t -> string -> Stats.t option
+
+type reuse = {
+  tables_reused : int;
+      (** tables registered over the physically same relation as in
+          [prev] *)
+  columns_analyzed : int;
+      (** statistics columns computed afresh rather than carried over
+          from [prev] *)
+}
+
+val reuse : ?prev:t -> t -> reuse
+(** What building [t] from [prev] (see [?prev] on {!create_index} and
+    {!analyze}) saved.  Without [prev] nothing was reused. *)
 
 val plan : ?config:Planner.config -> t -> Sql.Ast.query -> Plan.t
 val run_plan :

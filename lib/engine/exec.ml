@@ -315,14 +315,18 @@ let chunk_ranges ~jobs n =
 (* positive partition id for a group/join key *)
 let key_pid ~nparts key = Key.hash key land max_int mod nparts
 
-(* cancellation token forwarded to parallel regions: only in [Raise]
-   budget mode, where aborting a region with [Cancel.Cancelled] is the
-   desired outcome.  Truncate-mode executions must return partial
-   rows, so their regions run to completion and the stop is observed
-   at the next node boundary instead. *)
+(* cancellation token forwarded to parallel regions, which abort with
+   [Cancel.Cancelled] once it trips.  In [Raise] budget mode that is
+   the desired outcome.  A Truncate-mode execution whose token trips
+   answers no rows (every node boundary above the stop hands on an
+   empty input), so its regions abort too and {!run} turns the abort
+   into that empty answer.  Once a Truncate-mode budget has stopped,
+   regions only see the emptied inputs of that stop and get no token,
+   so they run to completion. *)
 let region_cancel budget =
   match budget with
   | Some b when Budget.mode b = Budget.Raise -> Budget.cancel_token b
+  | Some b when not (Budget.exhausted b) -> Budget.cancel_token b
   | _ -> None
 
 (* chunked parallel filter; preserves row order exactly *)
@@ -2116,13 +2120,29 @@ and eval ctx (plan : Plan.t) : Relation.t =
     Relation.of_array (Relation.schema rel)
       (Array.sub (Relation.rows rel) 0 keep)
 
+(* A Truncate-mode region aborted by its tripped token: record the
+   stop on the budget and evaluate the plan again.  With the budget
+   stopped, every node boundary hands its parent an empty input, so
+   the second pass is a cheap walk over the plan that yields the empty
+   answer, with the output schema, that a stop observed at an earlier
+   node boundary would have given. *)
+let run_to_stop budget f =
+  try f () with
+  | Cancel.Cancelled _ as e -> (
+    match budget with
+    | Some b when Budget.mode b = Budget.Truncate ->
+      Budget.check_time b;
+      f ()
+    | _ -> raise e)
+
 let run ?budget ?(jobs = 1) ?(chunked = true) ?spill catalog plan =
   let ctx =
     { budget; jobs; hook = (fun _ f -> f ()); catalog; chunked; fuse = true;
       spill }
   in
   (* evaluation-time type errors surface as engine errors *)
-  try run_hooked ctx plan with Expr.Type_error msg -> raise (Exec_error msg)
+  try run_to_stop budget (fun () -> run_hooked ctx plan)
+  with Expr.Type_error msg -> raise (Exec_error msg)
 
 type profile = {
   operator : string;
@@ -2158,7 +2178,10 @@ let run_profiled ?budget ?(jobs = 1) ?(chunked = true) ?spill catalog plan =
   in
   let ctx = { budget; jobs; hook; catalog; chunked; fuse = false; spill } in
   let rel =
-    try run_hooked ctx plan
+    try
+      run_to_stop budget (fun () ->
+          stack := [ [] ];
+          run_hooked ctx plan)
     with Expr.Type_error msg -> raise (Exec_error msg)
   in
   match !stack with

@@ -108,14 +108,40 @@ let analyze_column rel name =
     histogram = build_histogram values;
   }
 
-let analyze rel =
-  let names = Schema.names (Relation.schema rel) in
-  {
-    rows = Relation.cardinality rel;
-    columns = List.map (fun n -> (n, analyze_column rel n)) names;
-  }
+let m_columns_analyzed =
+  Telemetry.Metrics.counter "engine.stats.columns_analyzed"
+    ~help:"columns whose statistics were computed from their values"
+
+let m_columns_reused =
+  Telemetry.Metrics.counter "engine.stats.columns_reused"
+    ~help:"columns whose statistics carried over from the previous relation"
 
 let column t name = Option.map snd (List.find_opt (fun (n, _) -> n = name) t.columns)
+
+(* A column's statistics are a function of its cells alone, so when
+   every cell is physically the cell [prev] was analyzed over they are
+   bit-identical to a fresh analysis.  [Value.equal] would not do:
+   [Int 2] and [Float 2.0] are equal but give different min/max
+   representatives. *)
+let analyze ?prev rel =
+  let carried name =
+    match prev with
+    | Some (prel, pstats) when Relation.shares_column prel rel name -> column pstats name
+    | _ -> None
+  in
+  let columns =
+    List.map
+      (fun n ->
+        match carried n with
+        | Some cs ->
+          Telemetry.Metrics.inc m_columns_reused;
+          (n, cs)
+        | None ->
+          Telemetry.Metrics.inc m_columns_analyzed;
+          (n, analyze_column rel n))
+      (Schema.names (Relation.schema rel))
+  in
+  { rows = Relation.cardinality rel; columns }
 
 (* Textbook default selectivities. *)
 let default_eq = 0.1

@@ -23,7 +23,14 @@ type t = {
   columns : (string * column_stats) list;
 }
 
-val analyze : Dirty.Relation.t -> t
+val analyze : ?prev:Dirty.Relation.t * t -> Dirty.Relation.t -> t
+(** Collect statistics for every column.  With [prev = (rel', s)],
+    where [s] is [rel']'s statistics, a column whose cells are
+    physically those of [rel'] row for row
+    ({!Dirty.Relation.shares_column}) keeps its entry of [s]; only the
+    other columns are analyzed.  The result equals a fresh
+    [analyze rel] either way.  Counts each column in
+    [engine.stats.columns_analyzed] or [engine.stats.columns_reused]. *)
 
 val column : t -> string -> column_stats option
 

@@ -203,8 +203,9 @@ let error_body detail =
 
 (* ---- construction ---- *)
 
-(* every snapshot swap rebuilds the session the same way: sharded
-   when the daemon was configured with [--shards N] (N > 1) *)
+(* a snapshot loaded from the store gets a fresh session, sharded
+   when the daemon was configured with [--shards N] (N > 1); an update
+   derives its session from the live one, which keeps the shard count *)
 let clean_session (cfg : config) db =
   Conquer.Clean.create
     ?shards:(if cfg.shards > 1 then Some cfg.shards else None)
@@ -319,8 +320,10 @@ let ensure_session t = locked t.slock @@ fun () -> ensure_session_locked t
 
 (* The write path: validate and apply the batch against the current
    in-memory snapshot, persist it (a delta commit, or a compacting
-   full save once the chain reaches [compact_every]), and swap the
-   session in place — the daemon never reloads what it just applied.
+   full save once the chain reaches [compact_every]), and swap in a
+   session derived from the live one — the daemon never reloads what
+   it just applied, and rebuilds only the indexes and statistics of
+   the columns the batch changed.
    Serialized by [slock] with the probe/reload path, so readers always
    pair the right generation with the right session. *)
 let apply_update t batch =
@@ -351,7 +354,8 @@ let apply_update t batch =
             (Printf.sprintf "store unavailable: %s" (Printexc.to_string e)))
       | generation ->
         Breaker.success t.breaker;
-        t.session <- Some (generation, clean_session t.cfg outcome.Dirty.Delta.db);
+        t.session <-
+          Some (generation, Conquer.Clean.derive session outcome.Dirty.Delta.db);
         Cache.clear t.prepared;
         let live_suffix = Printf.sprintf "|g%d" generation in
         Cache.drop t.results (fun k ->

@@ -686,6 +686,47 @@ let test_query_cancelled_partial_within_deadline () =
     true
     (elapsed < 2.0 *. deadline)
 
+(* The cross product below finishes well inside the deadline; the
+   chunked filter and projection over its 1.2M rows take several times
+   longer, so the deadline falls inside their parallel regions, which
+   must stop at their next chunk rather than run to completion. *)
+let test_query_cancelled_in_chunked_region () =
+  let engine = Engine.Database.create () in
+  let schema = Schema.make [ ("k", Value.TInt); ("v", Value.TInt) ] in
+  let rel n =
+    Relation.create schema (List.init n (fun i -> [| v_i i; v_i (i * 7) |]))
+  in
+  Engine.Database.add_relation engine ~name:"a" (rel 3000);
+  Engine.Database.add_relation engine ~name:"b" (rel 400);
+  let deadline = 0.25 in
+  let run () =
+    Engine.Database.query_ast_within
+      ~config:{ (cancel_config 1 deadline) with chunked = true }
+      engine cross_query
+  in
+  (* while the heap still grows, the cross product alone can outlast
+     the deadline; the second run is the one whose deadline falls in
+     the chunked operators *)
+  ignore (run ());
+  let t0 = Unix.gettimeofday () in
+  let rel, { Engine.Database.truncated; cancelled } = run () in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "cancelled" true cancelled;
+  Alcotest.(check bool) "not row-truncated" false truncated;
+  Alcotest.(check int) "a cancelled answer has no rows" 0 (Relation.cardinality rel);
+  let expired, _ =
+    Engine.Database.query_ast_within ~config:(cancel_config 1 0.0) engine
+      cross_query
+  in
+  Alcotest.(check (list string))
+    "output columns as when stopped before the first operator"
+    (Schema.names (Relation.schema expired))
+    (Schema.names (Relation.schema rel));
+  Alcotest.(check bool)
+    (Printf.sprintf "returned within 2x deadline (%.0fms)" (elapsed *. 1000.))
+    true
+    (elapsed < 2.0 *. deadline)
+
 let test_query_cancelled_raise_within_deadline () =
   let engine = big_cross_db () in
   let deadline = 0.3 in
@@ -770,6 +811,8 @@ let () =
             `Quick test_expired_deadline_query_degrades;
           Alcotest.test_case "budgeted query degrades to cancelled partial"
             `Quick test_query_cancelled_partial_within_deadline;
+          Alcotest.test_case "deadline inside a chunked region" `Quick
+            test_query_cancelled_in_chunked_region;
           Alcotest.test_case "raise-mode query cancelled within 2x deadline"
             `Quick test_query_cancelled_raise_within_deadline;
           Alcotest.test_case "cancellations counter and first-reason-wins"

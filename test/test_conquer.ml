@@ -620,6 +620,108 @@ let test_three_way_chain () =
       Fixtures.expect_answer rewritten key expected)
     oracle
 
+(* ---- derived sessions: what an update rebuilds ---- *)
+
+let derive_after batch =
+  let s0 = session () in
+  let db1 = (Delta.apply (Conquer.Clean.dirty_db s0) batch).Delta.db in
+  let count name =
+    Option.value ~default:0 (Telemetry.Metrics.counter_value name)
+  in
+  Telemetry.Control.with_enabled (fun () ->
+      let analyzed = count "engine.stats.columns_analyzed"
+      and reused = count "engine.stats.columns_reused" in
+      let s1 = Conquer.Clean.derive s0 db1 in
+      ( s0,
+        s1,
+        count "engine.stats.columns_analyzed" - analyzed,
+        count "engine.stats.columns_reused" - reused ))
+
+let id_index s table =
+  Option.get (Engine.Database.index (Conquer.Clean.engine s) ~table ~attr:"id")
+
+let check_reuse what s0 s1 ~tables ~columns =
+  let r = Engine.Database.reuse ~prev:(Conquer.Clean.engine s0) (Conquer.Clean.engine s1) in
+  Alcotest.(check int) (what ^ ": tables reused") tables r.tables_reused;
+  Alcotest.(check int) (what ^ ": columns analyzed") columns r.columns_analyzed
+
+let check_same_answers s1 =
+  let fresh = Conquer.Clean.create (Conquer.Clean.dirty_db s1) in
+  List.iter
+    (fun q ->
+      Alcotest.(check string) ("answers equal a fresh session's: " ^ q)
+        (Relation.to_string (Conquer.Clean.answers fresh q))
+        (Relation.to_string (Conquer.Clean.answers s1 q)))
+    [ Fixtures.q1; Fixtures.q2 ]
+
+(* a reassign rewrites one cluster's probabilities: exactly one column
+   of one table is analyzed, and the identifier index carries over *)
+let test_derive_reassign () =
+  let s0, s1, analyzed, reused =
+    derive_after
+      [ Delta.Reassign { table = "customer"; cluster = v_s "c1"; weights = [| 1.0; 2.0 |] } ]
+  in
+  Alcotest.(check int) "engine.stats.columns_analyzed grows by 1" 1 analyzed;
+  Alcotest.(check int) "engine.stats.columns_reused counts the rest" 10 reused;
+  check_reuse "reassign" s0 s1 ~tables:1 ~columns:1;
+  Alcotest.(check bool) "customer index carried over" true
+    (id_index s0 "customer" == id_index s1 "customer");
+  let orders s = Option.get (Engine.Database.stats (Conquer.Clean.engine s) "orders") in
+  Alcotest.(check bool) "orders statistics carried over" true
+    (List.for_all2 (fun (_, a) (_, b) -> a == b) (orders s0).columns (orders s1).columns);
+  check_same_answers s1
+
+(* an insert changes the table's cardinality: nothing of it is reused *)
+let test_derive_insert () =
+  let row = [| v_s "c3"; v_s "m5"; v_s "Ann"; v_i 40_000; v_f 1.0 |] in
+  let s0, s1, analyzed, _ = derive_after [ Delta.Insert { table = "customer"; row } ] in
+  Alcotest.(check int) "every customer column analyzed" 5 analyzed;
+  check_reuse "insert" s0 s1 ~tables:1 ~columns:5;
+  Alcotest.(check bool) "customer index rebuilt" false
+    (id_index s0 "customer" == id_index s1 "customer");
+  check_same_answers s1
+
+(* a split relabels identifiers: the index is rebuilt over the new ids *)
+let test_derive_split () =
+  let s0, s1, _, _ =
+    derive_after
+      [ Delta.Split { table = "customer"; cluster = v_s "c1"; into = v_s "c9"; members = [ 1 ] } ]
+  in
+  let ix = id_index s1 "customer" in
+  Alcotest.(check bool) "customer index rebuilt" false (id_index s0 "customer" == ix);
+  Alcotest.(check (list int)) "c1 keeps row 0" [ 0 ] (Engine.Index.lookup ix (v_s "c1"));
+  Alcotest.(check (list int)) "c9 holds row 1" [ 1 ] (Engine.Index.lookup ix (v_s "c9"));
+  Alcotest.(check bool) "orders index carried over" true
+    (id_index s0 "orders" == id_index s1 "orders");
+  check_same_answers s1
+
+(* physical identity, not [Value.equal]: a reassign that turns an
+   [Int 1] probability into [Float 1.0] leaves the column equal but
+   changes its min/max representatives, so it must be re-analyzed *)
+let test_derive_equal_is_not_identical () =
+  let rel =
+    Relation.create
+      (Schema.make [ ("id", Value.TString); ("prob", Value.TFloat) ])
+      [ [| v_s "a"; v_i 1 |]; [| v_s "b"; v_i 1 |] ]
+  in
+  let db =
+    Dirty_db.add_table Dirty_db.empty
+      (Dirty_db.make_table ~name:"t" ~id_attr:"id" ~prob_attr:"prob" rel)
+  in
+  let s0 = Conquer.Clean.create db in
+  let db1 =
+    (Delta.apply db [ Delta.Reassign { table = "t"; cluster = v_s "a"; weights = [| 1.0 |] } ])
+      .Delta.db
+  in
+  let s1 = Conquer.Clean.derive s0 db1 in
+  check_reuse "int to float" s0 s1 ~tables:0 ~columns:1;
+  let prob_max s =
+    let stats = Option.get (Engine.Database.stats (Conquer.Clean.engine s) "t") in
+    (Option.get (Engine.Stats.column stats "prob")).max
+  in
+  Alcotest.(check bool) "max representative is fresh" true
+    (prob_max s1 = prob_max (Conquer.Clean.create db1))
+
 let () =
   Alcotest.run "conquer"
     [
@@ -703,6 +805,17 @@ let () =
           Alcotest.test_case "threshold" `Quick test_answers_above;
           Alcotest.test_case "join-on syntax" `Quick
             test_join_on_syntax_rewritable;
+        ] );
+      ( "derived sessions",
+        [
+          Alcotest.test_case "reassign analyzes one column" `Quick
+            test_derive_reassign;
+          Alcotest.test_case "insert re-analyzes its table" `Quick
+            test_derive_insert;
+          Alcotest.test_case "split rebuilds the identifier index" `Quick
+            test_derive_split;
+          Alcotest.test_case "equal but not identical cells re-analyze" `Quick
+            test_derive_equal_is_not_identical;
         ] );
       ( "consistent answers",
         [

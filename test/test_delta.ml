@@ -370,6 +370,63 @@ let test_retention_keeps_fallback_chain () =
             (Sys.file_exists (Filename.concat dir f)))
         [ "journal.g1.csv"; "delta.g2.csv"; "delta.g3.csv" ])
 
+(* ---- exact floats: a snapshot reloads bit for bit ---- *)
+
+(* arbitrary finite floats, plus the shapes that trip a lossy renderer:
+   integral floats past 1e15 (which [%.17g] prints as bare digits),
+   -0.0, subnormals and the extremes *)
+let finite_float_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun f -> if Float.is_finite f then f else 0.1) float);
+        (2, map (fun k -> Float.of_int k *. 1e15) (int_range (-9999) 9999));
+        ( 1,
+          oneofl
+            [ -0.0; 1.0 /. 3.0; 5e-324; Float.max_float; -.Float.min_float; 123456789012345.67 ]
+        );
+      ])
+
+(* clusters of two: an arbitrary payload and probabilities p, 1 - p *)
+let float_db_gen =
+  let open QCheck.Gen in
+  let cluster i =
+    let* x = finite_float_gen and* y = finite_float_gen and* p = float_bound_inclusive 1.0 in
+    return
+      [
+        [| v_s (Printf.sprintf "c%d" i); v_f x; v_f p |];
+        [| v_s (Printf.sprintf "c%d" i); v_f y; v_f (1.0 -. p) |];
+      ]
+  in
+  let* n = int_range 1 20 in
+  let* rows = flatten_l (List.init n cluster) in
+  let schema = Schema.make [ ("id", Value.TString); ("x", Value.TFloat); ("prob", Value.TFloat) ] in
+  return
+    (db_of_tables
+       [
+         Dirty_db.make_table ~name:"t" ~id_attr:"id" ~prob_attr:"prob"
+           (Relation.create schema (List.concat rows));
+       ])
+
+let cell_bits v =
+  match v with
+  | Value.Float f -> Printf.sprintf "F%Lx" (Int64.bits_of_float f)
+  | v -> Printf.sprintf "%s:%s" (Value.ty_name (Option.get (Value.type_of v))) (Value.to_string v)
+
+let db_bits db =
+  List.map
+    (fun (t : Dirty_db.table) ->
+      (t.name, Array.to_list (Array.map (fun r -> Array.to_list (Array.map cell_bits r)) (Relation.rows t.relation))))
+    (Dirty_db.tables db)
+
+let prop_store_float_bits =
+  QCheck.Test.make ~count:200 ~name:"load (save db) keeps every float's bits"
+    (QCheck.make ~print:Fuzz.Dbgen.db_to_string float_db_gen)
+    (fun db ->
+      Testutil.with_temp_dir (fun dir ->
+          Store.save dir db;
+          db_bits (Store.load dir) = db_bits db))
+
 let () =
   Alcotest.run "delta"
     [
@@ -417,6 +474,7 @@ let () =
             `Quick test_check_generations_report;
           Alcotest.test_case "recover sweeps an uncommitted delta" `Quick
             test_recover_sweeps_uncommitted_delta;
+          QCheck_alcotest.to_alcotest ~long:false prop_store_float_bits;
           Alcotest.test_case "retention keeps the fallback chain" `Quick
             test_retention_keeps_fallback_chain;
         ] );

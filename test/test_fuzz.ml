@@ -56,6 +56,97 @@ let prop_update_differential =
         QCheck.Test.fail_report (Fuzz.Differential.update_to_string outcome)
       else true)
 
+(* ---- derived sessions ----
+
+   [Clean.derive] reuses identifier indexes and statistics columns
+   whose cells an update left physically unchanged.  Over random
+   update sequences of all five op kinds, the derived session must be
+   indistinguishable from [Clean.create] on the same database: equal
+   statistics, equal index lookups for every identifier, and bitwise
+   equal answers in the same row order.  The predecessor it was built
+   from must keep answering exactly as before. *)
+
+let cell_bits_equal a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.Float _, _ | _, Value.Float _ -> false
+  | _ -> Value.equal a b && Value.type_of a = Value.type_of b
+
+let rows_bits_equal r1 r2 =
+  let a = Relation.rows r1 and b = Relation.rows r2 in
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Array.length x = Array.length y && Array.for_all2 cell_bits_equal x y)
+       a b
+
+let op_kind = function
+  | Delta.Insert _ -> "insert"
+  | Delta.Delete _ -> "delete"
+  | Delta.Split _ -> "split"
+  | Delta.Merge _ -> "merge"
+  | Delta.Reassign _ -> "reassign"
+
+(* every identifier either database holds: dropped ones must miss in both *)
+let identifiers (t : Dirty_db.table) prev =
+  Cluster.id_values t.clustering
+  @ (match Dirty_db.find_table_opt prev t.name with
+    | Some p -> Cluster.id_values p.clustering
+    | None -> [])
+
+let same_catalogs ~prev derived fresh =
+  let de = Conquer.Clean.engine derived and fe = Conquer.Clean.engine fresh in
+  List.for_all
+    (fun (t : Dirty_db.table) ->
+      compare (Engine.Database.stats de t.name) (Engine.Database.stats fe t.name) = 0
+      &&
+      match
+        ( Engine.Database.index de ~table:t.name ~attr:t.id_attr,
+          Engine.Database.index fe ~table:t.name ~attr:t.id_attr )
+      with
+      | Some di, Some fi ->
+        Engine.Index.cardinality di = Engine.Index.cardinality fi
+        && Engine.Index.distinct_keys di = Engine.Index.distinct_keys fi
+        && List.for_all
+             (fun id -> Engine.Index.lookup di id = Engine.Index.lookup fi id)
+             (identifiers t prev)
+      | _ -> false)
+    (Dirty_db.tables (Conquer.Clean.dirty_db fresh))
+
+let kinds_seen = Hashtbl.create 5
+
+let prop_derived_session =
+  QCheck.Test.make ~count:200
+    ~name:"a derived session equals a fresh one; its predecessor is unchanged"
+    (Fuzz.Updategen.scenario_arbitrary ())
+    (fun (case, batches) ->
+      let sql = Fuzz.Case.sql case in
+      let answers s = Conquer.Clean.answers s sql in
+      let rec go prev = function
+        | [] -> true
+        | batch :: rest ->
+          List.iter (fun op -> Hashtbl.replace kinds_seen (op_kind op) ()) batch;
+          let db = (Delta.apply (Conquer.Clean.dirty_db prev) batch).Delta.db in
+          let before = answers prev in
+          let derived = Conquer.Clean.derive prev db in
+          let fresh = Conquer.Clean.create db in
+          if not (same_catalogs ~prev:(Conquer.Clean.dirty_db prev) derived fresh) then
+            QCheck.Test.fail_report "statistics or index lookups differ from a fresh session"
+          else if not (rows_bits_equal (answers derived) (answers fresh)) then
+            QCheck.Test.fail_report "derived answers differ from a fresh session's"
+          else if not (rows_bits_equal (answers prev) before) then
+            QCheck.Test.fail_report "deriving changed the predecessor's answers"
+          else go derived rest
+      in
+      go (Conquer.Clean.create case.db) batches)
+
+let test_derived_session_property () =
+  Hashtbl.reset kinds_seen;
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 14 |]) prop_derived_session;
+  Alcotest.(check (list string))
+    "every op kind exercised"
+    [ "delete"; "insert"; "merge"; "reassign"; "split" ]
+    (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) kinds_seen []))
+
 (* ---- oracle invariants ---- *)
 
 let prop_oracle_mass =
@@ -334,6 +425,11 @@ let () =
       ( "differential",
         to_alcotest
           [ prop_differential; prop_update_differential; prop_oracle_mass ] );
+      ( "derived",
+        [
+          Alcotest.test_case "derived = fresh over all five op kinds" `Quick
+            test_derived_session_property;
+        ] );
       ("sampler", to_alcotest [ prop_sampler_converges ]);
       ("roundtrip", to_alcotest [ prop_roundtrip; prop_corpus_roundtrip ]);
       ( "corpus",

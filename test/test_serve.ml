@@ -131,16 +131,14 @@ let base_config =
     drain_deadline = 10.0;
   }
 
-(* run [f dir t port] against a live server; returns f's result and
-   the drain report from shutting the server down afterwards *)
-let with_server ?(config = base_config) db f =
-  Testutil.with_temp_dir @@ fun dir ->
-  Fault.Io.reset ();
-  Store.save dir db;
+(* run [f t port] against a live server over the store in [dir];
+   returns f's result and the drain report from shutting the server
+   down afterwards *)
+let serve_store ?(config = base_config) dir f =
   let t = Server.Serve.create ~config ~dir () in
   let runner = Domain.spawn (fun () -> Server.Serve.run t) in
   let res =
-    try f dir t (Server.Serve.port t)
+    try f t (Server.Serve.port t)
     with e ->
       Server.Serve.shutdown t;
       ignore (Domain.join runner);
@@ -151,6 +149,14 @@ let with_server ?(config = base_config) db f =
   let report = Domain.join runner in
   Fault.Io.reset ();
   (res, report)
+
+(* [serve_store] over a fresh store holding [db]; [f] also gets the
+   store directory *)
+let with_server ?config db f =
+  Testutil.with_temp_dir @@ fun dir ->
+  Fault.Io.reset ();
+  Store.save dir db;
+  serve_store ?config dir (f dir)
 
 type outcome = Resp of Server.Http.response | Conn_error of string
 
@@ -955,6 +961,58 @@ let test_update_compaction_threshold () =
   in
   ()
 
+(* A restarted daemon serves exactly what it served before the
+   restart.  The updates reassign off-grid probabilities (1/3, 1/5,
+   ...) and one of them lands on a compacting save, so the restarted
+   daemon loads some clusters from a snapshot file and the rest from
+   replayed deltas. *)
+let test_restart_keeps_answers () =
+  let config = { base_config with compact_every = 3 } in
+  let updates =
+    [ "reassign,alpha,c0,1,2"; "reassign,alpha,c1,1,4"; "reassign,alpha,c2,2,5";
+      "reassign,alpha,c3,1,6"; "reassign,beta,c4,3,4" ]
+  in
+  let answers port =
+    List.map (fun q -> (q, body_rows (expect_200 (client port ~body:q "/query")))) fast_queries
+  in
+  Testutil.with_temp_dir @@ fun dir ->
+  Fault.Io.reset ();
+  Store.save dir fixture;
+  let (before, compactions), _ =
+    serve_store ~config dir (fun _t port ->
+        let compactions =
+          List.filter
+            (fun u -> body_flag (expect_200 (client port ~body:u "/update")) "compacted")
+            updates
+        in
+        (answers port, List.length compactions))
+  in
+  Alcotest.(check int) "one update compacted" 1 compactions;
+  let after, _ = serve_store ~config dir (fun _t port -> answers port) in
+  List.iter2
+    (fun (q, b) (_, a) -> Alcotest.(check string) ("same answers after restart: " ^ q) b a)
+    before after;
+  (* the served JSON carries 9 digits; the reloaded store must hold
+     the in-memory probabilities to all 17 *)
+  let applied =
+    List.fold_left
+      (fun db u -> (Delta.apply db (Delta.of_rows (Csv.parse_rows u))).Delta.db)
+      fixture updates
+  in
+  let exact db q =
+    Relation.rows (Conquer.Clean.answers (Conquer.Clean.create db) q)
+    |> Array.map (Array.map (function
+         | Value.Float f -> Printf.sprintf "%.17g" f
+         | v -> Value.to_string v))
+    |> Array.to_list |> List.map Array.to_list
+  in
+  List.iter
+    (fun q ->
+      Alcotest.(check (list (list string)))
+        ("reloaded store answers to 17 digits: " ^ q)
+        (exact applied q) (exact (Store.load dir) q))
+    fast_queries
+
 (* concurrent writers: every update serializes onto a distinct
    generation, losers get 503 + Retry-After (never 500), and the final
    database is the commutative image of every committed reassign *)
@@ -1378,6 +1436,8 @@ let () =
             test_update_endpoint;
           Alcotest.test_case "update compaction threshold" `Quick
             test_update_compaction_threshold;
+          Alcotest.test_case "restart serves the same answers" `Quick
+            test_restart_keeps_answers;
           Alcotest.test_case "concurrent updates serialize" `Quick
             test_concurrent_updates_serialize;
           Alcotest.test_case "breaker trips on store faults and heals" `Quick
