@@ -771,7 +771,6 @@ let report_parallel () =
   Engine.Database.add_relation engine ~name:"l" left;
   Engine.Database.add_relation engine ~name:"r" right;
   let config jobs = { Engine.Planner.default_config with jobs } in
-  let config_row = { Engine.Planner.default_config with jobs = 1; chunked = false } in
   Printf.printf "synthetic database: l=%d rows, r=%d rows, %d distinct keys\n"
     nl nr nkeys;
   Printf.printf "recommended domain count on this machine: %d\n"
@@ -795,9 +794,8 @@ let report_parallel () =
       ("filter-project", "select a from l where v < 500");
     ]
   in
-  Printf.printf "%-16s %12s %12s %12s %9s %9s\n" "query" "rowexec" "jobs=1"
-    "jobs=4" "speedup" "colgain";
-  let totals = ref (0.0, 0.0, 0.0) in
+  Printf.printf "%-16s %12s %12s %9s\n" "query" "jobs=1" "jobs=4" "speedup";
+  let totals = ref (0.0, 0.0) in
   List.iter
     (fun (name, sql) ->
       let card cfg =
@@ -805,16 +803,10 @@ let report_parallel () =
       in
       if card (config 1) <> card (config 4) then
         failwith (Printf.sprintf "parallel answer mismatch on %s" name);
-      if card config_row <> card (config 1) then
-        failwith (Printf.sprintf "row/chunked answer mismatch on %s" name);
       (* each phase runs with the process default pinned to its own
          jobs value, so nothing inherited from the environment leaks
          into the measurement *)
       Engine.Parallel.set_default_jobs 1;
-      let trow =
-        time_runs ~name:(name ^ "/rowexec") (fun () ->
-            Engine.Database.query ~config:config_row engine sql)
-      in
       let t1 =
         time_runs ~name:(name ^ "/jobs1") (fun () ->
             Engine.Database.query ~config:(config 1) engine sql)
@@ -826,30 +818,21 @@ let report_parallel () =
       in
       Engine.Parallel.set_default_jobs 1;
       let speedup = if t4 > 0.0 then t1 /. t4 else 1.0 in
-      let colgain = if t1 > 0.0 then trow /. t1 else 1.0 in
       record (name ^ "/speedup") (Telemetry.Timing.singleton (speedup /. 1000.0));
-      record (name ^ "/colgain") (Telemetry.Timing.singleton (colgain /. 1000.0));
-      let sr, s1, s4 = !totals in
-      totals := (sr +. trow, s1 +. t1, s4 +. t4);
-      Printf.printf "%-16s %10.2fms %10.2fms %10.2fms %8.2fx %8.2fx\n" name
-        (ms trow) (ms t1) (ms t4) speedup colgain)
+      let s1, s4 = !totals in
+      totals := (s1 +. t1, s4 +. t4);
+      Printf.printf "%-16s %10.2fms %10.2fms %8.2fx\n" name (ms t1) (ms t4)
+        speedup)
     suite;
-  let sr, s1, s4 = !totals in
+  let s1, s4 = !totals in
   let speedup = if s4 > 0.0 then s1 /. s4 else 1.0 in
-  let colgain = if s1 > 0.0 then sr /. s1 else 1.0 in
   record "suite/speedup" (Telemetry.Timing.singleton (speedup /. 1000.0));
-  record "suite/colgain" (Telemetry.Timing.singleton (colgain /. 1000.0));
-  Printf.printf
-    "suite total: %.2fms row-serial, %.2fms chunked-serial, %.2fms parallel\n"
-    (ms sr) (ms s1) (ms s4);
-  Printf.printf
-    "  columnar gain (rowexec/jobs1): %.2fx   parallel speedup (jobs1/jobs4): \
-     %.2fx\n"
-    colgain speedup;
-  note "partition-parallel chunked hash join / filter / aggregate on a";
-  note "        shared, pre-warmed domain pool; answers are bit-identical to";
-  note "        serial execution (group order, row order and float";
-  note "        accumulation included); rowexec is the chunked=false baseline"
+  Printf.printf "suite total: %.2fms serial, %.2fms parallel (speedup %.2fx)\n"
+    (ms s1) (ms s4) speedup;
+  note "partition-parallel hash join / filter / aggregate on a shared,";
+  note "        pre-warmed domain pool; answers are bit-identical to serial";
+  note "        execution (group order, row order and float accumulation";
+  note "        included)"
 
 (* ------------------------------------------------------------------ *)
 (* report: serve — the daemon under concurrent load                    *)

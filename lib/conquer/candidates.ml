@@ -86,49 +86,48 @@ end
 
 module Rtbl = Hashtbl.Make (Row_key)
 
-(* The oracle shares one engine database and one plan across all
-   candidates; only the base relations are swapped. *)
-let with_oracle ?max_candidates db query f =
+type evaluator = (string * Relation.t) list -> Relation.t
+
+(* One engine database and one plan serve every candidate; only the
+   base relations are swapped. *)
+let engine_evaluator db query : evaluator =
   let engine = Engine.Database.create () in
   List.iter
     (fun (t : Dirty_db.table) ->
       Engine.Database.add_relation engine ~name:t.name t.relation)
     (Dirty_db.tables db);
   let plan = Engine.Database.plan engine query in
+  fun relations ->
+    List.iter
+      (fun (name, rel) -> Engine.Database.add_relation engine ~name rel)
+      relations;
+    Engine.Database.run_plan engine plan
+
+(* [f acc answers prob] over every candidate, [answers] being the set
+   [eval] returns on it *)
+let fold_answers ?max_candidates db eval f init =
   fold ?max_candidates db
     (fun acc selection prob ->
-      List.iter
-        (fun (name, rel) -> Engine.Database.add_relation engine ~name rel)
-        (candidate_relations db selection);
-      let result = Relation.distinct (Engine.Database.run_plan engine plan) in
-      f acc result prob)
-    ()
+      f acc (Relation.distinct (eval (candidate_relations db selection))) prob)
+    init
 
-let clean_answers ?max_candidates db query =
+let clean_answers_with ?max_candidates eval db =
   let answers = Rtbl.create 64 in
-  let schema_ref = ref None in
-  with_oracle ?max_candidates db query (fun () result prob ->
-      if !schema_ref = None then schema_ref := Some (Relation.schema result);
-      Relation.iter
-        (fun row ->
-          let p = Option.value ~default:0.0 (Rtbl.find_opt answers row) in
-          Rtbl.replace answers row (p +. prob))
-        result);
   let schema =
-    match !schema_ref with
-    | Some s -> s
-    | None ->
-      (* no candidate produced rows; derive the schema by running the
-         query once on the dirty database itself *)
-      let engine = Engine.Database.create () in
-      List.iter
-        (fun (t : Dirty_db.table) ->
-          Engine.Database.add_relation engine ~name:t.name t.relation)
-        (Dirty_db.tables db);
-      Relation.schema (Engine.Database.query_ast engine query)
+    fold_answers ?max_candidates db eval
+      (fun schema result prob ->
+        Relation.iter
+          (fun row ->
+            let p = Option.value ~default:0.0 (Rtbl.find_opt answers row) in
+            Rtbl.replace answers row (p +. prob))
+          result;
+        match schema with None -> Some (Relation.schema result) | s -> s)
+      None
   in
+  (* [fold] visits at least one candidate *)
   let out_schema =
-    Schema.append schema (Schema.make [ (Rewrite.prob_column, Value.TFloat) ])
+    Schema.append (Option.get schema)
+      (Schema.make [ (Rewrite.prob_column, Value.TFloat) ])
   in
   let rows =
     Rtbl.fold
@@ -148,8 +147,14 @@ let clean_answers ?max_candidates db query =
   in
   Relation.sort_by cmp rel
 
+let nonempty_mass_with ?max_candidates eval db =
+  fold_answers ?max_candidates db eval
+    (fun total result prob ->
+      if Relation.is_empty result then total else total +. prob)
+    0.0
+
+let clean_answers ?max_candidates db query =
+  clean_answers_with ?max_candidates (engine_evaluator db query) db
+
 let probability_that_nonempty ?max_candidates db query =
-  let total = ref 0.0 in
-  with_oracle ?max_candidates db query (fun () result prob ->
-      if not (Relation.is_empty result) then total := !total +. prob);
-  !total
+  nonempty_mass_with ?max_candidates (engine_evaluator db query) db

@@ -33,18 +33,36 @@ val candidate_relations :
 (** Materialize the candidate database: each table restricted to the
     chosen rows (identifier and probability columns retained). *)
 
+type evaluator = (string * Dirty.Relation.t) list -> Dirty.Relation.t
+(** Answers a fixed query over one candidate database, given as
+    {!candidate_relations}. *)
+
+val engine_evaluator : Dirty.Dirty_db.t -> Sql.Ast.query -> evaluator
+(** The query planned once on the engine and run on each candidate.
+    Unlike {!Reference.eval}, it covers the engine's whole SQL
+    subset, subqueries included. *)
+
+val clean_answers_with :
+  ?max_candidates:int -> evaluator -> Dirty.Dirty_db.t -> Dirty.Relation.t
+(** Clean answers by direct application of Dfn 5: answer the query on
+    every candidate database with the evaluator, collect the distinct
+    answer tuples, and sum the probabilities of the candidates
+    producing each.  The result relation extends the query's output
+    schema with a [clean_prob] column and is sorted by the answer
+    columns. *)
+
+val nonempty_mass_with :
+  ?max_candidates:int -> evaluator -> Dirty.Dirty_db.t -> float
+(** Probability mass of the candidates on which the evaluator returns
+    at least one row (used to answer boolean queries). *)
+
 val clean_answers :
   ?max_candidates:int ->
   Dirty.Dirty_db.t ->
   Sql.Ast.query ->
   Dirty.Relation.t
-(** Clean answers by direct application of Dfn 5: run the query on
-    every candidate database, collect the distinct answer tuples, and
-    sum the probabilities of the candidates producing each.  The
-    result relation extends the query's output schema with a
-    [clean_prob] column and is sorted by the answer columns. *)
+(** {!clean_answers_with} on the {!engine_evaluator}. *)
 
 val probability_that_nonempty :
   ?max_candidates:int -> Dirty.Dirty_db.t -> Sql.Ast.query -> float
-(** Probability mass of the candidates on which the query returns at
-    least one row (used to answer boolean queries). *)
+(** {!nonempty_mass_with} on the {!engine_evaluator}. *)

@@ -26,12 +26,10 @@
     more than one scan.  Fallbacks are reported in {!stats} and
     counted by the [conquer.incremental.fallbacks] metric.
 
-    Float caveat (DESIGN §5k): group recomputation folds the same
-    per-group products in the same relative row order as a
-    from-scratch run, so results are bit-identical on any input for
-    the row executor, and bit-identical for the chunked executor
-    whenever probabilities are dyadic rationals (the fuzz grid) — the
-    general chunked case agrees to within reassociation error only. *)
+    Floats (DESIGN §5k): group recomputation folds the same per-group
+    products in the same relative row order as a from-scratch run, so
+    results are bit-identical to it on any input, off the dyadic
+    probability grid included. *)
 
 open Dirty
 

@@ -22,6 +22,10 @@ let guard max_candidates db =
   if count > float_of_int max_candidates then
     raise (Too_many_candidates { count; limit = max_candidates })
 
+(* candidates are evaluated by the reference evaluator, which shares no
+   code with the engine the oracle is used to check *)
+let reference query relations = Reference.eval relations query
+
 let answers ?(max_candidates = default_max_candidates) db query =
   guard max_candidates db;
   Telemetry.Span.with_ ~name:"conquer.oracle" @@ fun () ->
@@ -29,7 +33,7 @@ let answers ?(max_candidates = default_max_candidates) db query =
   Telemetry.Metrics.inc
     ~n:(int_of_float (candidate_count db))
     m_candidates;
-  Candidates.clean_answers ~max_candidates db query
+  Candidates.clean_answers_with ~max_candidates (reference query) db
 
 let answer_probabilities ?max_candidates db query =
   let rel = answers ?max_candidates db query in
@@ -45,7 +49,7 @@ let answer_probabilities ?max_candidates db query =
 
 let nonempty_probability ?(max_candidates = default_max_candidates) db query =
   guard max_candidates db;
-  Candidates.probability_that_nonempty ~max_candidates db query
+  Candidates.nonempty_mass_with ~max_candidates (reference query) db
 
 (* ---- differential comparison ---- *)
 

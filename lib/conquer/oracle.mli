@@ -3,11 +3,14 @@
     {!Candidates} enumerates candidate databases; this module packages
     that enumeration as the {e specification oracle} the differential
     fuzzing harness tests the production path against.  It evaluates
-    any SPJ query AST over any dirty database by materializing every
+    a query AST over any dirty database by materializing every
     candidate (guarded by a size budget) and summing candidate
     probabilities per distinct answer tuple — Dfn 5 executed
-    literally, with no reliance on the rewriting, the rewritability
-    check, or the planner's clever paths beyond plain execution.
+    literally.  Each candidate is answered by {!Reference.eval}, which
+    shares no code with the engine, the rewriting or the
+    rewritability check, so an engine bug cannot agree with itself.
+    Queries outside the reference's subset raise
+    {!Reference.Unsupported}.
 
     The oracle is exponential in the number of multi-tuple clusters;
     the guard turns an over-budget database into the typed exception

@@ -31,9 +31,6 @@ let column t name =
   let i = Schema.index_of t.schema name in
   Array.map (fun row -> row.(i)) t.rows
 
-let column_slice t ~col ~lo ~len =
-  Array.init len (fun i -> t.rows.(lo + i).(col))
-
 let shares_column a b name =
   match (Schema.index_of_opt a.schema name, Schema.index_of_opt b.schema name) with
   | Some i, Some j ->

@@ -28,11 +28,6 @@ val map_rows : Schema.t -> (row -> row) -> t -> t
 val column : t -> string -> Value.t array
 (** All values of the named attribute, in row order. *)
 
-val column_slice : t -> col:int -> lo:int -> len:int -> Value.t array
-(** [column_slice t ~col ~lo ~len] is the values of column [col]
-    (by position) for rows [lo .. lo+len-1], in row order — the
-    row-major to column-major pivot used by columnar extraction. *)
-
 val shares_column : t -> t -> string -> bool
 (** [shares_column a b name] holds when [a] and [b] have the same
     cardinality and, row for row, physically the same ([==]) value in

@@ -76,21 +76,15 @@ let equal a b = compare a b = 0
    floats are coarser than bit equality: [Float.compare (-0.) 0. = 0]
    and NaN equals NaN under the total order.  [Hashtbl.hash] already
    collapses -0.0 onto 0.0 and every NaN payload onto one bucket, so
-   hashing the raw float is safe; these named entry points exist so
-   columnar kernels hashing unboxed columns inherit the same guarantee
-   instead of re-deriving it (e.g. from [Int64.bits_of_float], which
-   would split -0.0 from 0.0 and scatter NaNs). *)
-let hash_float (f : float) = Hashtbl.hash f
-
-(* ints hash through their float image so that Int 2 and Float 2.0 —
-   equal under [compare] — share a bucket *)
-let hash_int (i : int) = Hashtbl.hash (float_of_int i)
-
+   hashing the raw float is safe ([Int64.bits_of_float] would split
+   -0.0 from 0.0 and scatter NaNs).  Ints hash through their float
+   image so that Int 2 and Float 2.0 — equal under [compare] — share a
+   bucket. *)
 let hash = function
   | Null -> 17
   | Bool b -> Hashtbl.hash b
-  | Int i -> hash_int i
-  | Float f -> hash_float f
+  | Int i -> Hashtbl.hash (float_of_int i)
+  | Float f -> Hashtbl.hash f
   | String s -> Hashtbl.hash s
   | Date d -> 31 * Hashtbl.hash d + 5
 

@@ -42,22 +42,6 @@ val hash : t -> int
 (** Consistent with [equal] (numeric values hash by their float
     image). *)
 
-val hash_float : float -> int
-(** The float image {!hash} uses for [Float] values, exposed for
-    columnar kernels that hash unboxed float columns.  Agrees with
-    [compare]'s equality classes: [-0.0] hashes like [0.0], and every
-    NaN payload hashes to the same bucket. *)
-
-val hash_int : int -> int
-(** The image {!hash} uses for [Int] values ([hash_float] of the
-    int's float image, so [Int 2] and [Float 2.0] share a bucket). *)
-
-val compare_int_float : int -> float -> int
-(** Exact numeric comparison of an int against a float (no rounding
-    of the int through float), as used by {!compare} on mixed
-    [Int]/[Float] operands.  Exposed for columnar comparison
-    kernels. *)
-
 (** {1 Numeric coercion} *)
 
 val to_float : t -> float option

@@ -138,17 +138,14 @@ let spill_of_config (config : Planner.config option) =
       }
   | _ -> None
 
-let run_plan ?budget ?jobs ?chunked ?spill t p =
-  Exec.run ?budget ?jobs ?chunked ?spill (exec_catalog t) p
+let run_plan ?budget ?jobs ?chunked:_ ?spill t p =
+  Exec.run ?budget ?jobs ?spill (exec_catalog t) p
 
 (* the parallelism the caller asked for: an explicit config pins it
    (so jobs=1 vs jobs=4 comparisons are environment-independent);
    otherwise the process default (CLI --jobs / CONQUER_JOBS) applies *)
 let effective_jobs (config : Planner.config option) =
   match config with Some c -> c.jobs | None -> Parallel.default_jobs ()
-
-let effective_chunked (config : Planner.config option) =
-  match config with Some c -> c.chunked | None -> true
 
 (* The budget declared by the planner config, if any; a time-limited
    budget gets a cancellation token so the wall-clock watchdog can
@@ -206,8 +203,7 @@ let query_ast ?config t q =
       let budget = budget_of_config Budget.Raise config in
       guarded budget (fun () ->
           run_plan ?budget ~jobs:(effective_jobs config)
-            ~chunked:(effective_chunked config) ?spill:(spill_of_config config)
-            t (plan ?config t q)))
+            ?spill:(spill_of_config config) t (plan ?config t q)))
 
 type stop = { truncated : bool; cancelled : bool }
 
@@ -219,7 +215,6 @@ let query_ast_within ?config ?cancel t q =
       let rel =
         guarded budget (fun () ->
             run_plan ?budget ~jobs:(effective_jobs config)
-              ~chunked:(effective_chunked config)
               ?spill:(spill_of_config config) t (plan ?config t q))
       in
       let stop =
@@ -243,8 +238,7 @@ let query_profiled ?config t text =
   let budget = budget_of_config Budget.Raise config in
   guarded budget (fun () ->
       Exec.run_profiled ?budget ~jobs:(effective_jobs config)
-        ~chunked:(effective_chunked config) ?spill:(spill_of_config config)
-        (exec_catalog t) p)
+        ?spill:(spill_of_config config) (exec_catalog t) p)
 
 let explain_analyze ?config t text =
   let _, profile = query_profiled ?config t text in

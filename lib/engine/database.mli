@@ -61,9 +61,10 @@ val plan : ?config:Planner.config -> t -> Sql.Ast.query -> Plan.t
 val run_plan :
   ?budget:Budget.t -> ?jobs:int -> ?chunked:bool -> ?spill:Exec.spill ->
   t -> Plan.t -> Dirty.Relation.t
-(** Execute a plan directly.  [chunked] (default [true]) selects the
-    columnar chunk executor; [spill] enables the Grace hash-join spill
-    — see {!Exec.run}. *)
+(** Execute a plan directly.  [spill] enables the Grace hash-join
+    spill — see {!Exec.run}.  [chunked] is ignored: the row
+    interpreter is the only executor.  It is kept only because the
+    benchmark still passes it; ROADMAP item 5 removes it. *)
 
 val query_ast : ?config:Planner.config -> t -> Sql.Ast.query -> Dirty.Relation.t
 val query : ?config:Planner.config -> t -> string -> Dirty.Relation.t

@@ -31,14 +31,6 @@ let h_operator_seconds =
   Telemetry.Metrics.histogram "engine.exec.operator_seconds"
     ~help:"wall-clock per plan operator (inclusive of children)"
 
-let m_chunks_out =
-  Telemetry.Metrics.counter "engine.exec.chunks_out"
-    ~help:"column chunks produced by chunked operators"
-
-let h_rows_per_chunk =
-  Telemetry.Metrics.histogram "engine.exec.rows_per_chunk"
-    ~help:"rows per chunk emitted by chunked operators"
-
 let operator_label (plan : Plan.t) =
   match plan with
   | Scan { table; _ } -> "Scan " ^ table
@@ -224,10 +216,10 @@ let rewrite_grouped ~group_by ~aggs e =
   in
   go e
 
-(* Shared tail of the aggregation operators (row and chunked):
-   [finished_rows] are [key columns @ aggregate columns] rows in
-   first-occurrence group order; apply HAVING and the final projection
-   over the #g/#a intermediate schema. *)
+(* Tail of the aggregation operator: [finished_rows] are [key columns
+   @ aggregate columns] rows in first-occurrence group order; apply
+   HAVING and the final projection over the #g/#a intermediate
+   schema. *)
 let aggregate_output ~group_by ~items ~having ~aggs finished_rows =
   let num_keys = List.length group_by in
   let num_aggs = List.length aggs in
@@ -329,7 +321,7 @@ let region_cancel budget =
   | Some b when not (Budget.exhausted b) -> Budget.cancel_token b
   | _ -> None
 
-(* chunked parallel filter; preserves row order exactly *)
+(* parallel filter over row ranges; preserves row order exactly *)
 let run_filter ?cancel ~jobs pred rel =
   let rows = Relation.rows rel in
   let n = Array.length rows in
@@ -348,7 +340,7 @@ let run_filter ?cancel ~jobs pred rel =
     Relation.create (Relation.schema rel) (List.concat (Array.to_list parts))
   end
 
-(* chunked parallel row mapping (Project); order-preserving *)
+(* parallel row mapping (Project) over row ranges; order-preserving *)
 let run_map_rows ?cancel ~jobs f rel =
   let rows = Relation.rows rel in
   let n = Array.length rows in
@@ -865,946 +857,21 @@ let run_left_outer_join ?budget lrel rrel ~on =
    with Budget_stop -> ());
   emit_result budget out_schema out
 
-
-(* ---- columnar chunk executor ----
-
-   The chunked path evaluates Filter/Project/Hash_join/Aggregate a
-   chunk at a time over {!Chunk.t} batches.  A morsel is one chunk;
-   the unit handed to {!Parallel} is the chunk index, so workers steal
-   fixed-size chunks instead of pre-split halves, and the output
-   (chunks concatenated in index order) is bit-identical between
-   jobs=1 and jobs=N: chunk boundaries depend on the data and
-   [!Chunk.default_rows] only, never on the jobs count. *)
-
-type ctable = { c_schema : Schema.t; c_chunks : Chunk.t array }
-
-let note_chunks (chunks : Chunk.t array) =
-  if Telemetry.Control.enabled () then begin
-    Telemetry.Metrics.inc ~n:(Array.length chunks) m_chunks_out;
-    Array.iter
-      (fun (c : Chunk.t) ->
-        Telemetry.Metrics.observe h_rows_per_chunk (float_of_int c.Chunk.length))
-      chunks
-  end
-
-(* row-major to column-major pivot, one chunk per morsel *)
-let pivot_relation ?cancel ~jobs rel =
-  let n = Relation.cardinality rel in
-  let arity = Schema.arity (Relation.schema rel) in
-  let cap = max 1 !Chunk.default_rows in
-  let nchunks = (n + cap - 1) / cap in
-  Parallel.init ?cancel ~jobs nchunks (fun ci ->
-      let lo = ci * cap in
-      let len = min cap (n - lo) in
-      {
-        Chunk.length = len;
-        cols =
-          Array.init arity (fun j ->
-              Chunk.col_of_values (Relation.column_slice rel ~col:j ~lo ~len));
-      })
-
-(* Pivot memoization.  Base tables are scanned by every query, and the
-   pivot (classification + dictionary build) is the chunked path's
-   dominant constant cost over them, so completed pivots are kept in a
-   small cache keyed by the PHYSICAL identity of the relation's row
-   array.  The rows array — not the relation — is the key because the
-   executor re-wraps tables in alias-qualified schemas per query
-   ([Relation.of_array schema (Relation.rows rel)] shares the array),
-   and the pivot reads cell values only, never schema names.  Safe
-   because the relational API is persistent: mutators like
-   [Relation.map_rows] build new row arrays.  The array is held
-   through a [Weak] pointer: dropping a table frees its pivot at the
-   next insertion sweep.  Entries remember the chunk cap they were
-   built with, so tests that shrink [!Chunk.default_rows] never see a
-   stale slicing. *)
-type pivot_entry = {
-  p_rows : Value.t array array Weak.t;
-  p_cap : int;
-  p_chunks : Chunk.t array;
-}
-
-let pivot_cache : pivot_entry list ref = ref []
-let pivot_lock = Mutex.create ()
-let pivot_cache_limit = 32
-
-let ctable_of_relation ?cancel ~jobs rel =
-  let cap = max 1 !Chunk.default_rows in
-  let rows = Relation.rows rel in
-  let cached =
-    Mutex.lock pivot_lock;
-    let hit =
-      List.find_opt
-        (fun e ->
-          e.p_cap = cap
-          && match Weak.get e.p_rows 0 with Some r -> r == rows | None -> false)
-        !pivot_cache
-    in
-    Mutex.unlock pivot_lock;
-    hit
-  in
-  let chunks =
-    match cached with
-    | Some e -> e.p_chunks
-    | None ->
-      let chunks = pivot_relation ?cancel ~jobs rel in
-      let w = Weak.create 1 in
-      Weak.set w 0 (Some rows);
-      Mutex.lock pivot_lock;
-      let live =
-        List.filter
-          (fun e -> match Weak.get e.p_rows 0 with Some _ -> true | None -> false)
-          !pivot_cache
-      in
-      let trimmed = List.filteri (fun i _ -> i < pivot_cache_limit - 1) live in
-      pivot_cache := { p_rows = w; p_cap = cap; p_chunks = chunks } :: trimmed;
-      Mutex.unlock pivot_lock;
-      chunks
-  in
-  { c_schema = Relation.schema rel; c_chunks = chunks }
-
-let relation_of_ctable ?cancel ~jobs ct =
-  let chunks = ct.c_chunks in
-  let n = Array.fold_left (fun acc (c : Chunk.t) -> acc + c.Chunk.length) 0 chunks in
-  let offsets = Array.make (Array.length chunks) 0 in
-  let pos = ref 0 in
-  Array.iteri
-    (fun i (c : Chunk.t) ->
-      offsets.(i) <- !pos;
-      pos := !pos + c.Chunk.length)
-    chunks;
-  let out = Array.make n [||] in
-  Parallel.run ?cancel ~jobs (Array.length chunks) (fun ci ->
-      Chunk.blit_rows chunks.(ci) out ~pos:offsets.(ci));
-  Relation.of_array ct.c_schema out
-
-(* output schema inference, matching [infer_schema] over the
-   materialized rows: first non-null cell in row order, TString when
-   the column is entirely null *)
-let infer_ctable_schema names (chunks : Chunk.t array) =
-  Schema.make
-    (List.map
-       (fun (j, name) ->
-         let rec go ci =
-           if ci >= Array.length chunks then Value.TString
-           else
-             match Chunk.column_ty chunks.(ci) j with
-             | Some ty -> ty
-             | None -> go (ci + 1)
-         in
-         (name, go 0))
-       (List.mapi (fun j name -> (j, name)) names))
-
-(* ---- vectorized expression evaluation ----
-
-   [vcompile] turns an expression into a chunk-to-column function when
-   every subexpression has a kernel; otherwise the operator falls back
-   to the compiled row closure over the chunk's materialized rows.
-   The kernels agree with the row path lane for lane.  When several
-   lanes (or several subexpressions) would each raise, both paths
-   raise — the columnar evaluation order may surface a different
-   instance of the error, which is the one accepted divergence. *)
-
-type vval = Vcol of Chunk.col | Vlit of Value.t
-
-let vcell v i = match v with Vcol c -> Chunk.cell c i | Vlit x -> x
-let vnull v i = match v with Vcol c -> Chunk.is_null c i | Vlit x -> Value.is_null x
-
-let col_of_vval n v =
-  match v with Vcol c -> c | Vlit x -> Chunk.const n x
-
-(* or-combined null bitmap of two operands of a NULL-propagating
-   operation; literal operands reaching the typed fast paths are never
-   null (a null literal routes through the generic path) *)
-let merged_nulls n a b =
-  let bm v = match v with Vcol c -> c.Chunk.nulls | Vlit _ -> None in
-  match bm a, bm b with
-  | None, None -> None
-  | Some x, None -> Some x
-  | None, Some y -> Some y
-  | Some x, Some y ->
-    let nb = Chunk.Bitmap.create n in
-    for i = 0 to n - 1 do
-      if Chunk.Bitmap.get x i || Chunk.Bitmap.get y i then Chunk.Bitmap.set nb i
-    done;
-    Some nb
-
-(* SQL predicate truth of every lane ([Expr.truth]: Null is false,
-   non-boolean raises); loops run in ascending order so the first
-   raising lane matches the row path's first bad row *)
-let truth_mask v n : bool array =
-  match v with
-  | Vlit x -> Array.make n (Expr.truth x)
-  | Vcol ({ Chunk.data = Chunk.Bools a; _ } as c) -> (
-    match c.Chunk.nulls with
-    | None -> Array.init n (fun i -> a.(i))
-    | Some m -> Array.init n (fun i -> (not (Chunk.Bitmap.get m i)) && a.(i)))
-  | Vcol c ->
-    let out = Array.make n false in
-    for i = 0 to n - 1 do
-      out.(i) <- Expr.truth (Chunk.cell c i)
-    done;
-    out
-
-(* numeric views: unboxed accessors over int/float columns and
-   numeric literals; everything else goes through the generic path *)
-type numview =
-  | NInts of int array
-  | NFloats of float array
-  | NIntLit of int
-  | NFloatLit of float
-  | NOther
-
-let numview v =
-  match v with
-  | Vlit (Value.Int i) -> NIntLit i
-  | Vlit (Value.Float f) -> NFloatLit f
-  | Vlit _ -> NOther
-  | Vcol { Chunk.data = Chunk.Ints a; _ } -> NInts a
-  | Vcol { Chunk.data = Chunk.Floats a; _ } -> NFloats a
-  | Vcol _ -> NOther
-
-let iget = function
-  | NInts a -> fun i -> a.(i)
-  | NIntLit k -> fun _ -> k
-  | NFloats _ | NFloatLit _ | NOther -> assert false
-
-let fget = function
-  | NInts a -> fun i -> float_of_int a.(i)
-  | NFloats a -> fun i -> a.(i)
-  | NIntLit k ->
-    let f = float_of_int k in
-    fun _ -> f
-  | NFloatLit k -> fun _ -> k
-  | NOther -> assert false
-
-let null_test = function
-  | None -> fun _ -> false
-  | Some m -> Chunk.Bitmap.get m
-
-(* vectorized NULL-propagating arithmetic.  Division consults the null
-   mask before the zero test: the row path yields NULL for [x / NULL]
-   and [NULL / 0] without raising, and the dummy slot under a null is
-   0, so testing the slot first would raise spuriously. *)
-let arith_kernel (op : Sql.Ast.binop) a b n : Chunk.col =
-  let va = numview a and vb = numview b in
-  match va, vb with
-  | NOther, _ | _, NOther ->
-    let f =
-      match op with
-      | Sql.Ast.Add -> Expr.add
-      | Sql.Ast.Sub -> Expr.sub
-      | Sql.Ast.Mul -> Expr.mul
-      | Sql.Ast.Div -> Expr.div
-      | _ -> assert false
-    in
-    let out = Array.make n Value.Null in
-    for i = 0 to n - 1 do
-      out.(i) <- f (vcell a i) (vcell b i)
-    done;
-    Chunk.col_of_values out
-  | (NInts _ | NIntLit _), (NInts _ | NIntLit _) ->
-    let nulls = merged_nulls n a b in
-    let ia = iget va and ib = iget vb in
-    let out = Array.make n 0 in
-    (match op with
-    | Sql.Ast.Add -> for i = 0 to n - 1 do out.(i) <- ia i + ib i done
-    | Sql.Ast.Sub -> for i = 0 to n - 1 do out.(i) <- ia i - ib i done
-    | Sql.Ast.Mul -> for i = 0 to n - 1 do out.(i) <- ia i * ib i done
-    | Sql.Ast.Div ->
-      let is_null = null_test nulls in
-      for i = 0 to n - 1 do
-        if not (is_null i) then begin
-          let d = ib i in
-          if d = 0 then raise (Expr.Type_error "division by zero");
-          out.(i) <- ia i / d
-        end
-      done
-    | _ -> assert false);
-    { Chunk.data = Chunk.Ints out; nulls }
-  | _ ->
-    (* at least one float operand: the row path coerces both to float *)
-    let nulls = merged_nulls n a b in
-    let fa = fget va and fb = fget vb in
-    let out = Array.make n 0.0 in
-    (match op with
-    | Sql.Ast.Add -> for i = 0 to n - 1 do out.(i) <- fa i +. fb i done
-    | Sql.Ast.Sub -> for i = 0 to n - 1 do out.(i) <- fa i -. fb i done
-    | Sql.Ast.Mul -> for i = 0 to n - 1 do out.(i) <- fa i *. fb i done
-    | Sql.Ast.Div ->
-      let is_null = null_test nulls in
-      for i = 0 to n - 1 do
-        if not (is_null i) then begin
-          let d = fb i in
-          if d = 0.0 then raise (Expr.Type_error "division by zero");
-          out.(i) <- fa i /. d
-        end
-      done
-    | _ -> assert false);
-    { Chunk.data = Chunk.Floats out; nulls }
-
-let cmp_test (op : Sql.Ast.binop) =
-  match op with
-  | Sql.Ast.Eq -> fun c -> c = 0
-  | Sql.Ast.Neq -> fun c -> c <> 0
-  | Sql.Ast.Lt -> fun c -> c < 0
-  | Sql.Ast.Le -> fun c -> c <= 0
-  | Sql.Ast.Gt -> fun c -> c > 0
-  | Sql.Ast.Ge -> fun c -> c >= 0
-  | _ -> assert false
-
-(* per-lane sign of [Value.compare (vcell a i) (vcell b i)] without
-   re-boxing, for same-rank representation pairs; [None] falls back to
-   boxed comparison.  The numeric cross cases go through
-   [Value.compare_int_float], the same exact int/float comparison the
-   boxed path uses (rounding the int would break transitivity). *)
-let sign_fun a b : (int -> int) option =
-  match a, b with
-  | Vcol { Chunk.data = Chunk.Ints x; _ }, Vcol { Chunk.data = Chunk.Ints y; _ } ->
-    Some (fun i -> Int.compare x.(i) y.(i))
-  | Vcol { Chunk.data = Chunk.Ints x; _ }, Vlit (Value.Int k) ->
-    Some (fun i -> Int.compare x.(i) k)
-  | Vlit (Value.Int k), Vcol { Chunk.data = Chunk.Ints y; _ } ->
-    Some (fun i -> Int.compare k y.(i))
-  | Vcol { Chunk.data = Chunk.Floats x; _ }, Vcol { Chunk.data = Chunk.Floats y; _ }
-    ->
-    Some (fun i -> Float.compare x.(i) y.(i))
-  | Vcol { Chunk.data = Chunk.Floats x; _ }, Vlit (Value.Float k) ->
-    Some (fun i -> Float.compare x.(i) k)
-  | Vlit (Value.Float k), Vcol { Chunk.data = Chunk.Floats y; _ } ->
-    Some (fun i -> Float.compare k y.(i))
-  | Vcol { Chunk.data = Chunk.Ints x; _ }, Vcol { Chunk.data = Chunk.Floats y; _ }
-    ->
-    Some (fun i -> Value.compare_int_float x.(i) y.(i))
-  | Vcol { Chunk.data = Chunk.Floats x; _ }, Vcol { Chunk.data = Chunk.Ints y; _ }
-    ->
-    Some (fun i -> -Value.compare_int_float y.(i) x.(i))
-  | Vcol { Chunk.data = Chunk.Ints x; _ }, Vlit (Value.Float k) ->
-    Some (fun i -> Value.compare_int_float x.(i) k)
-  | Vlit (Value.Float k), Vcol { Chunk.data = Chunk.Ints y; _ } ->
-    Some (fun i -> -Value.compare_int_float y.(i) k)
-  | Vcol { Chunk.data = Chunk.Floats x; _ }, Vlit (Value.Int k) ->
-    Some (fun i -> -Value.compare_int_float k x.(i))
-  | Vlit (Value.Int k), Vcol { Chunk.data = Chunk.Floats y; _ } ->
-    Some (fun i -> Value.compare_int_float k y.(i))
-  | Vcol { Chunk.data = Chunk.Dates x; _ }, Vcol { Chunk.data = Chunk.Dates y; _ }
-    ->
-    Some (fun i -> Int.compare x.(i) y.(i))
-  | Vcol { Chunk.data = Chunk.Dates x; _ }, Vlit (Value.Date k) ->
-    Some (fun i -> Int.compare x.(i) k)
-  | Vlit (Value.Date k), Vcol { Chunk.data = Chunk.Dates y; _ } ->
-    Some (fun i -> Int.compare k y.(i))
-  | Vcol { Chunk.data = Chunk.Strings { codes; dict }; _ }, Vlit (Value.String s)
-    ->
-    (* one comparison per distinct string, then a table lookup *)
-    let tbl = Array.map (fun d -> String.compare d s) dict in
-    Some (fun i -> tbl.(codes.(i)))
-  | Vlit (Value.String s), Vcol { Chunk.data = Chunk.Strings { codes; dict }; _ }
-    ->
-    let tbl = Array.map (fun d -> String.compare s d) dict in
-    Some (fun i -> tbl.(codes.(i)))
-  | ( Vcol { Chunk.data = Chunk.Strings sa; _ },
-      Vcol { Chunk.data = Chunk.Strings sb; _ } ) ->
-    Some (fun i -> String.compare sa.dict.(sa.codes.(i)) sb.dict.(sb.codes.(i)))
-  | _ -> None
-
-(* comparison truth per lane: false when either side is NULL *)
-let cmp_mask op a b n : bool array =
-  let test = cmp_test op in
-  let out = Array.make n false in
-  (match sign_fun a b with
-  | Some sgn ->
-    for i = 0 to n - 1 do
-      if not (vnull a i || vnull b i) then out.(i) <- test (sgn i)
-    done
-  | None ->
-    for i = 0 to n - 1 do
-      let x = vcell a i and y = vcell b i in
-      if not (Value.is_null x || Value.is_null y) then
-        out.(i) <- test (Value.compare x y)
-    done);
-  out
-
-let bool_col a = { Chunk.data = Chunk.Bools a; nulls = None }
-
-let not_kernel v n : Chunk.col =
-  let out = Array.make n false in
-  (match v with
-  | Vcol ({ Chunk.data = Chunk.Bools a; _ } as c) ->
-    for i = 0 to n - 1 do
-      if not (Chunk.is_null c i) then out.(i) <- not a.(i)
-    done
-  | _ ->
-    for i = 0 to n - 1 do
-      match vcell v i with
-      | Value.Bool b -> out.(i) <- not b
-      | Value.Null -> ()
-      | x ->
-        raise
-          (Expr.Type_error
-             (Printf.sprintf "NOT: expected boolean, got %s" (Value.to_string x)))
-    done);
-  bool_col out
-
-let neg_kernel v n : Chunk.col =
-  match v with
-  | Vcol { Chunk.data = Chunk.Ints a; nulls } ->
-    { Chunk.data = Chunk.Ints (Array.init n (fun i -> -a.(i))); nulls }
-  | Vcol { Chunk.data = Chunk.Floats a; nulls } ->
-    { Chunk.data = Chunk.Floats (Array.init n (fun i -> -.a.(i))); nulls }
-  | _ ->
-    let out = Array.make n Value.Null in
-    for i = 0 to n - 1 do
-      out.(i) <-
-        (match vcell v i with
-        | Value.Int x -> Value.Int (-x)
-        | Value.Float x -> Value.Float (-.x)
-        | Value.Null -> Value.Null
-        | x ->
-          raise
-            (Expr.Type_error
-               (Printf.sprintf "unary -: expected number, got %s"
-                  (Value.to_string x))))
-    done;
-    Chunk.col_of_values out
-
-let is_null_kernel v n ~negate : Chunk.col =
-  let out = Array.make n false in
-  (match v with
-  | Vlit x ->
-    let b = Value.is_null x <> negate in
-    Array.fill out 0 n b
-  | Vcol c ->
-    for i = 0 to n - 1 do
-      out.(i) <- Chunk.is_null c i <> negate
-    done);
-  bool_col out
-
-(* LIKE over a dictionary column runs the matcher once per distinct
-   string; the generic path mirrors the row semantics, where a
-   non-null non-string is matched through [Value.to_string] *)
-let like_kernel v n ~pattern ~negate : Chunk.col =
-  let matcher = Expr.like_matcher pattern in
-  let m s = if negate then not (matcher s) else matcher s in
-  let out = Array.make n false in
-  (match v with
-  | Vcol ({ Chunk.data = Chunk.Strings { codes; dict }; _ } as c) ->
-    let tbl = Array.map m dict in
-    for i = 0 to n - 1 do
-      if not (Chunk.is_null c i) then out.(i) <- tbl.(codes.(i))
-    done
-  | _ ->
-    for i = 0 to n - 1 do
-      match vcell v i with
-      | Value.Null -> ()
-      | Value.String s -> out.(i) <- m s
-      | x -> out.(i) <- m (Value.to_string x)
-    done);
-  bool_col out
-
-let in_list_kernel v n values : Chunk.col =
-  let out = Array.make n false in
-  (match v with
-  | Vcol ({ Chunk.data = Chunk.Strings { codes; dict }; _ } as c) ->
-    let tbl =
-      Array.map (fun s -> List.exists (Value.equal (Value.String s)) values) dict
-    in
-    for i = 0 to n - 1 do
-      if not (Chunk.is_null c i) then out.(i) <- tbl.(codes.(i))
-    done
-  | _ ->
-    for i = 0 to n - 1 do
-      let x = vcell v i in
-      if not (Value.is_null x) then out.(i) <- List.exists (Value.equal x) values
-    done);
-  bool_col out
-
-(* [Some (f, may_raise, bool_total)]: [may_raise] — evaluating the
-   kernel can raise [Expr.Type_error] on some input; [bool_total] —
-   every lane yields Bool/Null, so [Expr.truth] of any lane cannot
-   raise.  Both drive the AND/OR gate: the row path short-circuits the
-   right side, so vectorizing it is only sound when evaluating it on
-   every lane cannot raise. *)
-let rec vcompile schema (e : Sql.Ast.expr) :
-    ((Chunk.t -> vval) * bool * bool) option =
-  match e with
-  | Lit v ->
-    let bt = match v with Value.Bool _ | Value.Null -> true | _ -> false in
-    Some ((fun _ -> Vlit v), false, bt)
-  | Col c -> (
-    match Expr.resolve schema c with
-    | i -> Some ((fun ch -> Vcol ch.Chunk.cols.(i)), false, false)
-    | exception (Expr.Unbound_column _ | Expr.Ambiguous_column _) ->
-      (* fall back so the row compiler surfaces the proper error *)
-      None)
-  | Binop (((Add | Sub | Mul | Div) as op), a, b) -> (
-    match vcompile schema a, vcompile schema b with
-    | Some (fa, _, _), Some (fb, _, _) ->
-      Some
-        ( (fun ch -> Vcol (arith_kernel op (fa ch) (fb ch) ch.Chunk.length)),
-          true,
-          false )
-    | _ -> None)
-  | Binop (((Eq | Neq | Lt | Le | Gt | Ge) as op), a, b) -> (
-    match vcompile schema a, vcompile schema b with
-    | Some (fa, ra, _), Some (fb, rb, _) ->
-      Some
-        ( (fun ch ->
-            Vcol (bool_col (cmp_mask op (fa ch) (fb ch) ch.Chunk.length))),
-          ra || rb,
-          true )
-    | _ -> None)
-  | Binop (((And | Or) as op), a, b) -> (
-    match vcompile schema a, vcompile schema b with
-    | Some (fa, ra, bta), Some (fb, rb, btb) when (not rb) && btb ->
-      let conj = match op with Sql.Ast.And -> true | _ -> false in
-      let f ch =
-        let n = ch.Chunk.length in
-        let ma = truth_mask (fa ch) n in
-        let mb = truth_mask (fb ch) n in
-        let out = Array.make n false in
-        if conj then
-          for i = 0 to n - 1 do
-            out.(i) <- ma.(i) && mb.(i)
-          done
-        else
-          for i = 0 to n - 1 do
-            out.(i) <- ma.(i) || mb.(i)
-          done;
-        Vcol (bool_col out)
-      in
-      Some (f, ra || not bta, true)
-    | _ -> None)
-  | Unop (Not, a) -> (
-    match vcompile schema a with
-    | Some (fa, ra, bta) ->
-      Some
-        ( (fun ch -> Vcol (not_kernel (fa ch) ch.Chunk.length)),
-          ra || not bta,
-          true )
-    | None -> None)
-  | Unop (Neg, a) -> (
-    match vcompile schema a with
-    | Some (fa, _, _) ->
-      Some ((fun ch -> Vcol (neg_kernel (fa ch) ch.Chunk.length)), true, false)
-    | None -> None)
-  | Is_null a -> (
-    match vcompile schema a with
-    | Some (fa, ra, _) ->
-      Some
-        ( (fun ch -> Vcol (is_null_kernel (fa ch) ch.Chunk.length ~negate:false)),
-          ra,
-          true )
-    | None -> None)
-  | Is_not_null a -> (
-    match vcompile schema a with
-    | Some (fa, ra, _) ->
-      Some
-        ( (fun ch -> Vcol (is_null_kernel (fa ch) ch.Chunk.length ~negate:true)),
-          ra,
-          true )
-    | None -> None)
-  | Like (a, p) -> (
-    match vcompile schema a with
-    | Some (fa, ra, _) ->
-      Some
-        ( (fun ch ->
-            Vcol (like_kernel (fa ch) ch.Chunk.length ~pattern:p ~negate:false)),
-          ra,
-          true )
-    | None -> None)
-  | Not_like (a, p) -> (
-    match vcompile schema a with
-    | Some (fa, ra, _) ->
-      Some
-        ( (fun ch ->
-            Vcol (like_kernel (fa ch) ch.Chunk.length ~pattern:p ~negate:true)),
-          ra,
-          true )
-    | None -> None)
-  | In_list (a, vs) -> (
-    match vcompile schema a with
-    | Some (fa, ra, _) ->
-      Some
-        ( (fun ch -> Vcol (in_list_kernel (fa ch) ch.Chunk.length vs)),
-          ra,
-          true )
-    | None -> None)
-  | Between (a, lo, hi) -> (
-    match vcompile schema a, vcompile schema lo, vcompile schema hi with
-    | Some (fa, ra, _), Some (fl, rl, _), Some (fh, rh, _) ->
-      let f ch =
-        let n = ch.Chunk.length in
-        let va = fa ch in
-        let vl = fl ch in
-        let vh = fh ch in
-        let m1 = cmp_mask Sql.Ast.Le vl va n in
-        let m2 = cmp_mask Sql.Ast.Le va vh n in
-        let out = Array.make n false in
-        for i = 0 to n - 1 do
-          out.(i) <- m1.(i) && m2.(i)
-        done;
-        Vcol (bool_col out)
-      in
-      Some (f, ra || rl || rh, true)
-    | _ -> None)
-  | Agg _ | In_query _ | Exists _ | Scalar_subquery _ -> None
-
-(* a chunk-level compiled expression: vectorized when possible, else
-   the row closure applied over the chunk's materialized rows *)
-type chunk_expr = CVec of (Chunk.t -> vval) | CRow of (Relation.row -> Value.t)
-
-let chunk_compile schema e =
-  match vcompile schema e with
-  | Some (f, _, _) -> CVec f
-  | None -> CRow (compile schema e)
-
-(* [rows] is the lazily materialized row view of the chunk, shared by
-   every row-compiled expression of the operator.  It is created and
-   forced within a single morsel task, so the lazy cell never crosses
-   domains. *)
-let chunk_eval_col ce (ch : Chunk.t) rows : Chunk.col =
-  match ce with
-  | CVec f -> col_of_vval ch.Chunk.length (f ch)
-  | CRow g ->
-    let rows = Lazy.force rows in
-    let n = ch.Chunk.length in
-    let out = Array.make n Value.Null in
-    for i = 0 to n - 1 do
-      out.(i) <- g rows.(i)
-    done;
-    Chunk.col_of_values out
-
-(* ---- chunked operators ---- *)
-
-let chunked_filter ?cancel ~jobs ct pred =
-  let pf =
-    match vcompile ct.c_schema pred with
-    | Some (f, _, _) -> `Vec f
-    | None -> `Row (predicate ct.c_schema pred)
-  in
-  let out =
-    Parallel.init ?cancel ~jobs (Array.length ct.c_chunks) (fun ci ->
-        let ch = ct.c_chunks.(ci) in
-        let n = ch.Chunk.length in
-        let mask =
-          match pf with
-          | `Vec f -> truth_mask (f ch) n
-          | `Row p ->
-            let rows = Chunk.rows_of ch in
-            let m = Array.make n false in
-            for i = 0 to n - 1 do
-              m.(i) <- p rows.(i)
-            done;
-            m
-        in
-        let count = ref 0 in
-        Array.iter (fun b -> if b then incr count) mask;
-        if !count = n then Some ch
-        else if !count = 0 then None
-        else begin
-          let sel = Array.make !count 0 in
-          let k = ref 0 in
-          for i = 0 to n - 1 do
-            if mask.(i) then begin
-              sel.(!k) <- i;
-              incr k
-            end
-          done;
-          Some (Chunk.gather ch sel)
-        end)
-  in
-  let chunks = Array.of_list (List.filter_map Fun.id (Array.to_list out)) in
-  note_chunks chunks;
-  { ct with c_chunks = chunks }
-
-let chunked_project ?cancel ~jobs ct items =
-  let ces =
-    Array.of_list (List.map (fun (e, _) -> chunk_compile ct.c_schema e) items)
-  in
-  let out =
-    Parallel.init ?cancel ~jobs (Array.length ct.c_chunks) (fun ci ->
-        let ch = ct.c_chunks.(ci) in
-        let rows = lazy (Chunk.rows_of ch) in
-        {
-          Chunk.length = ch.Chunk.length;
-          cols = Array.map (fun ce -> chunk_eval_col ce ch rows) ces;
-        })
-  in
-  note_chunks out;
-  { c_schema = infer_ctable_schema (List.map snd items) out; c_chunks = out }
-
-(* Chunk-at-a-time hash join.  The build side is flattened into one
-   batch so bucket entries are plain global row ids; the build is
-   radix-partitioned by key hash exactly like the row path; probes run
-   one morsel per left chunk against the read-only partition tables.
-   Output order — left chunks in index order, left rows ascending,
-   bucket ids ascending — is the serial row join's order. *)
-let chunked_hash_join ?cancel ~jobs lct rct ~left_keys ~right_keys =
-  let ls = lct.c_schema and rs = rct.c_schema in
-  let out_schema = Schema.append ls rs in
-  let lkc = Array.of_list (List.map (chunk_compile ls) left_keys) in
-  let rkc = Array.of_list (List.map (chunk_compile rs) right_keys) in
-  let nkeys = Array.length lkc in
-  let rchunk = Chunk.concat ~arity:(Schema.arity rs) rct.c_chunks in
-  let nr = rchunk.Chunk.length in
-  let rkeys = Array.make nr None in
-  if nr > 0 then begin
-    let rrows = lazy (Chunk.rows_of rchunk) in
-    let kcols = Array.map (fun ce -> chunk_eval_col ce rchunk rrows) rkc in
-    let cap = max 1 !Chunk.default_rows in
-    Parallel.run ?cancel ~jobs ((nr + cap - 1) / cap) (fun si ->
-        let lo = si * cap in
-        let hi = min nr (lo + cap) - 1 in
-        for i = lo to hi do
-          let key = Array.init nkeys (fun j -> Chunk.cell kcols.(j) i) in
-          if not (Array.exists Value.is_null key) then rkeys.(i) <- Some key
-        done)
-  end;
-  let nparts = min (max 1 jobs) Parallel.max_jobs in
-  let tables =
-    Parallel.init ?cancel ~jobs nparts (fun p ->
-        let tbl : int list ref Ktbl.t = Ktbl.create (max 16 (nr / nparts)) in
-        for i = 0 to nr - 1 do
-          match rkeys.(i) with
-          | Some key when key_pid ~nparts key = p -> (
-            match Ktbl.find_opt tbl key with
-            | Some ids -> ids := i :: !ids
-            | None -> Ktbl.add tbl key (ref [ i ]))
-          | _ -> ()
-        done;
-        Ktbl.iter (fun _ ids -> ids := List.rev !ids) tbl;
-        tbl)
-  in
-  let out =
-    Parallel.init ?cancel ~jobs (Array.length lct.c_chunks) (fun ci ->
-        let ch = lct.c_chunks.(ci) in
-        let n = ch.Chunk.length in
-        let rows = lazy (Chunk.rows_of ch) in
-        let kcols = Array.map (fun ce -> chunk_eval_col ce ch rows) lkc in
-        let lsel = ref (Array.make 16 0) and rsel = ref (Array.make 16 0) in
-        let count = ref 0 in
-        let push li ri =
-          if !count = Array.length !lsel then begin
-            let nl = Array.make (2 * !count) 0 and nr' = Array.make (2 * !count) 0 in
-            Array.blit !lsel 0 nl 0 !count;
-            Array.blit !rsel 0 nr' 0 !count;
-            lsel := nl;
-            rsel := nr'
-          end;
-          !lsel.(!count) <- li;
-          !rsel.(!count) <- ri;
-          incr count
-        in
-        for i = 0 to n - 1 do
-          let key = Array.init nkeys (fun j -> Chunk.cell kcols.(j) i) in
-          if not (Array.exists Value.is_null key) then
-            match Ktbl.find_opt tables.(key_pid ~nparts key) key with
-            | None -> ()
-            | Some ids -> List.iter (fun ri -> push i ri) !ids
-        done;
-        if !count = 0 then None
-        else begin
-          let lg = Chunk.gather ch (Array.sub !lsel 0 !count) in
-          let rg = Chunk.gather rchunk (Array.sub !rsel 0 !count) in
-          Some
-            {
-              Chunk.length = !count;
-              cols = Array.append lg.Chunk.cols rg.Chunk.cols;
-            }
-        end)
-  in
-  let chunks = Array.of_list (List.filter_map Fun.id (Array.to_list out)) in
-  note_chunks chunks;
-  { c_schema = out_schema; c_chunks = chunks }
-
-(* Group-hash-partitioned chunked aggregation, mirroring the row
-   path's [run_aggregate]: key and argument expressions are evaluated
-   vectorized over the chunks as they stand, then groups — not row
-   ranges — are partitioned by key hash.  A partition owns every row
-   of its groups and feeds them in global row order, so per-group
-   accumulation (including float order) is exactly the serial one;
-   merging sorts partitions' groups by first-occurrence row index,
-   recovering serial group order.  There is no partial merge and hence
-   no float reassociation: the chunked aggregate is bit-identical to
-   the row executor at any jobs count and any upstream chunk shape,
-   and the hash work per row is done once (the old morsel-partial
-   scheme re-discovered most groups in every morsel at high group
-   cardinality — the ~2x filter-agg regression of ROADMAP item 1b). *)
-let chunked_aggregate ?cancel ~jobs ct ~group_by ~items ~having =
-  let in_schema = ct.c_schema in
-  let key_ces = Array.of_list (List.map (chunk_compile in_schema) group_by) in
-  let num_keys = Array.length key_ces in
-  let exprs = List.map fst items @ Option.to_list having in
-  let aggs = collect_aggs exprs in
-  let agg_specs =
-    Array.of_list
-      (List.map
-         (fun e ->
-           match (e : Sql.Ast.expr) with
-           | Agg (f, None) -> (f, None)
-           | Agg (f, Some arg) -> (f, Some (chunk_compile in_schema arg))
-           | _ -> assert false)
-         aggs)
-  in
-  let num_aggs = Array.length agg_specs in
-  let new_states () = Array.map (fun (f, _) -> new_state f) agg_specs in
-  (* zero-length chunks contribute no rows and would stall the span
-     walk below *)
-  let chunks =
-    Array.of_list
-      (List.filter
-         (fun (c : Chunk.t) -> c.Chunk.length > 0)
-         (Array.to_list ct.c_chunks))
-  in
-  let nchunks = Array.length chunks in
-  let total =
-    Array.fold_left (fun acc (c : Chunk.t) -> acc + c.Chunk.length) 0 chunks
-  in
-  (* offsets.(i) = global row index of chunk i's first row *)
-  let offsets = Array.make (nchunks + 1) 0 in
-  Array.iteri
-    (fun i (c : Chunk.t) -> offsets.(i + 1) <- offsets.(i) + c.Chunk.length)
-    chunks;
-  (* Key and argument expressions are evaluated vectorized, one parallel
-     pass over the chunks as they stand — no concat, gather or row
-     materialization however irregular the shapes.  Morsels then sit at
-     canonical [cap] boundaries over the concatenated row sequence and
-     read the evaluated columns through chunk-local spans. *)
-  let evaled =
-    Parallel.init ?cancel ~jobs nchunks (fun ci ->
-        let ch = chunks.(ci) in
-        let rows = lazy (Chunk.rows_of ch) in
-        ( Array.map (fun ce -> chunk_eval_col ce ch rows) key_ces,
-          Array.map
-            (fun (_, arg) ->
-              Option.map (fun ce -> chunk_eval_col ce ch rows) arg)
-            agg_specs ))
-  in
-  (* keys.(g) = group key of global row g; shared by both paths *)
-  let keys = Array.make total [||] in
-  Parallel.run ?cancel ~jobs nchunks (fun ci ->
-      let kcols, _ = evaled.(ci) in
-      let base = offsets.(ci) in
-      for i = 0 to chunks.(ci).Chunk.length - 1 do
-        keys.(base + i) <- Array.init num_keys (fun j -> Chunk.cell kcols.(j) i)
-      done);
-  let feed_row states acols i =
-    for a = 0 to num_aggs - 1 do
-      match acols.(a) with
-      | None -> feed states.(a) None
-      | Some col -> feed states.(a) (Some (Chunk.cell col i))
-    done
-  in
-  let finished_rows =
-    if num_keys > 0 && use_parallel ~jobs total then begin
-      let nparts = min jobs Parallel.max_jobs in
-      let pids = Array.make total 0 in
-      Parallel.run ?cancel ~jobs nchunks (fun ci ->
-          let base = offsets.(ci) in
-          for i = 0 to chunks.(ci).Chunk.length - 1 do
-            pids.(base + i) <- key_pid ~nparts keys.(base + i)
-          done);
-      let per_part =
-        Parallel.init ?cancel ~jobs nparts (fun p ->
-            let groups = Ktbl.create 64 in
-            (* (first-occurrence row index, key, states), reversed *)
-            let entries = ref [] in
-            for ci = 0 to nchunks - 1 do
-              let _, acols = evaled.(ci) in
-              let base = offsets.(ci) in
-              for i = 0 to chunks.(ci).Chunk.length - 1 do
-                let g = base + i in
-                if pids.(g) = p then begin
-                  let states =
-                    match Ktbl.find_opt groups keys.(g) with
-                    | Some states -> states
-                    | None ->
-                      let states = new_states () in
-                      Ktbl.add groups keys.(g) states;
-                      entries := (g, keys.(g), states) :: !entries;
-                      states
-                  in
-                  feed_row states acols i
-                end
-              done
-            done;
-            List.rev !entries)
-      in
-      let merged =
-        List.sort
-          (fun (a, _, _) (b, _, _) -> Int.compare a b)
-          (List.concat (Array.to_list per_part))
-      in
-      List.map
-        (fun (_, key, states) -> Array.append key (Array.map finish states))
-        merged
-    end
-    else begin
-      let groups = Ktbl.create 256 in
-      let order = ref [] in
-      for ci = 0 to nchunks - 1 do
-        let _, acols = evaled.(ci) in
-        let base = offsets.(ci) in
-        for i = 0 to chunks.(ci).Chunk.length - 1 do
-          let states =
-            match Ktbl.find_opt groups keys.(base + i) with
-            | Some states -> states
-            | None ->
-              let states = new_states () in
-              Ktbl.add groups keys.(base + i) states;
-              order := keys.(base + i) :: !order;
-              states
-          in
-          feed_row states acols i
-        done
-      done;
-      (* SQL semantics: an ungrouped aggregate over an empty input
-         yields a single row of initial aggregate values *)
-      if group_by = [] && Ktbl.length groups = 0 then begin
-        Ktbl.add groups [||] (new_states ());
-        order := [ [||] ]
-      end;
-      List.rev_map
-        (fun key ->
-          let states = Ktbl.find groups key in
-          Array.append key (Array.map finish states))
-        !order
-    end
-  in
-  aggregate_output ~group_by ~items ~having ~aggs finished_rows
-
 (* ---- main interpreter ----
 
    The interpreter threads a [hook] around every node's evaluation so
    that {!run_profiled} can record per-operator statistics without a
-   second copy of the evaluation logic.
-
-   [chunked] selects the columnar executor for
-   Filter/Project/Hash_join/Aggregate (the hash join keeps the serial
-   row path under a budget, whose Truncate prefix is defined by
-   per-row emission order).  [fuse] additionally lets maximal
-   chunk-friendly subtrees evaluate column-to-column, skipping the
-   row materialization between operators; it is disabled under
-   budgets, telemetry, and profiling, which all need per-node row
-   boundaries.  Fused and unfused runs return identical results. *)
+   second copy of the evaluation logic.  Budgets, spill, telemetry
+   and profiling only observe or bound node boundaries: every
+   configuration runs the same operators. *)
 
 type ctx = {
   budget : Budget.t option;
   jobs : int;
   hook : Plan.t -> (unit -> Relation.t) -> Relation.t;
   catalog : catalog;
-  chunked : bool;
-  fuse : bool;
   spill : spill option;
 }
-
-(* spill decisions need materialized join inputs, so a spill-enabled
-   execution keeps per-node row boundaries *)
-let can_fuse ctx =
-  ctx.fuse && ctx.chunked
-  && Option.is_none ctx.budget
-  && Option.is_none ctx.spill
-  && not (Telemetry.Control.enabled ())
 
 let rec run_hooked ctx (plan : Plan.t) : Relation.t =
   (* bail out of deep plans promptly when the clock has run out *)
@@ -1869,7 +936,7 @@ and eval_subquery ctx (q : Sql.Ast.query) : Relation.t =
     try Planner.plan env q
     with Planner.Plan_error msg -> exec_errorf "in subquery: %s" msg
   in
-  run_hooked { ctx with hook = (fun _ f -> f ()); fuse = true } plan
+  run_hooked { ctx with hook = (fun _ f -> f ()) } plan
 
 and scalar_of_subquery ctx q =
   let rel = eval_subquery ctx q in
@@ -1940,39 +1007,6 @@ and resolve_node ctx (plan : Plan.t) : Plan.t =
   | Sort { input; keys } ->
     Sort { input; keys = List.map (fun (e, d) -> (r e, d)) keys }
 
-(* the columnar input of a chunked operator: a fused chunk-friendly
-   subtree evaluates column-to-column; anything else goes through the
-   row interpreter (keeping per-node hooks, spans, and budget
-   boundaries) and is pivoted at the operator's edge *)
-and input_ctable ctx (input : Plan.t) : ctable =
-  if can_fuse ctx && Plan.chunk_friendly input then eval_ctable ctx input
-  else
-    let cancel = region_cancel ctx.budget in
-    ctable_of_relation ?cancel ~jobs:ctx.jobs (run_child ctx input)
-
-and eval_ctable ctx (plan : Plan.t) : ctable =
-  let cancel = region_cancel ctx.budget in
-  match resolve_node ctx plan with
-  | Scan { table; alias } ->
-    let rel =
-      try ctx.catalog.relation table
-      with Not_found -> exec_errorf "unknown table %s" table
-    in
-    let schema = Schema.rename ~prefix:alias (Relation.schema rel) in
-    ctable_of_relation ?cancel ~jobs:ctx.jobs
-      (Relation.of_array schema (Relation.rows rel))
-  | Filter { input; pred } ->
-    chunked_filter ?cancel ~jobs:ctx.jobs (input_ctable ctx input) pred
-  | Project { input; items } ->
-    chunked_project ?cancel ~jobs:ctx.jobs (input_ctable ctx input) items
-  | Hash_join { left; right; left_keys; right_keys } ->
-    chunked_hash_join ?cancel ~jobs:ctx.jobs (input_ctable ctx left)
-      (input_ctable ctx right) ~left_keys ~right_keys
-  | Index_join _ | Left_outer_join _ | Cross _ | Aggregate _ | Sort _
-  | Distinct _ | Limit _ ->
-    (* [input_ctable] only routes chunk-friendly nodes here *)
-    assert false
-
 and eval ctx (plan : Plan.t) : Relation.t =
   let cancel = region_cancel ctx.budget in
   let budget = ctx.budget and jobs = ctx.jobs in
@@ -1985,48 +1019,31 @@ and eval ctx (plan : Plan.t) : Relation.t =
     let schema = Schema.rename ~prefix:alias (Relation.schema rel) in
     Relation.of_array schema (Relation.rows rel)
   | Filter { input; pred } ->
-    if ctx.chunked then
-      relation_of_ctable ?cancel ~jobs
-        (chunked_filter ?cancel ~jobs (input_ctable ctx input) pred)
-    else
-      let rel = run_child ctx input in
-      run_filter ?cancel ~jobs (predicate (Relation.schema rel) pred) rel
+    let rel = run_child ctx input in
+    run_filter ?cancel ~jobs (predicate (Relation.schema rel) pred) rel
   | Project { input; items } ->
-    if ctx.chunked then
-      relation_of_ctable ?cancel ~jobs
-        (chunked_project ?cancel ~jobs (input_ctable ctx input) items)
-    else begin
-      let rel = run_child ctx input in
-      let schema = Relation.schema rel in
-      let fns = List.map (fun (e, _) -> compile schema e) items in
-      let rows =
-        run_map_rows ?cancel ~jobs
-          (fun row -> Array.of_list (List.map (fun f -> f row) fns))
-          rel
-      in
-      Relation.create (infer_schema (List.map snd items) rows) rows
-    end
+    let rel = run_child ctx input in
+    let schema = Relation.schema rel in
+    let fns = List.map (fun (e, _) -> compile schema e) items in
+    let rows =
+      run_map_rows ?cancel ~jobs
+        (fun row -> Array.of_list (List.map (fun f -> f row) fns))
+        rel
+    in
+    Relation.create (infer_schema (List.map snd items) rows) rows
   | Hash_join { left; right; left_keys; right_keys } -> (
-    (* with a budget the join stays on the serial row path: rows are
-       charged as they are emitted, and the Truncate prefix is defined
-       by that per-row order *)
     match ctx.spill with
     | Some sp ->
       (* spill-eligible executions materialize both sides first (the
          threshold needs the build cardinality); below the threshold
-         the ordinary row join runs over them *)
+         the ordinary join runs over them *)
       let lrel = run_child ctx left and rrel = run_child ctx right in
       if Relation.cardinality rrel >= sp.spill_rows then
         run_spill_hash_join ?budget ~spill:sp lrel rrel ~left_keys ~right_keys
       else run_hash_join ?budget ~jobs lrel rrel ~left_keys ~right_keys
     | None ->
-      if ctx.chunked && Option.is_none budget then
-        relation_of_ctable ?cancel ~jobs
-          (chunked_hash_join ?cancel ~jobs (input_ctable ctx left)
-             (input_ctable ctx right) ~left_keys ~right_keys)
-      else
-        run_hash_join ?budget ~jobs (run_child ctx left) (run_child ctx right)
-          ~left_keys ~right_keys)
+      run_hash_join ?budget ~jobs (run_child ctx left) (run_child ctx right)
+        ~left_keys ~right_keys)
   | Left_outer_join { left; right; on } ->
     run_left_outer_join ?budget (run_child ctx left) (run_child ctx right) ~on
   | Index_join { left; table; alias; left_keys; right_attrs } -> (
@@ -2094,11 +1111,7 @@ and eval ctx (plan : Plan.t) : Relation.t =
      with Budget_stop -> ());
     emit_result budget schema out
   | Aggregate { input; group_by; items; having } ->
-    if ctx.chunked then
-      chunked_aggregate ?cancel ~jobs (input_ctable ctx input) ~group_by ~items
-        ~having
-    else
-      run_aggregate ?cancel ~jobs (run_child ctx input) ~group_by ~items ~having
+    run_aggregate ?cancel ~jobs (run_child ctx input) ~group_by ~items ~having
   | Sort { input; keys } ->
     let rel = run_child ctx input in
     let schema = Relation.schema rel in
@@ -2135,11 +1148,8 @@ let run_to_stop budget f =
       f ()
     | _ -> raise e)
 
-let run ?budget ?(jobs = 1) ?(chunked = true) ?spill catalog plan =
-  let ctx =
-    { budget; jobs; hook = (fun _ f -> f ()); catalog; chunked; fuse = true;
-      spill }
-  in
+let run ?budget ?(jobs = 1) ?spill catalog plan =
+  let ctx = { budget; jobs; hook = (fun _ f -> f ()); catalog; spill } in
   (* evaluation-time type errors surface as engine errors *)
   try run_to_stop budget (fun () -> run_hooked ctx plan)
   with Expr.Type_error msg -> raise (Exec_error msg)
@@ -2151,11 +1161,10 @@ type profile = {
   children : profile list;
 }
 
-let run_profiled ?budget ?(jobs = 1) ?(chunked = true) ?spill catalog plan =
+let run_profiled ?budget ?(jobs = 1) ?spill catalog plan =
   (* a stack of children accumulators: the hook pushes a frame before
      evaluating a node and folds the completed profile into the
-     parent's frame afterwards.  Fusion stays off so every node keeps
-     its own row boundary (and hence an accurate out_rows). *)
+     parent's frame afterwards *)
   let stack = ref [ [] ] in
   let hook node f =
     stack := [] :: !stack;
@@ -2176,7 +1185,7 @@ let run_profiled ?budget ?(jobs = 1) ?(chunked = true) ?spill catalog plan =
     | _ -> assert false);
     rel
   in
-  let ctx = { budget; jobs; hook; catalog; chunked; fuse = false; spill } in
+  let ctx = { budget; jobs; hook; catalog; spill } in
   let rel =
     try
       run_to_stop budget (fun () ->

@@ -27,33 +27,21 @@ type spill = { spill_rows : int; spill_dir : string }
 val run :
   ?budget:Budget.t ->
   ?jobs:int ->
-  ?chunked:bool ->
   ?spill:spill ->
   catalog ->
   Plan.t ->
   Dirty.Relation.t
 (** [jobs] (default [1]) caps the domains used for partition-parallel
     operators (hash join, filter, project, aggregate).  Results are
-    bit-identical to a serial run for any [jobs]: chunk outputs are
-    concatenated in input order and aggregate groups are merged in
-    first-occurrence order.  Per-row budget-charged operators fall
-    back to serial whenever [budget] is given, so [Truncate] prefixes
-    stay well-defined.
-
-    [chunked] (default [true]) selects the columnar chunk executor for
-    Filter/Project/Hash_join/Aggregate: inputs are pivoted into
-    {!Chunk.t} batches of [!Chunk.default_rows] rows, operators run
-    one morsel (chunk) per scheduling unit, and chunk-friendly
-    subtrees fuse column-to-column when no budget is in force, no
-    spill is configured, and telemetry is off.  Chunk boundaries are a
-    function of the data only, so the jobs=1 ≡ jobs=N guarantee
-    carries over.  Results are bit-identical to [chunked:false] (the
-    row-at-a-time executor): chunked aggregation partitions groups by
-    key hash exactly like the row path, feeding every group in global
-    row order — no partial merge, no float reassociation.  The one
-    accepted divergence: when several rows would each raise a type
-    error, the reported instance may differ (whether an error is
-    raised never does).
+    bit-identical to a serial run for any [jobs]: row ranges are
+    concatenated in input order, and aggregation partitions groups by
+    key hash, feeding every group in global row order (no partial
+    merge, no float reassociation) before restoring first-occurrence
+    group order.  Per-row budget-charged operators fall back to serial
+    whenever [budget] is given, so [Truncate] prefixes stay
+    well-defined.  Budgets, spill, telemetry and {!run_profiled} only
+    bound or observe node boundaries; every configuration runs the
+    same operators.
 
     [spill] (default off) enables the Grace hash-join spill; joins
     below the threshold are unaffected.
@@ -76,15 +64,12 @@ type profile = {
 val run_profiled :
   ?budget:Budget.t ->
   ?jobs:int ->
-  ?chunked:bool ->
   ?spill:spill ->
   catalog ->
   Plan.t ->
   Dirty.Relation.t * profile
-(** Like {!run} but also returns the per-node statistics tree.
-    Fusion is disabled so every node keeps its own row boundary (and
-    an accurate [out_rows]); profiled results are bit-identical to
-    {!run}'s. *)
+(** Like {!run} but also returns the per-node statistics tree;
+    profiled results are bit-identical to {!run}'s. *)
 
 val pp_profile : Format.formatter -> profile -> unit
 

@@ -34,25 +34,6 @@ val truth : Dirty.Value.t -> bool
 (** SQL predicate truth: [Bool true] is true; [Bool false] and [Null]
     are false. @raise Type_error on other values. *)
 
-(** {1 Scalar operation semantics}
-
-    The single definition of the engine's arithmetic and comparison
-    behavior, shared by the row closures above and by the columnar
-    kernels in {!Exec} (whose per-element fallbacks must agree with
-    the row path bit for bit). *)
-
-val add : Dirty.Value.t -> Dirty.Value.t -> Dirty.Value.t
-val sub : Dirty.Value.t -> Dirty.Value.t -> Dirty.Value.t
-val mul : Dirty.Value.t -> Dirty.Value.t -> Dirty.Value.t
-val div : Dirty.Value.t -> Dirty.Value.t -> Dirty.Value.t
-(** NULL propagates; Int op Int stays Int (division by zero is a
-    [Type_error]); otherwise both operands coerce to float. *)
-
-val comparison : Sql.Ast.binop -> Dirty.Value.t -> Dirty.Value.t -> Dirty.Value.t
-(** [comparison op a b] for comparison operators only ([Eq]..[Ge]);
-    [Bool false] when either operand is NULL, else the result of
-    [Value.compare]. *)
-
 val like_matcher : string -> string -> bool
 (** [like_matcher pattern s] implements SQL LIKE ([%] = any sequence,
     [_] = any single character). *)

@@ -101,11 +101,3 @@ let rec base_tables = function
     base_tables left @ base_tables right
   | Index_join { left; table; alias; _ } -> base_tables left @ [ (table, alias) ]
   | Distinct input | Limit (input, _) -> base_tables input
-
-(* nodes with a columnar (chunk-at-a-time) implementation; subtrees of
-   these evaluate column-to-column when the executor fuses *)
-let chunk_friendly = function
-  | Scan _ | Filter _ | Project _ | Hash_join _ -> true
-  | Index_join _ | Left_outer_join _ | Cross _ | Aggregate _ | Sort _
-  | Distinct _ | Limit _ ->
-    false

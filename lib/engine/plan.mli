@@ -59,8 +59,3 @@ val to_string : t -> string
 val base_tables : t -> (string * string) list
 (** [(table, alias)] pairs of all scans, left to right. *)
 
-val chunk_friendly : t -> bool
-(** True for nodes the chunked executor can evaluate
-    column-to-column (Scan, Filter, Project, Hash_join); subtrees of
-    such nodes fuse into a single columnar pipeline when the executor
-    runs chunked with no budget and telemetry off. *)

@@ -31,10 +31,9 @@ type config = {
           default) keeps execution serial.  Results are bit-identical
           for any value — see {!Exec.run}. *)
   chunked : bool;
-      (** use the columnar chunk executor (the default); [false]
-          selects the row-at-a-time executor.  An executor toggle
-          passed through to {!Exec.run} — the planner itself does not
-          read it. *)
+      (** ignored: the row interpreter is the only executor.  Kept
+          only because the benchmark still reads it; ROADMAP item 5
+          removes it. *)
   spill_rows : int option;
       (** Grace-spill threshold for hash joins: when the build side of
           a join has at least this many rows, both sides are hash-

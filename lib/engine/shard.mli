@@ -21,7 +21,7 @@
     order of that scan, so answers are a deterministic function of the
     data and the shard count; row order may differ from the unsharded
     run, but the answer bags are identical (the differential fuzzer
-    checks this across shard counts, job counts and both executors).
+    checks this across shard counts and job counts).
 
     {b Fallback.}  Queries outside the shardable class — subqueries,
     [SELECT *], LIMIT, outer joins, AVG, DISTINCT aggregates, no
@@ -116,7 +116,7 @@ val merge_partials :
 
     Sharded analogues of {!Database.query_ast} and
     {!Database.query_ast_within}: the same config flows to every
-    shard, so [jobs], [chunked], spill settings and budgets apply {e
+    shard, so [jobs], spill settings and budgets apply {e
     per shard} (a Raise-mode budget that any shard exceeds raises; a
     Truncate-mode budget truncates each shard's partial independently
     and the stop flags are OR-combined).  The finish query runs on the

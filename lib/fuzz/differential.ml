@@ -2,10 +2,12 @@
    compare.
 
    Operational path: [Rewritable.check], then [Rewrite.rewrite_exn],
-   then engine execution — once per requested parallelism degree plus
-   one row-at-a-time executor leg, since answers must be bit-identical
-   at any [jobs] value and the chunked and row executors must agree.
-   Declarative path: [Oracle.answers], candidate enumeration.
+   then engine execution — once per requested parallelism degree,
+   unsharded and at every requested shard count, since answers must
+   be bit-identical at any [jobs] and [shards] value.
+   Declarative path: [Oracle.answers], candidate enumeration with each
+   candidate evaluated by [Reference.eval], which shares no code with
+   the engine.
 
    A rejected query is not a failure — rejection is the fuzzer probing
    the class boundary — but acceptance followed by disagreement with
@@ -15,26 +17,16 @@
 type outcome =
   | Rejected of Conquer.Rewritable.violation list
   | Agree of { answers : int }
-  | Mismatch of {
-      jobs : int;
-      chunked : bool;
-      mismatch : Conquer.Oracle.mismatch;
-    }
+  | Mismatch of { jobs : int; mismatch : Conquer.Oracle.mismatch }
   | S_mismatch of {
       shards : int;
       jobs : int;
-      chunked : bool;
       vs_oracle : bool;
           (* true: sharded answers disagree with the oracle; false:
              they disagree bit-for-bit with the unsharded answers *)
       mismatch : Conquer.Oracle.mismatch;
     }
-  | S_error of {
-      shards : int;
-      jobs : int;
-      chunked : bool;
-      message : string;
-    }
+  | S_error of { shards : int; jobs : int; message : string }
   | Oracle_too_large of { count : float }
   | Error_during of { stage : string; message : string }
 
@@ -45,28 +37,23 @@ let failing = function
   | Mismatch _ | S_mismatch _ | S_error _ | Error_during _ -> true
   | Rejected _ | Agree _ | Oracle_too_large _ -> false
 
-let leg_label jobs chunked =
-  Printf.sprintf "jobs=%d, %s executor" jobs
-    (if chunked then "chunked" else "row")
-
 let to_string = function
   | Rejected vs ->
     "rejected: "
     ^ String.concat "; "
         (List.map Conquer.Rewritable.violation_to_string vs)
   | Agree { answers } -> Printf.sprintf "agree (%d answers)" answers
-  | Mismatch { jobs; chunked; mismatch } ->
-    Printf.sprintf "MISMATCH at jobs=%d (%s executor): %s" jobs
-      (if chunked then "chunked" else "row")
+  | Mismatch { jobs; mismatch } ->
+    Printf.sprintf "MISMATCH at jobs=%d: %s" jobs
       (Conquer.Oracle.mismatch_to_string mismatch)
-  | S_mismatch { shards; jobs; chunked; vs_oracle; mismatch } ->
-    Printf.sprintf "SHARD MISMATCH vs %s at shards=%d (%s): %s"
+  | S_mismatch { shards; jobs; vs_oracle; mismatch } ->
+    Printf.sprintf "SHARD MISMATCH vs %s at shards=%d (jobs=%d): %s"
       (if vs_oracle then "oracle" else "unsharded answers")
-      shards (leg_label jobs chunked)
+      shards jobs
       (Conquer.Oracle.mismatch_to_string mismatch)
-  | S_error { shards; jobs; chunked; message } ->
-    Printf.sprintf "SHARD ERROR at shards=%d (%s): %s" shards
-      (leg_label jobs chunked) message
+  | S_error { shards; jobs; message } ->
+    Printf.sprintf "SHARD ERROR at shards=%d (jobs=%d): %s" shards jobs
+      message
   | Oracle_too_large { count } ->
     Printf.sprintf "oracle budget exceeded (%.0f candidates)" count
   | Error_during { stage; message } ->
@@ -89,19 +76,12 @@ let run ?(jobs = default_jobs) ?(shards = default_shards)
         Error_during { stage = "rewrite"; message = Printexc.to_string e }
       | rewritten ->
         let session = Conquer.Clean.create case.db in
-        (* one leg per jobs value on the chunked executor, plus a
-           serial row-at-a-time leg: chunked vs row disagreement is a
-           real bug even when both agree across jobs values *)
-        let legs =
-          (1, false) :: List.map (fun j -> (j, true)) jobs
-        in
+        (* one unsharded leg per jobs value *)
         let reference = ref None in
         let rec check_legs = function
           | [] -> check_shards ()
-          | (j, chunked) :: rest -> (
-            let config =
-              { Engine.Planner.default_config with jobs = j; chunked }
-            in
+          | j :: rest -> (
+            let config = { Engine.Planner.default_config with jobs = j } in
             match
               Engine.Database.query_ast ~config
                 (Conquer.Clean.engine session)
@@ -110,77 +90,57 @@ let run ?(jobs = default_jobs) ?(shards = default_shards)
             | exception e ->
               Error_during
                 {
-                  stage = Printf.sprintf "execute (%s)" (leg_label j chunked);
+                  stage = Printf.sprintf "execute (jobs=%d)" j;
                   message = Printexc.to_string e;
                 }
             | answers -> (
               if !reference = None then reference := Some answers;
               match Conquer.Oracle.compare_answers ~oracle answers with
               | Ok () -> check_legs rest
-              | Error mismatch -> Mismatch { jobs = j; chunked; mismatch }))
+              | Error mismatch -> Mismatch { jobs = j; mismatch }))
         (* the shards legs: scatter/gather across every shard count ×
-           (jobs, executor) combination must agree with the oracle and
-           be bit-identical (eps 0 — the dbgen grid keeps float sums
-           exact under re-association across shards) to the unsharded
-           answers of the first leg *)
+           jobs combination must agree with the oracle and be
+           bit-identical (eps 0 — the dbgen grid keeps float sums exact
+           under re-association across shards) to the unsharded answers
+           of the first leg *)
         and check_shards () =
           let unsharded = Option.get !reference in
           let shard_legs =
-            List.concat_map
-              (fun s ->
-                List.map (fun (j, chunked) -> (s, j, chunked)) legs)
-              shards
+            List.concat_map (fun s -> List.map (fun j -> (s, j)) jobs) shards
           in
           let rec go = function
             | [] -> Agree { answers = Dirty.Relation.cardinality oracle }
-            | (s, j, chunked) :: rest -> (
-              let config =
-                { Engine.Planner.default_config with jobs = j; chunked }
-              in
+            | (s, j) :: rest -> (
+              let config = { Engine.Planner.default_config with jobs = j } in
               match
                 let sharded = Conquer.Clean.create ~shards:s case.db in
                 Conquer.Clean.answers_ast_within ~config sharded rewritten
               with
               | exception e ->
-                S_error
-                  {
-                    shards = s;
-                    jobs = j;
-                    chunked;
-                    message = Printexc.to_string e;
-                  }
+                S_error { shards = s; jobs = j; message = Printexc.to_string e }
               | answers, _stop -> (
                 match Conquer.Oracle.compare_answers ~oracle answers with
                 | Error mismatch ->
-                  S_mismatch
-                    { shards = s; jobs = j; chunked; vs_oracle = true; mismatch }
+                  S_mismatch { shards = s; jobs = j; vs_oracle = true; mismatch }
                 | Ok () -> (
                   match
                     Conquer.Oracle.compare_answers ~eps:0.0 ~oracle:unsharded
                       answers
                   with
                   | Error mismatch ->
-                    S_mismatch
-                      {
-                        shards = s;
-                        jobs = j;
-                        chunked;
-                        vs_oracle = false;
-                        mismatch;
-                      }
+                    S_mismatch { shards = s; jobs = j; vs_oracle = false; mismatch }
                   | Ok () -> go rest)))
           in
           go shard_legs
         in
-        check_legs legs))
+        check_legs jobs))
 
 (* The update differential: replay a sequence of update batches and
    compare incremental view maintenance against from-scratch execution
-   after every batch, at every (jobs, executor) leg.  On grid-mode
-   sequences (all probabilities dyadic) the comparison runs at eps 0:
-   sums and products of dyadic rationals are exact, so incremental
-   splicing, morsel slicing and executor choice must all produce the
-   same float bits.  The final database is additionally checked
+   after every batch, at every jobs leg.  The comparison runs at
+   eps 0 by default: refreshes feed each answer group's probabilities
+   in the order a from-scratch run does, so both produce the same
+   float bits, on or off the dyadic grid.  The final database is additionally checked
    against the enumeration oracle when it fits the candidate budget. *)
 
 type update_outcome =
@@ -188,7 +148,6 @@ type update_outcome =
   | U_agree of { batches : int; answers : int; fallbacks : int }
   | U_mismatch of {
       jobs : int;
-      chunked : bool;
       batch : int;  (** 1-based index of the first diverging batch *)
       mismatch : Conquer.Oracle.mismatch;
     }
@@ -207,10 +166,8 @@ let update_to_string = function
   | U_agree { batches; answers; fallbacks } ->
     Printf.sprintf "agree (%d batches, %d answers, %d fallbacks)" batches
       answers fallbacks
-  | U_mismatch { jobs; chunked; batch; mismatch } ->
-    Printf.sprintf "MISMATCH after batch %d at jobs=%d (%s executor): %s"
-      batch jobs
-      (if chunked then "chunked" else "row")
+  | U_mismatch { jobs; batch; mismatch } ->
+    Printf.sprintf "MISMATCH after batch %d at jobs=%d: %s" batch jobs
       (Conquer.Oracle.mismatch_to_string mismatch)
   | U_oracle_mismatch { mismatch } ->
     Printf.sprintf "ORACLE MISMATCH on final database: %s"
@@ -246,20 +203,11 @@ let run_updates ?(jobs = default_jobs) ?(max_candidates = 200_000)
         U_error { stage = "rewrite"; message = Printexc.to_string e }
       | rewritten -> (
         let fallbacks = ref 0 in
-        let legs =
-          List.concat_map (fun j -> [ (j, false); (j, true) ]) jobs
-        in
         let exception Fail of update_outcome in
-        let check_leg (j, chunked) =
-          let config =
-            { Engine.Planner.default_config with jobs = j; chunked }
-          in
+        let check_leg j =
+          let config = { Engine.Planner.default_config with jobs = j } in
           let stage fmt =
-            Printf.ksprintf
-              (fun s ->
-                Printf.sprintf "%s (jobs=%d, %s executor)" s j
-                  (if chunked then "chunked" else "row"))
-              fmt
+            Printf.ksprintf (fun s -> Printf.sprintf "%s (jobs=%d)" s j) fmt
           in
           let view =
             try Conquer.Incremental.materialize_query ~config session0 case.query
@@ -309,11 +257,11 @@ let run_updates ?(jobs = default_jobs) ?(max_candidates = 200_000)
               | Ok () -> ()
               | Error mismatch ->
                 raise
-                  (Fail (U_mismatch { jobs = j; chunked; batch = i + 1; mismatch })))
+                  (Fail (U_mismatch { jobs = j; batch = i + 1; mismatch })))
             states;
           view
         in
-        match List.map check_leg legs with
+        match List.map check_leg jobs with
         | exception Fail outcome -> outcome
         | views -> (
           let view = List.hd views in

@@ -9,11 +9,11 @@
      reassignment of the clusters it touched, with weights drawn on the
      sixteenths grid and summing to exactly 1.  Renormalization divides
      by 1.0, so every probability in the database stays a dyadic
-     rational — sums and products of dyadics are exact, which is what
-     makes incremental maintenance bit-identical to from-scratch
-     execution across executors and morsel slicings (eps 0).
-   - [Free]: raw integer weights renormalized off-grid; compared at the
-     oracle's usual 1e-9 tolerance instead. *)
+     rational, so float sums and products are exact in whatever order
+     a path folds them.
+   - [Free]: raw integer weights renormalized off-grid.  Incremental
+     maintenance still matches from-scratch execution bit for bit,
+     because a refresh folds each group in from-scratch row order. *)
 
 open Dirty
 

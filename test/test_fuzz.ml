@@ -2,8 +2,10 @@
 
    The headline property: on random dirty databases and random SPJ
    queries, whenever [Rewritable.check] accepts, RewriteClean on the
-   engine agrees exactly with the candidate-enumeration oracle — at
-   jobs=1 and jobs=4.  Around it: the oracle's own invariants, sampler
+   engine agrees exactly with the candidate-enumeration oracle, whose
+   reference evaluator shares no code with the engine — at jobs=1 and
+   jobs=4.  Around it: the oracle's own invariants, observation
+   (telemetry, profiling) leaving answers bit-identical, sampler
    convergence to oracle probabilities, the SQL pretty-printer
    round-trip on generated queries, corpus round-trip and replay, and
    the shrinker actually shrinking. *)
@@ -37,17 +39,15 @@ let prop_differential =
 
    300 random update sequences over rewritable cases: incremental
    maintenance of the materialized view agrees bit-for-bit (eps 0)
-   with from-scratch re-execution at jobs in {1,4} x chunked in
-   {false,true}, and the final database agrees with the oracle.  The
-   generator stays on the 1/16 probability grid, so sums and products
-   are dyadic and exact equality is sound. *)
+   with from-scratch re-execution at jobs 1 and 4, and the final
+   database agrees with the oracle.  The first property stays on the
+   1/16 probability grid; the second renormalizes raw weights off the
+   grid, where only folding every group in from-scratch row order
+   keeps exact equality sound. *)
 
-let prop_update_differential =
-  QCheck.Test.make ~count:300
-    ~name:
-      "incremental maintenance agrees with from-scratch and the oracle (4 \
-       legs)"
-    (Fuzz.Updategen.scenario_arbitrary ())
+let update_differential ~name mode =
+  QCheck.Test.make ~count:300 ~name
+    (Fuzz.Updategen.scenario_arbitrary ~mode ())
     (fun (case, batches) ->
       let outcome =
         Fuzz.Differential.run_updates ~jobs:[ 1; 4 ] ~eps:0.0 case batches
@@ -55,6 +55,18 @@ let prop_update_differential =
       if Fuzz.Differential.update_failing outcome then
         QCheck.Test.fail_report (Fuzz.Differential.update_to_string outcome)
       else true)
+
+let prop_update_differential =
+  update_differential Fuzz.Updategen.Grid
+    ~name:
+      "incremental maintenance agrees with from-scratch and the oracle (jobs \
+       1 and 4)"
+
+let prop_update_differential_off_grid =
+  update_differential Fuzz.Updategen.Free
+    ~name:
+      "off-grid incremental maintenance agrees with from-scratch at eps 0 \
+       (jobs 1 and 4)"
 
 (* ---- derived sessions ----
 
@@ -146,6 +158,49 @@ let test_derived_session_property () =
     "every op kind exercised"
     [ "delete"; "insert"; "merge"; "reassign"; "split" ]
     (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) kinds_seen []))
+
+(* ---- observation does not change answers ----
+
+   Telemetry and profiling only watch node boundaries.  Over rewritten
+   generated queries, at jobs 1 and 4, answers with telemetry on, and
+   from the profiled executor, are bitwise those of a plain run with
+   telemetry off, row order included. *)
+
+let prop_observation_invisible =
+  QCheck.Test.make ~count:150
+    ~name:"telemetry and profiling leave answers bit-identical (jobs 1 and 4)"
+    (QCheck.make ~print:Fuzz.Case.print (Fuzz.Updategen.rewritable_case_gen ()))
+    (fun (case : Fuzz.Case.t) ->
+      let env = Conquer.Dirty_schema.of_dirty_db case.db in
+      let engine = Conquer.Clean.engine (Conquer.Clean.create case.db) in
+      let plan =
+        Engine.Database.plan engine (Conquer.Rewrite.rewrite_exn env case.query)
+      in
+      let catalog =
+        {
+          Engine.Exec.relation = Engine.Database.relation engine;
+          index = (fun table attr -> Engine.Database.index engine ~table ~attr);
+        }
+      in
+      let plain jobs () = Engine.Exec.run ~jobs catalog plan in
+      let profiled jobs () = fst (Engine.Exec.run_profiled ~jobs catalog plan) in
+      let expected = Telemetry.Control.with_disabled (plain 1) in
+      List.for_all
+        (fun (label, answers) ->
+          rows_bits_equal expected answers
+          || QCheck.Test.fail_reportf "%s differs from jobs=1 with telemetry off"
+               label)
+        (List.concat_map
+           (fun jobs ->
+             [
+               ( Printf.sprintf "jobs=%d, telemetry off" jobs,
+                 Telemetry.Control.with_disabled (plain jobs) );
+               ( Printf.sprintf "jobs=%d, telemetry on" jobs,
+                 Telemetry.Control.with_enabled (plain jobs) );
+               ( Printf.sprintf "jobs=%d, profiled" jobs,
+                 Telemetry.Control.with_disabled (profiled jobs) );
+             ])
+           [ 1; 4 ]))
 
 (* ---- oracle invariants ---- *)
 
@@ -424,7 +479,13 @@ let () =
     [
       ( "differential",
         to_alcotest
-          [ prop_differential; prop_update_differential; prop_oracle_mass ] );
+          [
+            prop_differential;
+            prop_update_differential;
+            prop_update_differential_off_grid;
+            prop_oracle_mass;
+          ] );
+      ("observation", to_alcotest [ prop_observation_invisible ]);
       ( "derived",
         [
           Alcotest.test_case "derived = fresh over all five op kinds" `Quick

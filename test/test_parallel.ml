@@ -1,7 +1,8 @@
 (* Parallel execution tests: the Engine.Parallel pool itself, and the
    serial-equivalence guarantee of the partition-parallel operators —
    jobs=4 must produce results bit-identical to jobs=1, including
-   aggregate group order and budgeted Truncate prefixes.
+   aggregate group order, float keys (-0.0 vs 0.0, NaN), empty and
+   all-null inputs, and budgeted Truncate prefixes.
 
    [Parallel.min_rows_per_chunk] is lowered so the small relations
    used here actually take the parallel paths. *)
@@ -38,6 +39,29 @@ let check_same_relation msg expected actual =
                  (Value.to_string v)
                  (Value.to_string row'.(j)))
            row)
+
+(* stricter: floats must agree bit for bit (Value.compare treats -0.0
+   and 0.0 as equal, which would mask a sign flip) *)
+let check_bitwise_relation msg expected actual =
+  check_same_relation msg expected actual;
+  Relation.rows expected
+  |> Array.iteri (fun i row ->
+         let row' = Relation.get actual i in
+         Array.iteri
+           (fun j v ->
+             match (v, row'.(j)) with
+             | Value.Float a, Value.Float b
+               when Int64.bits_of_float a <> Int64.bits_of_float b ->
+               Alcotest.failf "%s: row %d col %d: %h <> %h (bitwise)" msg i j a
+                 b
+             | _ -> ())
+           row)
+
+let bitwise_jobs1_jobs4 engine sql =
+  let serial = Engine.Database.query ~config:(config ~jobs:1) engine sql in
+  let parallel = Engine.Database.query ~config:(config ~jobs:4) engine sql in
+  check_bitwise_relation (sql ^ ": jobs=4 = jobs=1") serial parallel;
+  serial
 
 (* ---- the pool ---- *)
 
@@ -146,6 +170,98 @@ let test_truncate_prefix () =
   let parallel = check_at 4 in
   check_same_relation "truncated prefixes agree" serial parallel
 
+(* ---- float keys: -0.0 vs 0.0 and NaN ----
+
+   [Value.compare] says -0.0 = 0.0 and NaN = NaN, so grouping and
+   joining must place such keys together at any jobs value; a hash
+   that distinguished the bit patterns would split them only on the
+   partitioned paths. *)
+
+let float_key_db () =
+  let engine = Engine.Database.create () in
+  let keys =
+    [ -0.0; 0.0; Float.nan; 1.5; Float.nan; -0.0; 0.0; 1.5; 2.5; -0.0 ]
+  in
+  let rel =
+    Relation.create
+      (Schema.make [ ("k", Value.TFloat); ("v", Value.TInt) ])
+      (List.mapi (fun i k -> [| v_f k; v_i i |]) keys)
+  in
+  Engine.Database.add_relation engine ~name:"t" rel;
+  engine
+
+let test_float_group_keys () =
+  let serial =
+    bitwise_jobs1_jobs4 (float_key_db ())
+      "select k, count(*), sum(v) from t group by k"
+  in
+  (* distinct keys under Value.compare: {-0.0, 0.0}, {NaN}, 1.5, 2.5 *)
+  Alcotest.(check int) "four groups" 4 (Relation.cardinality serial)
+
+let test_float_join_keys () =
+  let engine = Engine.Database.create () in
+  let rel name keys =
+    Relation.create
+      (Schema.make [ ("k", Value.TFloat); (name, Value.TInt) ])
+      (List.mapi (fun i k -> [| v_f k; v_i i |]) keys)
+  in
+  Engine.Database.add_relation engine ~name:"l"
+    (rel "a" [ -0.0; 0.0; Float.nan; 1.0; 2.0 ]);
+  Engine.Database.add_relation engine ~name:"r"
+    (rel "b" [ 0.0; Float.nan; 2.0; 3.0 ]);
+  let serial =
+    bitwise_jobs1_jobs4 engine "select l.a, r.b from l, r where l.k = r.k"
+  in
+  (* -0.0 and 0.0 both meet r's 0.0; NaN meets NaN; 2.0 meets 2.0 *)
+  Alcotest.(check int) "matches" 4 (Relation.cardinality serial)
+
+(* ---- fixed edge shapes ---- *)
+
+let test_empty_and_all_null () =
+  let engine = Engine.Database.create () in
+  Engine.Database.add_relation engine ~name:"empty"
+    (Relation.create
+       (Schema.make [ ("k", Value.TInt); ("v", Value.TInt) ])
+       []);
+  Engine.Database.add_relation engine ~name:"nulls"
+    (Relation.create
+       (Schema.make [ ("k", Value.TInt); ("v", Value.TInt) ])
+       (List.init 20 (fun i -> [| v_i (i mod 3); Value.Null |])));
+  List.iter
+    (fun sql -> ignore (bitwise_jobs1_jobs4 engine sql))
+    [
+      "select v from empty where v > 0";
+      "select k, v from empty";
+      "select k, count(*), sum(v) from empty group by k";
+      "select v from nulls where v > 0";
+      "select k, v + 1 from nulls";
+      "select k, count(v), sum(v), min(v), max(v) from nulls group by k";
+      "select a.v from nulls a, nulls b where a.v = b.v";
+    ]
+
+let test_truncate_prefix_filter_project () =
+  let engine = float_key_db () in
+  let q = Sql.Parser.parse_query "select k, v * 2 from t where v >= 0" in
+  let full = Engine.Database.query_ast ~config:(config ~jobs:1) engine q in
+  let check_at jobs =
+    let cfg = { (config ~jobs) with max_rows = Some 13 } in
+    let rel, { Engine.Database.truncated; cancelled = _ } =
+      Engine.Database.query_ast_within ~config:cfg engine q
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "jobs=%d truncated" jobs)
+      true truncated;
+    let prefix =
+      Relation.of_array (Relation.schema full)
+        (Array.sub (Relation.rows full) 0 (Relation.cardinality rel))
+    in
+    check_same_relation (Printf.sprintf "jobs=%d prefix" jobs) prefix rel;
+    rel
+  in
+  let serial = check_at 1 in
+  let parallel = check_at 4 in
+  check_bitwise_relation "truncated prefixes agree" serial parallel
+
 (* ---- randomized serial-equivalence (QCheck) ---- *)
 
 let ( let* ) gen f = QCheck.Gen.( >>= ) gen f
@@ -168,6 +284,76 @@ let grouped_relation_gen =
   in
   QCheck.Gen.return
     (Relation.create (Schema.make [ ("g", Value.TInt); ("v", Value.TInt) ]) rows)
+
+(* floats lean on the corner cases: signed zeros, NaN, infinity *)
+let corner_float_gen =
+  QCheck.Gen.oneof
+    [
+      QCheck.Gen.float_range (-100.0) 100.0;
+      QCheck.Gen.oneofl [ -0.0; 0.0; Float.nan; Float.infinity ];
+    ]
+
+(* numeric-or-null, so arithmetic and SUM never raise; n ranges down to
+   0 for the empty-relation edge, and a relation is all-null half of
+   the time *)
+let corner_relation_gen =
+  let* n = QCheck.Gen.int_range 0 120 in
+  let* all_null = QCheck.Gen.bool in
+  let* rows =
+    QCheck.Gen.list_size (QCheck.Gen.return n)
+      (let* g = QCheck.Gen.int_range 0 4 in
+       let* v =
+         if all_null then QCheck.Gen.return Value.Null
+         else
+           QCheck.Gen.oneof
+             [
+               QCheck.Gen.map v_i (QCheck.Gen.int_range (-50) 50);
+               QCheck.Gen.map v_f corner_float_gen;
+               QCheck.Gen.return Value.Null;
+             ]
+       in
+       QCheck.Gen.return [| v_i g; v |])
+  in
+  QCheck.Gen.return
+    (Relation.create (Schema.make [ ("g", Value.TInt); ("v", Value.TInt) ]) rows)
+
+let with_relation rel f =
+  let engine = Engine.Database.create () in
+  Engine.Database.add_relation engine ~name:"t" rel;
+  f engine
+
+let prop_corner_floats_bitwise =
+  QCheck.Test.make ~count:60
+    ~name:"filter/project/aggregate over float corner cases bitwise at jobs=1 and 4"
+    (QCheck.make corner_relation_gen)
+    (fun rel ->
+      with_relation rel (fun engine ->
+          List.iter
+            (fun sql -> ignore (bitwise_jobs1_jobs4 engine sql))
+            [
+              "select v from t where v > 1";
+              "select g, v + 1, v * 2 from t";
+              "select g, count(*), count(v), sum(v), min(v), max(v) from t \
+               group by g";
+              "select g, count(v) from t where g > 1 group by g \
+               having count(*) > 1";
+            ];
+          true))
+
+(* budgeted Truncate prefixes are deterministic at any jobs value *)
+let prop_truncate_prefix =
+  QCheck.Test.make ~count:40
+    ~name:"Truncate prefixes agree between jobs=1 and jobs=4"
+    (QCheck.make corner_relation_gen)
+    (fun rel ->
+      with_relation rel (fun engine ->
+          let q = Sql.Parser.parse_query "select g, v from t where g >= 0" in
+          let at jobs =
+            let cfg = { (config ~jobs) with max_rows = Some 17 } in
+            fst (Engine.Database.query_ast_within ~config:cfg engine q)
+          in
+          check_bitwise_relation "prefixes" (at 1) (at 4);
+          true))
 
 let same_answers engine sql =
   let serial = Engine.Database.query ~config:(config ~jobs:1) engine sql in
@@ -233,7 +419,26 @@ let () =
             test_filter_project_parallel;
           Alcotest.test_case "truncate prefix" `Quick test_truncate_prefix;
         ] );
+      ( "float keys",
+        [
+          Alcotest.test_case "group keys -0.0/0.0/NaN" `Quick
+            test_float_group_keys;
+          Alcotest.test_case "join keys -0.0/0.0/NaN" `Quick
+            test_float_join_keys;
+        ] );
+      ( "executor",
+        [
+          Alcotest.test_case "empty and all-null inputs" `Quick
+            test_empty_and_all_null;
+          Alcotest.test_case "truncate prefix" `Quick
+            test_truncate_prefix_filter_project;
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_aggregate_group_order; prop_join_rows ] );
+          [
+            prop_aggregate_group_order;
+            prop_join_rows;
+            prop_corner_floats_bitwise;
+            prop_truncate_prefix;
+          ] );
     ]

@@ -13,11 +13,11 @@
    of 1/16, a dyadic rational) are bit-equal to a single-shard run
    under any association.
 
-   The last section is the ROADMAP item 1b regression: chunked
+   The last section is the ROADMAP item 1b regression: parallel
    aggregation is group-hash-partitioned, so each group's accumulator
-   sees its rows in row order regardless of morsel boundaries — row
-   and chunked executors must agree bit for bit even on off-grid
-   floats and thousands of groups. *)
+   sees its rows in row order whatever the jobs count — jobs=1 and
+   jobs=4 must agree bit for bit even on off-grid floats and thousands
+   of groups. *)
 
 open Dirty
 
@@ -576,12 +576,12 @@ let test_query_within_cancel_and_stop () =
   | Some (_, { Engine.Database.cancelled; _ }) ->
     Alcotest.(check bool) "tripped token surfaces" true cancelled
 
-(* ---- ROADMAP 1b regression: many-group chunked aggregation ---- *)
+(* ---- ROADMAP 1b regression: many-group parallel aggregation ---- *)
 
-let test_many_group_chunked_aggregate () =
-  (* 12k groups of off-grid floats: group-hash-partitioned chunked
-     aggregation feeds each group's accumulator in row order, so row
-     and chunked executors (at any jobs) agree bit for bit *)
+let test_many_group_aggregate () =
+  (* 12k groups of off-grid floats: group-hash-partitioned aggregation
+     feeds each group's accumulator in row order, so jobs=1 and jobs=4
+     agree bit for bit *)
   let n_groups = 12_000 in
   let rows =
     List.concat_map
@@ -600,17 +600,14 @@ let test_many_group_chunked_aggregate () =
   let sql =
     "select g, count(*), sum(v), min(v), max(v) from t group by g"
   in
-  let config ?(chunked = true) jobs =
-    { Engine.Planner.default_config with jobs; chunked }
+  let at jobs =
+    Engine.Database.query
+      ~config:{ Engine.Planner.default_config with jobs }
+      engine sql
   in
-  let row =
-    Engine.Database.query ~config:(config ~chunked:false 1) engine sql
-  in
-  Alcotest.(check int) "group count" n_groups (Relation.cardinality row);
-  check_same_relation "chunked jobs=1 = row" row
-    (Engine.Database.query ~config:(config 1) engine sql);
-  check_same_relation "chunked jobs=4 = row" row
-    (Engine.Database.query ~config:(config 4) engine sql)
+  let serial = at 1 in
+  Alcotest.(check int) "group count" n_groups (Relation.cardinality serial);
+  check_same_relation "jobs=4 = jobs=1" serial (at 4)
 
 let () =
   Alcotest.run "shard"
@@ -651,9 +648,9 @@ let () =
           Alcotest.test_case "stop flags propagate" `Quick
             test_query_within_cancel_and_stop;
         ] );
-      ( "chunked aggregation",
+      ( "grouped aggregation",
         [
-          Alcotest.test_case "12k groups row = chunked (ROADMAP 1b)" `Quick
-            test_many_group_chunked_aggregate;
+          Alcotest.test_case "12k groups bitwise at jobs=1 and jobs=4 (ROADMAP 1b)"
+            `Quick test_many_group_aggregate;
         ] );
     ]
