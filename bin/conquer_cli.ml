@@ -1175,7 +1175,7 @@ let serve_cmd =
          "Run the query daemon: an HTTP/JSON endpoint over a database \
           directory with admission control, per-request deadlines (partial \
           answers instead of errors), client-disconnect cancellation, a \
-          store circuit breaker, a generation-keyed result cache, \
+          store circuit breaker, a generation-tagged result cache, \
           request-scoped tracing (--trace-sample, --slow-query-ms, \
           /debug/traces), a structured query log (--query-log, \
           /debug/querylog), and graceful SIGTERM drain. Routes: GET \

@@ -321,11 +321,25 @@ let region_cancel budget =
   | Some b when not (Budget.exhausted b) -> Budget.cancel_token b
   | _ -> None
 
+(* A serial run has no chunk claims to poll the token at, so [f]
+   polls it itself every 1024 calls: a deadline that lands inside a
+   large serial filter or projection stops it there, not at the next
+   node boundary.  Without a token (no budget) [f] runs unwrapped. *)
+let polled cancel f =
+  match cancel with
+  | None -> f
+  | Some tok ->
+    let calls = ref 0 in
+    fun x ->
+      if !calls land 1023 = 0 then Cancel.check tok;
+      incr calls;
+      f x
+
 (* parallel filter over row ranges; preserves row order exactly *)
 let run_filter ?cancel ~jobs pred rel =
   let rows = Relation.rows rel in
   let n = Array.length rows in
-  if not (use_parallel ~jobs n) then Relation.filter pred rel
+  if not (use_parallel ~jobs n) then Relation.filter (polled cancel pred) rel
   else begin
     let ranges = chunk_ranges ~jobs n in
     let parts =
@@ -344,7 +358,8 @@ let run_filter ?cancel ~jobs pred rel =
 let run_map_rows ?cancel ~jobs f rel =
   let rows = Relation.rows rel in
   let n = Array.length rows in
-  if not (use_parallel ~jobs n) then List.map f (Array.to_list rows)
+  if not (use_parallel ~jobs n) then
+    List.map (polled cancel f) (Array.to_list rows)
   else begin
     let ranges = chunk_ranges ~jobs n in
     let parts =

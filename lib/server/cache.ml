@@ -1,6 +1,7 @@
-(* Mutex-guarded bounded cache, FIFO eviction.  The eviction queue may
-   hold keys that were since re-added or dropped; eviction re-checks
-   membership, so a stale queue entry is skipped harmlessly. *)
+(* Mutex-guarded bounded cache, FIFO eviction.  The eviction queue
+   holds exactly the bound keys, oldest first: [add] pushes only new
+   keys and evicts what it pops, and [filter_map_inplace] filters the
+   queue along with the table. *)
 
 type ('k, 'v) t = {
   lock : Mutex.t;
@@ -33,12 +34,13 @@ let add t k v =
       Hashtbl.remove t.table oldest
     done
 
-let drop t pred =
+let filter_map_inplace t f =
   locked t @@ fun () ->
-  let doomed =
-    Hashtbl.fold (fun k _ acc -> if pred k then k :: acc else acc) t.table []
-  in
-  List.iter (Hashtbl.remove t.table) doomed
+  Hashtbl.filter_map_inplace f t.table;
+  let kept = Queue.create () in
+  Queue.iter (fun k -> if Hashtbl.mem t.table k then Queue.push k kept) t.order;
+  Queue.clear t.order;
+  Queue.transfer kept t.order
 
 let clear t =
   locked t @@ fun () ->

@@ -1,9 +1,12 @@
 (** A bounded, domain-safe key-value cache with FIFO eviction.
 
-    Backs the daemon's result cache (keyed on normalized query text
-    and store generation — see {!Serve}) and its prepared-query cache.
-    FIFO rather than LRU: eviction order only matters under pressure,
-    and FIFO needs no bookkeeping on the (hot, shared) read path. *)
+    Backs the daemon's result cache and its prepared-query cache (see
+    {!Serve}).  Both are keyed on the mode and normalized query text;
+    each value carries the store generation it is valid at, and an
+    update re-tags or drops every entry in one {!filter_map_inplace}
+    pass.  FIFO rather than LRU: eviction order only matters under
+    pressure, and FIFO needs no bookkeeping on the (hot, shared) read
+    path. *)
 
 type ('k, 'v) t
 
@@ -16,9 +19,10 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert (replacing any previous binding); evicts the oldest
     insertions once over capacity. *)
 
-val drop : ('k, 'v) t -> ('k -> bool) -> unit
-(** Remove every binding whose key satisfies the predicate (used to
-    purge entries of superseded store generations eagerly). *)
+val filter_map_inplace : ('k, 'v) t -> ('k -> 'v -> 'v option) -> unit
+(** Rebind every key [k] bound to [v] to [v'] when [f k v = Some v'],
+    and remove it when [f k v = None], under one acquisition of the
+    lock.  Kept keys keep their eviction order. *)
 
 val clear : ('k, 'v) t -> unit
 val length : ('k, 'v) t -> int

@@ -207,21 +207,20 @@ let write_all fd s =
     | exception Unix.Unix_error (EINTR, _, _) -> ()
   done
 
+(* the head and every body fragment go into one exact-size string
+   ([String.concat] measures first), so a large body is copied once
+   and the response leaves in a single write *)
 let write_response fd ~status ?(headers = []) ?(content_type = "application/json")
     ~body () =
-  let buf = Buffer.create (String.length body + 256) in
-  Buffer.add_string buf
-    (Printf.sprintf "HTTP/1.1 %d %s\r\n" status (status_reason status));
-  Buffer.add_string buf (Printf.sprintf "content-type: %s\r\n" content_type);
-  Buffer.add_string buf
-    (Printf.sprintf "content-length: %d\r\n" (String.length body));
-  Buffer.add_string buf "connection: close\r\n";
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s: %s\r\n" k v))
-    headers;
-  Buffer.add_string buf "\r\n";
-  Buffer.add_string buf body;
-  write_all fd (Buffer.contents buf)
+  let body_len = List.fold_left (fun n s -> n + String.length s) 0 body in
+  let head =
+    Printf.sprintf
+      "HTTP/1.1 %d %s\r\ncontent-type: %s\r\ncontent-length: %d\r\nconnection: close\r\n%s\r\n"
+      status (status_reason status) content_type body_len
+      (String.concat ""
+         (List.map (fun (k, v) -> Printf.sprintf "%s: %s\r\n" k v) headers))
+  in
+  write_all fd (String.concat "" (head :: body))
 
 (* ---- client ---- *)
 

@@ -51,11 +51,13 @@ val write_response :
   status:int ->
   ?headers:(string * string) list ->
   ?content_type:string ->
-  body:string ->
+  body:string list ->
   unit ->
   unit
 (** Write a complete response with [Content-Length] and
-    [Connection: close].  @raise Disconnected on EPIPE/ECONNRESET. *)
+    [Connection: close].  The body is the concatenation of the
+    fragments; head and body are assembled into one string and sent
+    with one write loop.  @raise Disconnected on EPIPE/ECONNRESET. *)
 
 (** {1 A small blocking client, for tests and the load-generator
     bench} *)

@@ -24,6 +24,16 @@ let m_cache_hits =
   Telemetry.Metrics.counter "serve.cache_hits"
     ~help:"queries answered from the result cache"
 
+let m_cache_retained =
+  Telemetry.Metrics.counter "serve.cache_retained"
+    ~help:
+      "cached results re-tagged to the new generation by an update that \
+       changed no table their query reads"
+
+let m_cache_dropped =
+  Telemetry.Metrics.counter "serve.cache_dropped"
+    ~help:"cached results dropped by an update or a reload"
+
 let m_internal =
   Telemetry.Metrics.counter "serve.internal_errors"
     ~help:"requests that ended in an unexpected exception (500)"
@@ -113,6 +123,12 @@ type inflight = {
   if_started_at : float;
 }
 
+(* A cache value with the store generation it is valid at and the
+   tables its query reads (lowercased, sorted).  A hit requires the
+   tag to equal the live generation, so a value computed over an older
+   session is never served at a newer one. *)
+type 'a entry = { value : 'a; generation : int; tables : string list }
+
 type t = {
   cfg : config;
   dir : string;
@@ -129,8 +145,10 @@ type t = {
   slock : Mutex.t;
   breaker : Breaker.t;
   mutable session : (int * Conquer.Clean.session) option;
-  prepared : (string, Sql.Ast.query * string) Cache.t;
-  results : (string, string * int) Cache.t;
+  prepared : (string, (Sql.Ast.query * string) entry) Cache.t;
+      (* the AST to run and its plan hash *)
+  results : (string, (string * int) entry) Cache.t;
+      (* the body prefix ({!result_core}) and row count *)
   (* observability: retained traces and the structured query log *)
   traces : Telemetry.Trace.ring;
   querylog : Querylog.t;
@@ -155,25 +173,33 @@ let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* ---- JSON rendering ---- *)
 
-let value_json v =
+(* one value as JSON, written straight into [buf] *)
+let add_value_json buf v =
   match v with
-  | Dirty.Value.Null -> "null"
-  | Dirty.Value.Bool b -> if b then "true" else "false"
-  | Dirty.Value.Int i -> string_of_int i
-  | Dirty.Value.Float f -> Telemetry.Export.json_float f
-  | Dirty.Value.String s -> Telemetry.Export.json_string s
-  | Dirty.Value.Date _ -> Telemetry.Export.json_string (Dirty.Value.to_string v)
+  | Dirty.Value.Null -> Buffer.add_string buf "null"
+  | Dirty.Value.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Dirty.Value.Int i -> Buffer.add_string buf (string_of_int i)
+  | Dirty.Value.Float f -> Buffer.add_string buf (Telemetry.Export.json_float f)
+  | Dirty.Value.String s -> Telemetry.Export.add_json_string buf s
+  | Dirty.Value.Date _ ->
+    Telemetry.Export.add_json_string buf (Dirty.Value.to_string v)
 
-(* the cacheable core of a /query response: everything except the
-   per-request [cached] and [elapsed_ms] fields *)
-let result_core rel ~generation ~truncated ~cancelled =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "\"columns\":[";
+(* The cacheable prefix of a /query response body: the opening brace,
+   columns, rows and row count.  [compose_body] appends the fields
+   that vary per reply.  The buffer starts at a size estimated from
+   the row count, so a large answer is rarely regrown. *)
+let result_core rel =
+  let rows = Dirty.Relation.rows rel in
+  let names = Dirty.Schema.names (Dirty.Relation.schema rel) in
+  let buf =
+    Buffer.create (256 + (Array.length rows * (2 + (12 * List.length names))))
+  in
+  Buffer.add_string buf "{\"columns\":[";
   List.iteri
     (fun i name ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Telemetry.Export.json_string name))
-    (Dirty.Schema.names (Dirty.Relation.schema rel));
+      Telemetry.Export.add_json_string buf name)
+    names;
   Buffer.add_string buf "],\"rows\":[";
   Array.iteri
     (fun i row ->
@@ -182,21 +208,24 @@ let result_core rel ~generation ~truncated ~cancelled =
       Array.iteri
         (fun j v ->
           if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (value_json v))
+          add_value_json buf v)
         row;
       Buffer.add_char buf ']')
-    (Dirty.Relation.rows rel);
-  Buffer.add_string buf
-    (Printf.sprintf "],\"row_count\":%d,\"generation\":%d"
-       (Dirty.Relation.cardinality rel) generation);
-  Buffer.add_string buf
-    (Printf.sprintf ",\"partial\":%b,\"truncated\":%b,\"cancelled\":%b"
-       (truncated || cancelled) truncated cancelled);
+    rows;
+  Buffer.add_string buf "],\"row_count\":";
+  Buffer.add_string buf (string_of_int (Array.length rows));
   Buffer.contents buf
 
-let compose_body ~core ~cached ~elapsed =
-  Printf.sprintf "{%s,\"cached\":%b,\"elapsed_ms\":%s}" core cached
-    (Telemetry.Export.json_float (elapsed *. 1000.0))
+(* the reply body as fragments: the (possibly cached) [core] is not
+   copied here, only once into the response by {!Http.write_response} *)
+let compose_body ~core ~generation ~truncated ~cancelled ~cached ~elapsed =
+  [
+    core;
+    Printf.sprintf
+      ",\"generation\":%d,\"partial\":%b,\"truncated\":%b,\"cancelled\":%b,\"cached\":%b,\"elapsed_ms\":%s}"
+      generation (truncated || cancelled) truncated cancelled cached
+      (Telemetry.Export.json_float (elapsed *. 1000.0));
+  ]
 
 let error_body detail =
   Printf.sprintf "{\"error\":%s}" (Telemetry.Export.json_string detail)
@@ -267,9 +296,10 @@ let recovery_log t = t.recovered
 
 (* The single chokepoint for store access.  Probes the committed
    generation on every query (one small read through Fault.Io — this
-   IS the cache-invalidation mechanism) and reloads the snapshot when
-   it moved.  All failures feed the circuit breaker; while the breaker
-   is open the probe is skipped entirely and the caller sheds. *)
+   is how commits by other writers reach the caches) and reloads the
+   snapshot when it moved.  All failures feed the circuit breaker;
+   while the breaker is open the probe is skipped entirely and the
+   caller sheds. *)
 (* losing the probe/reload race repeatedly is contention, not damage:
    it must surface as a retryable 503, never a 500 *)
 exception Generation_unstable
@@ -297,10 +327,11 @@ let ensure_session_locked t =
           else begin
             let s = clean_session t.cfg db in
             t.session <- Some (generation, s);
+            (* another writer committed: which tables it changed is
+               unknown here, so nothing carries over *)
+            Telemetry.Metrics.inc ~n:(Cache.length t.results) m_cache_dropped;
             Cache.clear t.prepared;
-            let live_suffix = Printf.sprintf "|g%d" generation in
-            Cache.drop t.results (fun k ->
-                not (String.ends_with ~suffix:live_suffix k));
+            Cache.clear t.results;
             (generation, s)
           end
       in
@@ -318,6 +349,28 @@ let ensure_session_locked t =
 
 let ensure_session t = locked t.slock @@ fun () -> ensure_session_locked t
 
+(* Carry the entries valid at [prev] over to [next] when their query
+   reads none of the [changed] tables, and drop the rest (including
+   anything still tagged with an older generation).  Exact: an update
+   leaves every other table physically shared with its predecessor,
+   and {!Conquer.Clean.derive} reuses their indexes and statistics, so
+   plans and answers over them are bitwise unchanged.  Returns how
+   many entries were kept and dropped. *)
+let carry_over cache ~prev ~next ~changed =
+  let kept = ref 0 and dropped = ref 0 in
+  Cache.filter_map_inplace cache (fun _ e ->
+      if e.generation = prev
+         && not (List.exists (fun table -> List.mem table changed) e.tables)
+      then begin
+        incr kept;
+        Some { e with generation = next }
+      end
+      else begin
+        incr dropped;
+        None
+      end);
+  (!kept, !dropped)
+
 (* The write path: validate and apply the batch against the current
    in-memory snapshot, persist it (a delta commit, or a compacting
    full save once the chain reaches [compact_every]), and swap in a
@@ -330,7 +383,7 @@ let apply_update t batch =
   locked t.slock @@ fun () ->
   match ensure_session_locked t with
   | Error detail -> Error (`Unavailable detail)
-  | Ok (_generation, session) -> (
+  | Ok (prev, session) -> (
     match Dirty.Delta.apply (Conquer.Clean.dirty_db session) batch with
     | exception Dirty.Delta.Invalid msg -> Error (`Invalid msg)
     | outcome -> (
@@ -356,10 +409,21 @@ let apply_update t batch =
         Breaker.success t.breaker;
         t.session <-
           Some (generation, Conquer.Clean.derive session outcome.Dirty.Delta.db);
-        Cache.clear t.prepared;
-        let live_suffix = Printf.sprintf "|g%d" generation in
-        Cache.drop t.results (fun k ->
-            not (String.ends_with ~suffix:live_suffix k));
+        (* every op changes its own table only *)
+        let changed =
+          List.sort_uniq String.compare
+            (List.map
+               (fun op -> String.lowercase_ascii (Dirty.Delta.op_table op))
+               batch)
+        in
+        ignore (carry_over t.prepared ~prev ~next:generation ~changed);
+        let retained, dropped =
+          carry_over t.results ~prev ~next:generation ~changed
+        in
+        Telemetry.Metrics.inc ~n:retained m_cache_retained;
+        Telemetry.Metrics.inc ~n:dropped m_cache_dropped;
+        Telemetry.Span.add_attr "retained" (string_of_int retained);
+        Telemetry.Span.add_attr "dropped" (string_of_int dropped);
         Telemetry.Metrics.inc m_updates;
         Ok (generation, outcome, compact)))
 
@@ -401,9 +465,11 @@ let new_reqctx () =
     cx_exec = 0.0;
   }
 
-exception Reply of int * (string * string) list * string
+(* the body travels as fragments, written back to back (see
+   {!compose_body}) *)
+exception Reply of int * (string * string) list * string list
 
-let reply ?(headers = []) status body = raise (Reply (status, headers, body))
+let reply ?(headers = []) status body = raise (Reply (status, headers, [ body ]))
 
 let parse_params t req =
   let deadline =
@@ -430,12 +496,50 @@ let parse_params t req =
   in
   (deadline, budget_rows, mode)
 
+(* every table the query reads: its FROM list, outer joins and
+   subqueries, recursively *)
+let tables_read (q : Sql.Ast.query) =
+  let open Sql.Ast in
+  let rec query acc q =
+    let acc = List.fold_left (fun acc r -> r.table :: acc) acc q.from in
+    let acc =
+      List.fold_left
+        (fun acc oj -> expr (oj.oj_table.table :: acc) oj.oj_on)
+        acc q.outer_joins
+    in
+    let items =
+      match q.select with
+      | Star -> []
+      | Items items -> List.map (fun i -> i.expr) items
+    in
+    List.fold_left expr acc
+      (items @ Option.to_list q.where @ q.group_by @ Option.to_list q.having
+      @ List.map (fun o -> o.o_expr) q.order_by)
+  and expr acc = function
+    | Lit _ | Col _ | Agg (_, None) -> acc
+    | Unop (_, e)
+    | Like (e, _)
+    | Not_like (e, _)
+    | In_list (e, _)
+    | Is_null e
+    | Is_not_null e
+    | Agg (_, Some e) ->
+      expr acc e
+    | Binop (_, a, b) -> expr (expr acc a) b
+    | Between (a, lo, hi) -> expr (expr (expr acc a) lo) hi
+    | In_query (e, sub) -> query (expr acc e) sub
+    | Exists sub | Scalar_subquery sub -> query acc sub
+  in
+  List.sort_uniq String.compare (List.map String.lowercase_ascii (query [] q))
+
 (* parse (for normalization) and rewrite once per (query, mode); the
    prepared AST is executed directly on the engine thereafter.  The
    plan hash rides along in the cache entry: it identifies the
    physical plan shape in the query log, so two queries that
-   normalize differently but plan identically are groupable. *)
-let prepare t session mode sql =
+   normalize differently but plan identically are groupable.  Returns
+   the cache key (mode and normalized text, shared with the result
+   cache), the normalized text and the entry. *)
+let prepare t ~generation session mode sql =
   let ast =
     try Sql.Parser.parse_query sql
     with e -> reply 400 (error_body ("parse error: " ^ Printexc.to_string e))
@@ -443,8 +547,8 @@ let prepare t session mode sql =
   let normalized = Sql.Pretty.query_to_string ast in
   let key = mode_tag mode ^ "|" ^ normalized in
   match Cache.find t.prepared key with
-  | Some (prepared, plan_hash) -> (normalized, prepared, plan_hash)
-  | None ->
+  | Some e when e.generation = generation -> (key, normalized, e)
+  | _ ->
     let prepared =
       match mode with
       | Original -> ast
@@ -466,8 +570,11 @@ let prepare t session mode sql =
              (Engine.Database.plan (Conquer.Clean.engine session) prepared))
       with _ -> ""
     in
-    Cache.add t.prepared key (prepared, plan_hash);
-    (normalized, prepared, plan_hash)
+    let e =
+      { value = (prepared, plan_hash); generation; tables = tables_read prepared }
+    in
+    Cache.add t.prepared key e;
+    (key, normalized, e)
 
 let register_inflight t info =
   locked t.ilock @@ fun () ->
@@ -512,18 +619,26 @@ let handle_query t ctx ~trace_id job req =
             (error_body detail))
   in
   ctx.cx_generation <- generation;
-  let normalized, ast, plan_hash =
+  let key, normalized, prepared =
     Telemetry.Span.with_ ~name:"serve.prepare" (fun () ->
-        prepare t session mode sql)
+        prepare t ~generation session mode sql)
   in
+  let ast, plan_hash = prepared.value in
   ctx.cx_sql <- normalized;
   ctx.cx_plan_hash <- plan_hash;
-  let result_key =
-    Printf.sprintf "%s|%s|g%d" (mode_tag mode) normalized generation
+  let answer ~core ~truncated ~cancelled ~cached =
+    raise
+      (Reply
+         ( 200,
+           [],
+           compose_body ~core ~generation ~truncated ~cancelled ~cached
+             ~elapsed:(Unix.gettimeofday () -. job.enqueued_at) ))
   in
   let cache_hit =
     Telemetry.Span.with_ ~name:"serve.cache_probe" (fun () ->
-        Cache.find t.results result_key)
+        match Cache.find t.results key with
+        | Some e when e.generation = generation -> Some e.value
+        | _ -> None)
   in
   match cache_hit with
   | Some (core, rows) ->
@@ -531,9 +646,7 @@ let handle_query t ctx ~trace_id job req =
     ctx.cx_cached <- true;
     ctx.cx_rows <- rows;
     Telemetry.Span.add_attr "cached" "true";
-    reply 200
-      (compose_body ~core ~cached:true
-         ~elapsed:(Unix.gettimeofday () -. job.enqueued_at))
+    answer ~core ~truncated:false ~cancelled:false ~cached:true
   | None ->
     let token = Engine.Cancel.create () in
     let id =
@@ -573,15 +686,14 @@ let handle_query t ctx ~trace_id job req =
     ctx.cx_cancelled <- cancelled;
     let core =
       Telemetry.Span.with_ ~name:"serve.serialize" (fun () ->
-          let core = result_core rel ~generation ~truncated ~cancelled in
+          let core = result_core rel in
           Telemetry.Span.add_attr "bytes" (string_of_int (String.length core));
           core)
     in
     if not (truncated || cancelled) then
-      Cache.add t.results result_key (core, ctx.cx_rows);
-    reply 200
-      (compose_body ~core ~cached:false
-         ~elapsed:(Unix.gettimeofday () -. job.enqueued_at))
+      Cache.add t.results key
+        { value = (core, ctx.cx_rows); generation; tables = prepared.tables };
+    answer ~core ~truncated ~cancelled ~cached:false
 
 (* ---- the update endpoint ---- *)
 
@@ -772,7 +884,7 @@ let handle_request t ctx ~trace_id job req =
       (Reply
          ( 200,
            [ ("x-content-type", "text/plain") ],
-           Telemetry.Export.prometheus_string () ))
+           [ Telemetry.Export.prometheus_string () ] ))
   | ("GET" | "POST"), "/query" -> handle_query t ctx ~trace_id job req
   | "POST", "/update" -> handle_update t job req
   | "GET", "/debug/requests" -> reply 200 (debug_requests_json t)
@@ -796,13 +908,13 @@ let handle_request t ctx ~trace_id job req =
 let outcome_to_response outcome =
   match outcome with
   | Reply (status, headers, body) -> (status, headers, body)
-  | Http.Bad_request detail -> (400, [], error_body detail)
-  | Http.Too_large detail -> (413, [], error_body detail)
-  | Http.Timeout -> (408, [], error_body "request read timed out")
+  | Http.Bad_request detail -> (400, [], [ error_body detail ])
+  | Http.Too_large detail -> (413, [], [ error_body detail ])
+  | Http.Timeout -> (408, [], [ error_body "request read timed out" ])
   | Http.Disconnected -> raise Http.Disconnected
   | e ->
     Telemetry.Metrics.inc m_internal;
-    (500, [], error_body ("internal error: " ^ Printexc.to_string e))
+    (500, [], [ error_body ("internal error: " ^ Printexc.to_string e) ])
 
 let write_outcome fd (status, headers, body) =
   let content_type =
@@ -846,7 +958,7 @@ let serve_connection t job =
           Reply
             ( 503,
               [ ("retry-after", Printf.sprintf "%.0f" t.cfg.retry_after) ],
-              error_body "server is shutting down" )
+              [ error_body "server is shutting down" ] )
         in
         let _status = write_outcome job.fd (outcome_to_response outcome) in
         Telemetry.Metrics.observe h_latency
@@ -1040,7 +1152,7 @@ let shed t fd =
   (try
      Http.write_response fd ~status:503
        ~headers:[ ("retry-after", Printf.sprintf "%.0f" t.cfg.retry_after) ]
-       ~body:(error_body "overloaded; request shed")
+       ~body:[ error_body "overloaded; request shed" ]
        ()
    with Http.Disconnected | Unix.Unix_error _ -> ());
   close_quiet fd

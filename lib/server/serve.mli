@@ -24,9 +24,12 @@
       once the store heals.
     - {b prepared queries and result cache}: parsing and rewriting
       are cached per normalized query text; complete (non-partial)
-      results are cached keyed on (normalized query, mode, store
-      generation), so a store commit invalidates every stale entry by
-      construction.
+      results are cached keyed on (mode, normalized query).  Every
+      entry is tagged with the store generation it is valid at and is
+      served only at that generation.  An update through
+      [POST /update] re-tags the entries whose query reads none of the
+      tables it changed and drops the rest; a commit by another
+      writer, seen on reload, drops everything.
     - {b graceful drain}: {!shutdown} (the SIGTERM handler's job)
       stops accepting, lets workers finish the queue, and — if the
       drain deadline passes — cancels what is still running before
@@ -56,8 +59,10 @@
       renormalization, and commit it crash-atomically (a delta
       generation, or a compacting full save once the chain reaches
       [compact_every]).  200 carries [{"generation", "ops", "touched",
-      "compacted", "elapsed_ms"}]; the generation bump invalidates
-      every cached result by construction.  400 for malformed CSV or
+      "compacted", "elapsed_ms"}].  Cached results and prepared
+      queries that read none of the batch's tables stay valid at the
+      new generation; the rest are dropped
+      ([serve.cache_retained]/[serve.cache_dropped]).  400 for malformed CSV or
       an invalid op (nothing is committed), 503 with [Retry-After]
       when the breaker is open, the store is unavailable, or the
       probe/reload race persists — never 500 for contention.
@@ -159,3 +164,10 @@ val request_shutdown : t -> unit
 (** Async-signal-safe {!shutdown} request (one atomic store): the
     accept loop notices within one poll interval and begins the
     drain.  This is what the CLI's SIGTERM/SIGINT handlers call. *)
+
+val result_core : Dirty.Relation.t -> string
+(** The cacheable prefix of a [/query] 200 body:
+    [{"columns":[...],"rows":[...],"row_count":N].  The reply appends
+    the generation, the partial/truncated/cancelled flags, [cached]
+    and [elapsed_ms].  Floats render as [%.9g], with nan and the
+    infinities as [null]. *)

@@ -3,27 +3,44 @@
 
 (* ---- small hand-rolled JSON emitters (no external dependency) ---- *)
 
+(* [s] escaped for a JSON string literal, appended to [buf]; runs of
+   bytes that need no escape go in with one blit *)
+let add_json_escaped buf s =
+  let flushed = ref 0 in
+  String.iteri
+    (fun i c ->
+      if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+        Buffer.add_substring buf s !flushed (i - !flushed);
+        flushed := i + 1;
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      end)
+    s;
+  Buffer.add_substring buf s !flushed (String.length s - !flushed)
+
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  add_json_escaped buf s;
   Buffer.contents buf
+
+let add_json_string buf s =
+  Buffer.add_char buf '"';
+  add_json_escaped buf s;
+  Buffer.add_char buf '"'
 
 let json_string s = "\"" ^ json_escape s ^ "\""
 
+(* the conversion [Printf.sprintf "%.9g"] ends in, without
+   interpreting the format string on every call *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* JSON numbers may not be nan/inf; clamp to null *)
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
+let json_float f = if Float.is_finite f then format_float "%.9g" f else "null"
 
 (* ---- span trees ---- *)
 

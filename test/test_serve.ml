@@ -202,13 +202,115 @@ let test_cache_fifo () =
   Cache.add c "b" 20;
   Alcotest.(check (option int)) "replace in place" (Some 20) (Cache.find c "b");
   Alcotest.(check int) "replace does not grow" 3 (Cache.length c);
-  Cache.drop c (fun k -> k <> "b");
-  Alcotest.(check int) "drop by predicate" 1 (Cache.length c);
+  Cache.filter_map_inplace c (fun k v -> if k = "b" then Some (v + 1) else None);
+  Alcotest.(check int) "filter drops the rest" 1 (Cache.length c);
+  Alcotest.(check (option int)) "filter rebinds what it keeps" (Some 21)
+    (Cache.find c "b");
+  (* the kept key is still the oldest: the next overflow evicts it *)
+  Cache.add c "x" 5;
+  Cache.add c "y" 6;
+  Cache.add c "z" 7;
+  Alcotest.(check (option int)) "kept key evicted first" None (Cache.find c "b");
+  Alcotest.(check int) "still bounded" 3 (Cache.length c);
   Cache.clear c;
   Alcotest.(check int) "clear" 0 (Cache.length c);
   let off = Cache.create ~capacity:0 in
   Cache.add off "a" 1;
   Alcotest.(check (option int)) "capacity 0 disables" None (Cache.find off "a")
+
+(* ---- unit: the result encoder ---- *)
+
+(* the body prefix as the daemon rendered it before the encoder wrote
+   values straight into one buffer: a string per value, floats through
+   [Printf], strings escaped char by char *)
+let reference_core rel =
+  let json_string s =
+    let buf = Buffer.create 16 in
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"';
+    Buffer.contents buf
+  in
+  let value_json = function
+    | Value.Null -> "null"
+    | Value.Bool b -> if b then "true" else "false"
+    | Value.Int i -> string_of_int i
+    | Value.Float f ->
+      if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
+    | Value.String s -> json_string s
+    | Value.Date _ as v -> json_string (Value.to_string v)
+  in
+  let row r = "[" ^ String.concat "," (Array.to_list (Array.map value_json r)) ^ "]" in
+  Printf.sprintf "{\"columns\":[%s],\"rows\":[%s],\"row_count\":%d"
+    (String.concat "," (List.map json_string (Schema.names (Relation.schema rel))))
+    (String.concat "," (Array.to_list (Array.map row (Relation.rows rel))))
+    (Relation.cardinality rel)
+
+let corner_case_relation =
+  let schema =
+    Schema.make
+      [
+        ("id", Value.TInt); ("flag", Value.TBool); ("x", Value.TFloat);
+        ("d", Value.TDate); ("s \"quoted\"\\", Value.TString);
+      ]
+  in
+  let floats =
+    [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 0.1; -1e-300;
+      1e300; 123456789.0; 1.0 /. 3.0; 5e-324 ]
+  in
+  let strings =
+    [ ""; "plain"; "say \"hi\""; "back\\slash"; "tab\tnew\nline\rret";
+      "\001\031ctl"; "\127del"; "caf\xc3\xa9"; "\"\\\"" ]
+  in
+  let rows =
+    List.concat
+      (List.mapi
+         (fun i f ->
+           List.mapi
+             (fun j str ->
+               [|
+                 (if j = 0 then Value.Null else Value.Int ((i * 100) - j));
+                 (if j = 1 then Value.Null else Value.Bool ((i + j) mod 2 = 0));
+                 Value.Float f;
+                 (if j = 2 then Value.Null else Value.Date ((i * 1000) - (j * 37)));
+                 (if j = 3 then Value.Null else Value.String str);
+               |])
+             strings)
+         floats)
+  in
+  Relation.create schema (rows @ [ [| Value.Int max_int; Value.Null; Value.Null; Value.Null; Value.Null |] ])
+
+let test_result_encoder () =
+  let check what rel =
+    Alcotest.(check string) what (reference_core rel)
+      (Server.Serve.result_core rel)
+  in
+  check "corner cases" corner_case_relation;
+  check "no rows" (Relation.create (Relation.schema corner_case_relation) []);
+  let db =
+    Tpch.Datagen.assign_probabilities
+      (Tpch.Datagen.generate
+         { Tpch.Datagen.default with sf = 1.0; inconsistency = 3; seed = 11 })
+  in
+  let session = Conquer.Clean.create db in
+  List.iter
+    (fun (q : Tpch.Queries.query) ->
+      check (Printf.sprintf "Q%d rewritten" q.qid)
+        (Conquer.Clean.answers session q.sql);
+      check (Printf.sprintf "Q%d original" q.qid)
+        (Conquer.Clean.original session q.sql))
+    Tpch.Queries.all
 
 (* ---- unit: circuit breaker with an injected clock ---- *)
 
@@ -887,6 +989,124 @@ let test_cache_invalidation_on_commit () =
   in
   ()
 
+(* ---- retention across updates (property) ---- *)
+
+(* parent <- child by foreign key, plus a table no other one refers to *)
+let retention_db =
+  let spec =
+    Fuzz.Dbgen.parent_child_spec
+    @ [ { Fuzz.Dbgen.name = "other"; payloads = [ "val" ]; fks = [] } ]
+  in
+  QCheck.Gen.generate1 ~rand:(Random.State.make [| 17 |])
+    (Fuzz.Dbgen.instance_gen ~max_candidates:4096 spec)
+
+(* (request target, SQL, tables it reads): one query per table, a
+   join, and an original-mode query whose subquery reads a table its
+   FROM list does not *)
+let retention_queries =
+  [
+    ("/query", "select id, val from parent", [ "parent" ]);
+    ("/query", "select id, val, fk from child", [ "child" ]);
+    ("/query", "select id, val from other", [ "other" ]);
+    ( "/query",
+      "select c.id, p.val from child c, parent p where c.fk = p.id",
+      [ "child"; "parent" ] );
+    ( "/query?mode=original",
+      "select id from parent where val in (select val from other)",
+      [ "other"; "parent" ] );
+  ]
+
+let op_kind = function
+  | Delta.Insert _ -> "insert"
+  | Delta.Delete _ -> "delete"
+  | Delta.Split _ -> "split"
+  | Delta.Merge _ -> "merge"
+  | Delta.Reassign _ -> "reassign"
+
+(* a 200 body without the per-reply [cached] and [elapsed_ms] fields,
+   which close every /query body *)
+let strip_per_reply body =
+  let tag = ",\"cached\":" in
+  let rec last from found =
+    match find_sub (String.sub body from (String.length body - from)) tag with
+    | Some i -> last (from + i + 1) (Some (from + i))
+    | None -> found
+  in
+  match last 0 None with
+  | Some i -> String.sub body 0 i
+  | None -> Alcotest.failf "no cached field in %s" body
+
+(* A daemon applying random update batches keeps the cached answers of
+   queries that read no table a batch changed, and every reply it
+   gives, kept or recomputed, is the one a daemon without a cache
+   gives over the same store at the same generation.  The batches
+   weigh clusters off the dyadic grid ([Free]), where a probability's
+   printed digits depend on the order its sums were taken in. *)
+let test_retention_matches_fresh ~shards () =
+  let batches, _ =
+    QCheck.Gen.generate1 ~rand:(Random.State.make [| 5 |])
+      (Fuzz.Updategen.sequence_gen ~mode:Free retention_db ~batches:30 ~len:2)
+  in
+  let ops = List.concat batches in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (kind ^ " ops drawn") true
+        (List.exists (fun op -> op_kind op = kind) ops))
+    [ "insert"; "delete"; "split"; "merge"; "reassign" ];
+  let tables_of batch = List.sort_uniq compare (List.map Delta.op_table batch) in
+  Alcotest.(check bool) "some batch spans several tables" true
+    (List.exists (fun b -> List.length (tables_of b) > 1) batches);
+  let config = { base_config with concurrency = 1; shards } in
+  let retained = ref 0 in
+  let (), _report =
+    with_server ~config retention_db (fun dir _t port ->
+        let (), _ =
+          serve_store ~config:{ config with cache_capacity = 0 } dir
+            (fun _t fresh_port ->
+              let compare_all ~changed =
+                List.iter
+                  (fun (target, sql, tables) ->
+                    let kept = expect_200 (client port ~body:sql target) in
+                    let fresh = expect_200 (client fresh_port ~body:sql target) in
+                    Alcotest.(check string)
+                      (Printf.sprintf "%s%s: same body as a cacheless daemon"
+                         target sql)
+                      (strip_per_reply fresh) (strip_per_reply kept);
+                    Alcotest.(check bool) "the cacheless daemon never hits"
+                      false (body_flag fresh "cached");
+                    match changed with
+                    | None -> ()
+                    | Some changed ->
+                      let untouched =
+                        not (List.exists (fun t -> List.mem t changed) tables)
+                      in
+                      if untouched then incr retained;
+                      Alcotest.(check bool)
+                        (Printf.sprintf "%s: cached iff no table it reads changed"
+                           sql)
+                        untouched (body_flag kept "cached"))
+                  retention_queries
+              in
+              compare_all ~changed:None;
+              List.iter
+                (fun batch ->
+                  let csv =
+                    String.concat "\n"
+                      (List.map Csv.render_line (Delta.to_rows batch))
+                  in
+                  ignore (expect_200 (client port ~body:csv "/update"));
+                  compare_all ~changed:(Some (tables_of batch)))
+                batches)
+        in
+        let prom = expect_200 (client port "/metrics") in
+        Alcotest.(check bool) "retained counter exported" true
+          (find_sub prom "conquer_serve_cache_retained_total" <> None))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "answers were kept across unrelated updates (%d)"
+       !retained)
+    true (!retained > 0)
+
 (* ---- POST /update: commit, invalidation, durability ---- *)
 
 let test_update_endpoint () =
@@ -1404,6 +1624,8 @@ let () =
             test_histogram_quantile;
           Alcotest.test_case "query-log records round-trip" `Quick
             test_querylog_roundtrip;
+          Alcotest.test_case "result encoder matches the old bytes" `Quick
+            test_result_encoder;
         ] );
       ( "tracing",
         [
@@ -1450,6 +1672,10 @@ let () =
             test_graceful_drain_clean;
           Alcotest.test_case "forced drain cancels in bounded time" `Quick
             test_forced_drain_cancels;
+          Alcotest.test_case "kept answers equal a cacheless daemon's"
+            `Quick (test_retention_matches_fresh ~shards:1);
+          Alcotest.test_case "kept answers equal, 2 shards" `Quick
+            (test_retention_matches_fresh ~shards:2);
         ] );
       ( "soak",
         [ Alcotest.test_case "chaos soak" `Slow test_chaos_soak ] );
