@@ -39,26 +39,28 @@ let project t names =
   build (Array.of_list (List.map (fun n -> t.attrs.(index_of t n)) names))
 
 let append a b =
-  let taken = Hashtbl.create 16 in
-  Array.iter (fun at -> Hashtbl.replace taken at.name ()) a.attrs;
+  let na = Array.length a.attrs in
+  (* one name table serves both the duplicate check and the result *)
+  let by_name = Hashtbl.create ((na + Array.length b.attrs) * 2) in
+  Array.iteri (fun i at -> Hashtbl.add by_name at.name i) a.attrs;
   let fresh name =
-    if not (Hashtbl.mem taken name) then name
+    if not (Hashtbl.mem by_name name) then name
     else
       let rec go i =
         let candidate = Printf.sprintf "%s_%d" name i in
-        if Hashtbl.mem taken candidate then go (i + 1) else candidate
+        if Hashtbl.mem by_name candidate then go (i + 1) else candidate
       in
       go 2
   in
   let renamed =
-    Array.map
-      (fun at ->
+    Array.mapi
+      (fun j at ->
         let name = fresh at.name in
-        Hashtbl.replace taken name ();
+        Hashtbl.add by_name name (na + j);
         { at with name })
       b.attrs
   in
-  build (Array.append a.attrs renamed)
+  { attrs = Array.append a.attrs renamed; by_name }
 
 let rename ~prefix t =
   build

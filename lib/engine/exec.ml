@@ -507,10 +507,39 @@ let bucket_rows b =
   end;
   b.b_rows
 
-let run_hash_join ?budget ~jobs left right ~left_keys ~right_keys =
+(* A join's output: the schema of [ls @ rs] narrowed to [keep] (see
+   {!Plan.t}), and the function building one output row from a left
+   and a right row.  Built once per node, so the per-row work is one
+   allocation of the narrowed width. *)
+let join_output keep ls rs =
+  let full = Schema.append ls rs in
+  match keep with
+  | None -> (full, Array.append)
+  | Some names ->
+    let idx =
+      Array.of_list
+        (List.map
+           (fun n ->
+             match Schema.index_of_opt full n with
+             | Some i -> i
+             | None -> exec_errorf "join keeps unknown column %s" n)
+           names)
+    in
+    let nl = Schema.arity ls and width = Array.length idx in
+    let gather lrow rrow =
+      let out = Array.make width Value.Null in
+      for j = 0 to width - 1 do
+        let i = idx.(j) in
+        out.(j) <- (if i < nl then lrow.(i) else rrow.(i - nl))
+      done;
+      out
+    in
+    (Schema.project full names, gather)
+
+let run_hash_join ?budget ~jobs ~keep left right ~left_keys ~right_keys =
   let ls = Relation.schema left and rs = Relation.schema right in
   let lf = List.map (compile ls) left_keys and rf = List.map (compile rs) right_keys in
-  let out_schema = Schema.append ls rs in
+  let out_schema, emit = join_output keep ls rs in
   let lrows = Relation.rows left and rrows = Relation.rows right in
   let nl = Array.length lrows and nr = Array.length rrows in
   let probe_key fns row =
@@ -541,7 +570,7 @@ let run_hash_join ?budget ~jobs left right ~left_keys ~right_keys =
                List.iter
                  (fun rrow ->
                    tick budget;
-                   out := Array.append lrow rrow :: !out)
+                   out := emit lrow rrow :: !out)
                  (bucket_rows b)))
          lrows
      with Budget_stop -> ());
@@ -596,7 +625,7 @@ let run_hash_join ?budget ~jobs left right ~left_keys ~right_keys =
               | None -> ()
               | Some b ->
                 List.iter
-                  (fun rrow -> acc := Array.append lrow rrow :: !acc)
+                  (fun rrow -> acc := emit lrow rrow :: !acc)
                   b.b_rows)
           done;
           List.rev !acc)
@@ -696,11 +725,11 @@ let spill_read_rows path =
     go 0 []
   end
 
-let run_spill_hash_join ?budget ~spill left right ~left_keys ~right_keys =
+let run_spill_hash_join ?budget ~spill ~keep left right ~left_keys ~right_keys =
   let ls = Relation.schema left and rs = Relation.schema right in
   let lf = List.map (compile ls) left_keys
   and rf = List.map (compile rs) right_keys in
-  let out_schema = Schema.append ls rs in
+  let out_schema, emit = join_output keep ls rs in
   let probe_key fns row =
     let key = Array.of_list (List.map (fun f -> f row) fns) in
     if Array.exists Value.is_null key then None else Some key
@@ -771,7 +800,7 @@ let run_spill_hash_join ?budget ~spill left right ~left_keys ~right_keys =
                          List.iter
                            (fun rrow ->
                              tick budget;
-                             out := Array.append lrow rrow :: !out)
+                             out := emit lrow rrow :: !out)
                            (bucket_rows b)))
                    (spill_read_rows pfiles.(p).sf_path)
              done
@@ -903,6 +932,8 @@ let rec run_hooked ctx (plan : Plan.t) : Relation.t =
           Telemetry.Metrics.inc m_operators;
           Telemetry.Metrics.inc ~n m_rows_out;
           Telemetry.Span.add_attr "rows_out" (string_of_int n);
+          Telemetry.Span.add_attr "cols_out"
+            (string_of_int (Schema.arity (Relation.schema rel)));
           rel)
   in
   match ctx.budget with
@@ -999,13 +1030,12 @@ and resolve_node ctx (plan : Plan.t) : Plan.t =
   | Filter { input; pred } -> Filter { input; pred = r pred }
   | Project { input; items } ->
     Project { input; items = List.map (fun (e, n) -> (r e, n)) items }
-  | Hash_join { left; right; left_keys; right_keys } ->
+  | Hash_join j ->
     Hash_join
       {
-        left;
-        right;
-        left_keys = List.map r left_keys;
-        right_keys = List.map r right_keys;
+        j with
+        left_keys = List.map r j.left_keys;
+        right_keys = List.map r j.right_keys;
       }
   | Index_join j -> Index_join { j with left_keys = List.map r j.left_keys }
   | Left_outer_join { left; right; on } ->
@@ -1046,7 +1076,7 @@ and eval ctx (plan : Plan.t) : Relation.t =
         rel
     in
     Relation.create (infer_schema (List.map snd items) rows) rows
-  | Hash_join { left; right; left_keys; right_keys } -> (
+  | Hash_join { left; right; left_keys; right_keys; keep } -> (
     match ctx.spill with
     | Some sp ->
       (* spill-eligible executions materialize both sides first (the
@@ -1054,14 +1084,15 @@ and eval ctx (plan : Plan.t) : Relation.t =
          the ordinary join runs over them *)
       let lrel = run_child ctx left and rrel = run_child ctx right in
       if Relation.cardinality rrel >= sp.spill_rows then
-        run_spill_hash_join ?budget ~spill:sp lrel rrel ~left_keys ~right_keys
-      else run_hash_join ?budget ~jobs lrel rrel ~left_keys ~right_keys
+        run_spill_hash_join ?budget ~spill:sp ~keep lrel rrel ~left_keys
+          ~right_keys
+      else run_hash_join ?budget ~jobs ~keep lrel rrel ~left_keys ~right_keys
     | None ->
-      run_hash_join ?budget ~jobs (run_child ctx left) (run_child ctx right)
-        ~left_keys ~right_keys)
+      run_hash_join ?budget ~jobs ~keep (run_child ctx left)
+        (run_child ctx right) ~left_keys ~right_keys)
   | Left_outer_join { left; right; on } ->
     run_left_outer_join ?budget (run_child ctx left) (run_child ctx right) ~on
-  | Index_join { left; table; alias; left_keys; right_attrs } -> (
+  | Index_join { left; table; alias; left_keys; right_attrs; keep } -> (
     let base =
       try ctx.catalog.relation table
       with Not_found -> exec_errorf "unknown table %s" table
@@ -1074,39 +1105,46 @@ and eval ctx (plan : Plan.t) : Relation.t =
       | Some index ->
         let lrel = run_child ctx left in
         let ls = Relation.schema lrel in
-        let lf =
+        let first_f, rest_f =
           match List.map (compile ls) left_keys with
           | [] -> exec_errorf "index join with no probe keys"
-          | f :: fs -> (f, fs)
+          | f :: fs -> (f, Array.of_list fs)
         in
         let other_idx =
-          List.map (Schema.index_of (Relation.schema base)) other_attrs
+          Array.of_list
+            (List.map (Schema.index_of (Relation.schema base)) other_attrs)
         in
-        let out_schema =
-          Schema.append ls (Schema.rename ~prefix:alias (Relation.schema base))
+        let nrest = Array.length other_idx in
+        let out_schema, emit =
+          join_output keep ls
+            (Schema.rename ~prefix:alias (Relation.schema base))
         in
         let out = ref [] in
         (try
            Relation.iter
              (fun lrow ->
-               let first_f, rest_f = lf in
                let probe = first_f lrow in
                if not (Value.is_null probe) then
-                 List.iter
-                   (fun i ->
-                     let rrow = Relation.get base i in
-                     (* residual equalities on the remaining key attrs *)
-                     let rest_vals = List.map (fun f -> f lrow) rest_f in
-                     let ok =
-                       List.for_all2
-                         (fun v j -> Value.equal v rrow.(j))
-                         rest_vals other_idx
-                     in
-                     if ok then begin
-                       tick budget;
-                       out := Array.append lrow rrow :: !out
-                     end)
-                   (Index.lookup index probe))
+                 match Index.lookup index probe with
+                 | [] -> ()
+                 | matches ->
+                   (* residual equalities on the remaining key attrs:
+                      their probe values once per left row, and no
+                      allocation per match *)
+                   let rest_vals = Array.map (fun f -> f lrow) rest_f in
+                   let rec residual_ok rrow j =
+                     j >= nrest
+                     || Value.equal rest_vals.(j) rrow.(other_idx.(j))
+                        && residual_ok rrow (j + 1)
+                   in
+                   List.iter
+                     (fun i ->
+                       let rrow = Relation.get base i in
+                       if residual_ok rrow 0 then begin
+                         tick budget;
+                         out := emit lrow rrow :: !out
+                       end)
+                     matches)
              lrel
          with Budget_stop -> ());
         emit_result budget out_schema out))

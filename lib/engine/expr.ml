@@ -9,6 +9,16 @@ let type_errorf fmt = Printf.ksprintf (fun s -> raise (Type_error s)) fmt
 let column_display (c : Sql.Ast.column) =
   match c.table with None -> c.name | Some t -> t ^ "." ^ c.name
 
+(* [name] is longer than [suffix] and ends with it; allocates nothing,
+   since resolution scans every attribute of a wide joined schema *)
+let rec suffix_at name suffix ofs i =
+  i = String.length suffix
+  || (name.[ofs + i] = suffix.[i] && suffix_at name suffix ofs (i + 1))
+
+let has_proper_suffix ~suffix name =
+  let ofs = String.length name - String.length suffix in
+  ofs > 0 && suffix_at name suffix ofs 0
+
 let resolve schema (c : Sql.Ast.column) =
   match c.table with
   | Some t -> (
@@ -26,21 +36,18 @@ let resolve schema (c : Sql.Ast.column) =
     match Schema.index_of_opt schema c.name with
     | Some i -> i
     | None ->
+      (* the one attribute named "<alias>.c" *)
       let suffix = "." ^ c.name in
-      let matches =
-        List.filteri
-          (fun _ (a : Schema.attribute) ->
-            String.length a.name > String.length suffix
-            && String.sub a.name
-                 (String.length a.name - String.length suffix)
-                 (String.length suffix)
-               = suffix)
-          (Schema.attributes schema)
-      in
-      (match matches with
-      | [ a ] -> Schema.index_of schema a.name
-      | [] -> raise (Unbound_column (column_display c))
-      | _ :: _ :: _ -> raise (Ambiguous_column (column_display c))))
+      let found = ref None in
+      for i = 0 to Schema.arity schema - 1 do
+        if has_proper_suffix ~suffix (Schema.attribute_at schema i).name then
+          match !found with
+          | None -> found := Some i
+          | Some _ -> raise (Ambiguous_column (column_display c))
+      done;
+      match !found with
+      | Some i -> i
+      | None -> raise (Unbound_column (column_display c)))
 
 let truth = function
   | Value.Bool b -> b

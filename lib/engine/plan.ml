@@ -7,6 +7,7 @@ type t =
       right : t;
       left_keys : Sql.Ast.expr list;
       right_keys : Sql.Ast.expr list;
+      keep : string list option;
     }
   | Index_join of {
       left : t;
@@ -14,6 +15,7 @@ type t =
       alias : string;
       left_keys : Sql.Ast.expr list;
       right_attrs : string list;
+      keep : string list option;
     }
   | Left_outer_join of { left : t; right : t; on : Sql.Ast.expr }
   | Cross of t * t
@@ -31,6 +33,10 @@ let expr_to_string = Sql.Pretty.expr_to_string
 
 let exprs_to_string es = String.concat ", " (List.map expr_to_string es)
 
+let keep_to_string = function
+  | None -> ""
+  | Some names -> " keep [" ^ String.concat ", " names ^ "]"
+
 let rec pp_indent fmt indent plan =
   let pad () = Format.pp_print_string fmt (String.make indent ' ') in
   pad ();
@@ -46,15 +52,16 @@ let rec pp_indent fmt indent plan =
       (String.concat ", "
          (List.map (fun (e, n) -> expr_to_string e ^ " AS " ^ n) items));
     pp_indent fmt (indent + 2) input
-  | Hash_join { left; right; left_keys; right_keys } ->
-    Format.fprintf fmt "HashJoin (%s = %s)@\n" (exprs_to_string left_keys)
-      (exprs_to_string right_keys);
+  | Hash_join { left; right; left_keys; right_keys; keep } ->
+    Format.fprintf fmt "HashJoin (%s = %s)%s@\n" (exprs_to_string left_keys)
+      (exprs_to_string right_keys) (keep_to_string keep);
     pp_indent fmt (indent + 2) left;
     pp_indent fmt (indent + 2) right
-  | Index_join { left; table; alias; left_keys; right_attrs } ->
-    Format.fprintf fmt "IndexJoin %s AS %s (%s = %s)@\n" table alias
+  | Index_join { left; table; alias; left_keys; right_attrs; keep } ->
+    Format.fprintf fmt "IndexJoin %s AS %s (%s = %s)%s@\n" table alias
       (exprs_to_string left_keys)
-      (String.concat ", " right_attrs);
+      (String.concat ", " right_attrs)
+      (keep_to_string keep);
     pp_indent fmt (indent + 2) left
   | Left_outer_join { left; right; on } ->
     Format.fprintf fmt "LeftOuterJoin (%s)@\n" (expr_to_string on);

@@ -17,8 +17,12 @@ type t =
       right : t;
       left_keys : Sql.Ast.expr list;
       right_keys : Sql.Ast.expr list;
+      keep : string list option;
+          (** the output columns some operator above reads, as
+              qualified names in input order; [None] keeps them all *)
     }
-      (** Equi-join; builds a hash table on the right input. *)
+      (** Equi-join; builds a hash table on the right input and emits
+          each matching pair narrowed to [keep]. *)
   | Index_join of {
       left : t;
       table : string;
@@ -27,6 +31,7 @@ type t =
       right_attrs : string list;
           (** unqualified attribute names of [table]; the first one
               must carry a persistent index *)
+      keep : string list option;  (** as for [Hash_join] *)
     }
       (** Probes a persistent index of the base table [table] instead
           of building a transient hash table. *)

@@ -179,6 +179,125 @@ let resolves_against schema (e : Sql.Ast.expr) =
     true
   with Expr.Unbound_column _ | Expr.Ambiguous_column _ -> false
 
+(* ---- column pruning ----
+
+   A join builds its output row anyway, so it copies only the columns
+   some operator above it reads; scans and filters keep sharing base
+   rows.  One pass over the finished plan records each join's kept
+   columns, as qualified names.  A reference that does not resolve to
+   exactly one column (unbound or ambiguous) keeps every column below
+   it, so the executor reports it exactly as before. *)
+
+(* the columns a node reads from its input, flagged by position;
+   [None] is every column *)
+type need = bool array option
+
+let union (a : need) (b : need) : need =
+  match a, b with Some a, Some b -> Some (Array.map2 ( || ) a b) | _ -> None
+
+let reads schema exprs : need =
+  let used = Array.make (Schema.arity schema) false in
+  let column c = used.(Expr.resolve schema c) <- true in
+  try
+    List.iter (fun e -> List.iter column (Sql.Ast.expr_columns e)) exprs;
+    Some used
+  with Expr.Unbound_column _ | Expr.Ambiguous_column _ -> None
+
+(* what one input of a join must keep: its share of [need] (the
+   positions [ofs, ofs + arity schema) of the join's output), plus its
+   own join keys *)
+let side need ~ofs schema keys =
+  union
+    (Option.map (fun used -> Array.sub used ofs (Schema.arity schema)) need)
+    (reads schema keys)
+
+(* a join's keep list over its unpruned output [out]; [None] when
+   nothing is dropped *)
+let kept need out =
+  match need with
+  | Some used when Array.exists not used ->
+    let names = ref [] in
+    for i = Array.length used - 1 downto 0 do
+      if used.(i) then names := (Schema.attribute_at out i).name :: !names
+    done;
+    Some !names
+  | _ -> None
+
+(* [pruner env plan] is the unpruned output schema of [plan], named as
+   the executor names it, and the function that prunes [plan] given
+   what its parent reads.  One bottom-up walk builds every schema
+   once; the returned functions then run top-down. *)
+let rec pruner env (plan : Plan.t) : Schema.t * (need -> Plan.t) =
+  let table_schema table alias =
+    match env.schema_of table with
+    | Some s -> Schema.rename ~prefix:alias s
+    | None -> plan_errorf "unknown table %s" table
+  in
+  let items_schema items =
+    Schema.make (List.map (fun (_, n) -> (n, Value.TString)) items)
+  in
+  match plan with
+  | Scan { table; alias } -> (table_schema table alias, fun _ -> plan)
+  | Filter { input; pred } ->
+    let s, prune = pruner env input in
+    ( s,
+      fun need -> Filter { input = prune (union need (reads s [ pred ])); pred }
+    )
+  | Project { input; items } ->
+    let s, prune = pruner env input in
+    ( items_schema items,
+      fun _ -> Project { input = prune (reads s (List.map fst items)); items } )
+  | Aggregate a ->
+    let s, prune = pruner env a.input in
+    let exprs = a.group_by @ List.map fst a.items @ Option.to_list a.having in
+    ( items_schema a.items,
+      fun _ -> Aggregate { a with input = prune (reads s exprs) } )
+  | Sort { input; keys } ->
+    let s, prune = pruner env input in
+    ( s,
+      fun need ->
+        Sort { input = prune (union need (reads s (List.map fst keys))); keys } )
+  | Limit (input, n) ->
+    let s, prune = pruner env input in
+    (s, fun need -> Limit (prune need, n))
+  | Distinct input ->
+    let s, prune = pruner env input in
+    (s, fun _ -> Distinct (prune None))
+  | Cross (a, b) ->
+    let sa, prune_a = pruner env a and sb, prune_b = pruner env b in
+    (Schema.append sa sb, fun _ -> Cross (prune_a None, prune_b None))
+  | Left_outer_join j ->
+    let ls, prune_l = pruner env j.left and rs, prune_r = pruner env j.right in
+    ( Schema.append ls rs,
+      fun _ ->
+        Left_outer_join { j with left = prune_l None; right = prune_r None } )
+  | Hash_join j ->
+    let ls, prune_l = pruner env j.left and rs, prune_r = pruner env j.right in
+    let out = Schema.append ls rs in
+    ( out,
+      fun need ->
+        Hash_join
+          {
+            j with
+            left = prune_l (side need ~ofs:0 ls j.left_keys);
+            right =
+              prune_r (side need ~ofs:(Schema.arity ls) rs j.right_keys);
+            keep = kept need out;
+          } )
+  | Index_join j ->
+    let ls, prune_l = pruner env j.left in
+    let out = Schema.append ls (table_schema j.table j.alias) in
+    ( out,
+      fun need ->
+        Index_join
+          {
+            j with
+            left = prune_l (side need ~ofs:0 ls j.left_keys);
+            keep = kept need out;
+          } )
+
+let prune_columns env plan = (snd (pruner env plan)) None
+
 let plan_query config env (q : Sql.Ast.query) : Plan.t =
   let stats_of table =
     Telemetry.Metrics.inc m_stats_lookups;
@@ -351,9 +470,17 @@ let plan_query config env (q : Sql.Ast.query) : Plan.t =
               alias = b.alias;
               left_keys = List.map fst ordered;
               right_attrs;
+              keep = None;
             }
         | _ ->
-          Plan.Hash_join { left = !current; right = base_input b; left_keys; right_keys }
+          Plan.Hash_join
+            {
+              left = !current;
+              right = base_input b;
+              left_keys;
+              right_keys;
+              keep = None;
+            }
       end
     in
     Hashtbl.replace joined next_alias ();
@@ -453,6 +580,7 @@ let plan_query config env (q : Sql.Ast.query) : Plan.t =
   let final =
     match q.limit with None -> with_sort | Some n -> Plan.Limit (with_sort, n)
   in
+  let final = prune_columns env final in
   Log.debug (fun m -> m "plan:@\n%a" Plan.pp final);
   final
 

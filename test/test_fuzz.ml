@@ -78,19 +78,6 @@ let prop_update_differential_off_grid =
    equal answers in the same row order.  The predecessor it was built
    from must keep answering exactly as before. *)
 
-let cell_bits_equal a b =
-  match (a, b) with
-  | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | Value.Float _, _ | _, Value.Float _ -> false
-  | _ -> Value.equal a b && Value.type_of a = Value.type_of b
-
-let rows_bits_equal r1 r2 =
-  let a = Relation.rows r1 and b = Relation.rows r2 in
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y -> Array.length x = Array.length y && Array.for_all2 cell_bits_equal x y)
-       a b
-
 let op_kind = function
   | Delta.Insert _ -> "insert"
   | Delta.Delete _ -> "delete"
@@ -143,9 +130,9 @@ let prop_derived_session =
           let fresh = Conquer.Clean.create db in
           if not (same_catalogs ~prev:(Conquer.Clean.dirty_db prev) derived fresh) then
             QCheck.Test.fail_report "statistics or index lookups differ from a fresh session"
-          else if not (rows_bits_equal (answers derived) (answers fresh)) then
+          else if not (Testutil.rows_bits_equal (answers derived) (answers fresh)) then
             QCheck.Test.fail_report "derived answers differ from a fresh session's"
-          else if not (rows_bits_equal (answers prev) before) then
+          else if not (Testutil.rows_bits_equal (answers prev) before) then
             QCheck.Test.fail_report "deriving changed the predecessor's answers"
           else go derived rest
       in
@@ -187,7 +174,7 @@ let prop_observation_invisible =
       let expected = Telemetry.Control.with_disabled (plain 1) in
       List.for_all
         (fun (label, answers) ->
-          rows_bits_equal expected answers
+          Testutil.rows_bits_equal expected answers
           || QCheck.Test.fail_reportf "%s differs from jobs=1 with telemetry off"
                label)
         (List.concat_map

@@ -803,6 +803,54 @@ let test_querylog_file_sink () =
   in
   Alcotest.(check int) "one line per query" 2 (List.length records)
 
+(* Observation never changes answers: one request sequence against a
+   daemon that traces every request and one that traces none returns
+   byte-identical rows, partial flags and row counts — cache misses
+   and hits, a pruned join, original and rewritten modes, a truncated
+   budget. *)
+let test_trace_sampling_invisible () =
+  let requests =
+    (* budgeted first: once the complete answer is cached, a budgeted
+       request is answered from the cache in full *)
+    (("/query?budget_rows=2", q_proj)
+    :: List.map (fun sql -> ("/query", sql)) fast_queries)
+    @ [
+        ( "/query?mode=original",
+          "select a.id, b.val from alpha a, beta b where a.val = b.val" );
+      ]
+  in
+  let answers port =
+    (* twice: the second pass answers the complete results from the
+       cache *)
+    List.concat_map
+      (fun _ ->
+        List.map
+          (fun (target, sql) ->
+            let body = expect_200 (client port ~body:sql target) in
+            ( target ^ sql,
+              body_rows body,
+              body_field body "partial",
+              body_field body "row_count" ))
+          requests)
+      [ 1; 2 ]
+  in
+  let config = { base_config with concurrency = 1 } in
+  let ((traced, untraced), _), _ =
+    with_server ~config:{ config with trace_sample = 1.0 } fixture
+      (fun dir _t port ->
+        let traced = answers port in
+        serve_store ~config:{ config with trace_sample = 0.0 } dir
+          (fun _t port -> (traced, answers port)))
+  in
+  List.iter2
+    (fun (label, rows, partial, count) (_, rows', partial', count') ->
+      Alcotest.(check string) (label ^ ": rows") rows rows';
+      Alcotest.(check string) (label ^ ": partial") partial partial';
+      Alcotest.(check string) (label ^ ": row_count") count count')
+    traced untraced;
+  Alcotest.(check bool) "the budgeted request was truncated" true
+    (List.exists (fun (_, _, partial, _) -> partial = "true") traced)
+
 (* ---- endpoints and differential answers ---- *)
 
 let test_endpoints_and_answers () =
@@ -1643,6 +1691,8 @@ let () =
             test_tracing_off_retains_nothing;
           Alcotest.test_case "query-log file sink" `Quick
             test_querylog_file_sink;
+          Alcotest.test_case "trace sampling leaves answers identical" `Quick
+            test_trace_sampling_invisible;
         ] );
       ( "daemon",
         [

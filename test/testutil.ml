@@ -25,6 +25,23 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
+(* bitwise answer equality: same rows in the same order, floats
+   compared by their bits *)
+let cell_bits_equal a b =
+  match (a, b) with
+  | Dirty.Value.Float x, Dirty.Value.Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Dirty.Value.Float _, _ | _, Dirty.Value.Float _ -> false
+  | _ -> Dirty.Value.equal a b && Dirty.Value.type_of a = Dirty.Value.type_of b
+
+let rows_bits_equal r1 r2 =
+  let a = Dirty.Relation.rows r1 and b = Dirty.Relation.rows r2 in
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+         Array.length x = Array.length y && Array.for_all2 cell_bits_equal x y)
+       a b
+
 let read_bytes path =
   let ic = open_in_bin path in
   Fun.protect
