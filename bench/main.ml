@@ -1311,134 +1311,6 @@ let run_bechamel () =
     (List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
 
 (* ------------------------------------------------------------------ *)
-(* report: cluster-sharded scaling curve (ROADMAP item 5)              *)
-(* ------------------------------------------------------------------ *)
-
-(* The shard session hash-partitions the store by cluster identifier
-   and scatters the rewritten query across the domain pool, so the
-   curve below is the sharding analogue of [report_parallel]'s
-   jobs=1-vs-4 table: unsharded baseline, then 1/2/4/8 shards through
-   the scatter/gather machinery (1 shard measures its pure overhead).
-   Answers are checked for agreement with the unsharded path before
-   anything is timed, with telemetry on, so a silent fallback to the
-   unsharded path would show up as [engine.shard.fallbacks] and fail
-   the report rather than fake a flat curve. *)
-let report_shard () =
-  section "Cluster-sharded execution: shard-count scaling curve (TPC-H)";
-  let sf = bench_sf () in
-  let db = tpch_db ~sf ~inconsistency:3 in
-  Printf.printf "TPC-H sf=%g (%d rows), inconsistency=3\n" sf
-    (Tpch.Datagen.total_rows db);
-  (* shard scatter claims one domain per shard from the shared pool;
-     spawn them before timing so no sample pays the domain-spawn cost *)
-  Engine.Parallel.warm 8;
-  Engine.Parallel.set_default_jobs 1;
-  let shard_counts = [ 1; 2; 4; 8 ] in
-  let baseline = Conquer.Clean.create db in
-  let sessions =
-    List.map (fun n -> (n, Conquer.Clean.create ~shards:n db)) shard_counts
-  in
-  (* Q1 scan-heavy, Q4 two-way join, Q10 four-way join.  Every TPC-H
-     query except Q3 stays on the shard path (Q3 orders by an aliased
-     aggregate expression, the documented conservative fallback). *)
-  let suite =
-    List.filter
-      (fun (q : Tpch.Queries.query) -> List.mem q.qid [ 1; 4; 10 ])
-      Tpch.Queries.all
-  in
-  let counter name =
-    Option.value ~default:0 (Telemetry.Metrics.counter_value name)
-  in
-  (* correctness + engagement gate (instrumented, untimed) *)
-  Telemetry.Control.with_enabled (fun () ->
-      List.iter
-        (fun (q : Tpch.Queries.query) ->
-          let want =
-            Relation.cardinality (Conquer.Clean.answers baseline q.sql)
-          in
-          List.iter
-            (fun (n, s) ->
-              let before = counter "engine.shard.fallbacks" in
-              let got = Relation.cardinality (Conquer.Clean.answers s q.sql) in
-              if got <> want then
-                failwith
-                  (Printf.sprintf "Q%d: %d rows at %d shards, %d unsharded"
-                     q.qid got n want);
-              if counter "engine.shard.fallbacks" > before then
-                failwith
-                  (Printf.sprintf "Q%d fell back to unsharded at %d shards"
-                     q.qid n))
-            sessions)
-        suite);
-  Printf.printf "%-6s %11s" "query" "unsharded";
-  List.iter
-    (fun n -> Printf.printf " %11s" (Printf.sprintf "%d-shard" n))
-    shard_counts;
-  Printf.printf " %9s\n" "speedup";
-  List.iter
-    (fun (q : Tpch.Queries.query) ->
-      let qname = Printf.sprintf "q%02d" q.qid in
-      let t0 =
-        time_runs ~name:(qname ^ "/unsharded") (fun () ->
-            Conquer.Clean.answers baseline q.sql)
-      in
-      Printf.printf "Q%-5d %9.2fms" q.qid (ms t0);
-      let t1 = ref t0 and tn = ref t0 in
-      List.iter
-        (fun (n, s) ->
-          let t =
-            time_runs
-              ~name:(Printf.sprintf "%s/shards%d" qname n)
-              (fun () -> Conquer.Clean.answers s q.sql)
-          in
-          if n = 1 then t1 := t;
-          tn := t;
-          Printf.printf " %9.2fms" (ms t))
-        sessions;
-      let speedup = if !tn > 0.0 then !t1 /. !tn else 1.0 in
-      record (qname ^ "/speedup")
-        (Telemetry.Timing.singleton (speedup /. 1000.0));
-      Printf.printf " %8.2fx\n" speedup)
-    suite;
-  (* the same scatter with the Grace spill forced on: the per-shard
-     hash joins stream through .spill-*.tmp partition files instead of
-     holding both sides in memory, which is what lets the report run
-     at scale factors that outgrow the heap *)
-  let spill_config =
-    {
-      Engine.Planner.default_config with
-      (* index joins never build a hash table, so they cannot spill;
-         forcing hash joins routes every join through the Grace path *)
-      use_indexes = false;
-      spill_rows = Some (if !quick then 50 else 200);
-      spill_dir = Some (Filename.get_temp_dir_name ());
-    }
-  in
-  let q10 = List.find (fun (q : Tpch.Queries.query) -> q.qid = 10) suite in
-  let spills = ref 0 in
-  Telemetry.Control.with_enabled (fun () ->
-      let before = counter "engine.exec.join_spills" in
-      List.iter
-        (fun (n, s) ->
-          if n = 4 then
-            ignore (Conquer.Clean.answers ~config:spill_config s q10.sql))
-        sessions;
-      spills := counter "engine.exec.join_spills" - before);
-  if !spills = 0 then failwith "forced spill config spilled no join";
-  let tspill =
-    time_runs ~name:"q10/shards4-spill" (fun () ->
-        let _, s = List.find (fun (n, _) -> n = 4) sessions in
-        Conquer.Clean.answers ~config:spill_config s q10.sql)
-  in
-  Printf.printf
-    "Q10 at 4 shards with forced join spill: %.2fms (%d partition joins \
-     spilled)\n"
-    (ms tspill) !spills;
-  note "scatter partitions one table by cluster hash and broadcasts the";
-  note "        rest; partial aggregates merge in first-occurrence order, so";
-  note "        answers are bag-identical to the unsharded run at every count"
-
-(* ------------------------------------------------------------------ *)
 (* BENCH_<n>.json                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1518,7 +1390,6 @@ let reports =
     ("parallel", report_parallel);
     ("serve", report_serve);
     ("update", report_update);
-    ("shard", report_shard);
   ]
 
 let () =

@@ -209,22 +209,6 @@ let partial_arg =
   in
   Arg.(value & flag & info [ "partial" ] ~doc)
 
-let shards_arg =
-  let doc =
-    "Cluster-hash shards to partition the database into: shardable queries \
-     scatter across N in-process shard catalogs and gather their partial \
-     results; the rest run unsharded. Answers are bag-identical whatever \
-     the value; 1 disables sharding."
-  in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
-
-let shards_opt = function
-  | 1 -> None
-  | n when n >= 1 -> Some n
-  | _ ->
-    prerr_endline "conquer: --shards expects a positive integer";
-    exit 1
-
 let budget_config budget_rows budget_time =
   if budget_rows = None && budget_time = None then None
   else
@@ -327,12 +311,12 @@ let mode_conv =
 
 let query_cmd =
   let run tables dir sql mode explain max_rows lenient repair budget_rows
-      budget_time partial shards =
+      budget_time partial =
     handling_failures @@ fun () ->
     let db = resolve_db ~validate:false ~lenient tables dir in
     let db = validate_or_repair ~quiet_warnings:true repair db in
     let config = budget_config budget_rows budget_time in
-    let session = Conquer.Clean.create ?shards:(shards_opt shards) db in
+    let session = Conquer.Clean.create db in
     if explain then
       print_endline (Engine.Database.explain (Conquer.Clean.engine session) sql);
     let complete rel = (rel, (false, false)) in
@@ -376,7 +360,7 @@ let query_cmd =
     Term.(
       const run $ tables_arg $ dir_arg $ sql_arg $ mode $ explain $ max_rows
       $ lenient_arg $ repair_arg $ budget_rows_arg $ budget_time_arg
-      $ partial_arg $ shards_arg)
+      $ partial_arg)
 
 (* ---- profile ---- *)
 
@@ -1019,13 +1003,8 @@ let update_cmd =
 
 let serve_cmd =
   let run dir host port concurrency queue_capacity deadline_ms max_deadline_ms
-      budget_rows jobs shards cache drain_ms trace_sample slow_query_ms
-      query_log =
+      budget_rows jobs cache drain_ms trace_sample slow_query_ms query_log =
     handling_failures @@ fun () ->
-    if shards < 1 then begin
-      prerr_endline "conquer serve: --shards expects a positive integer";
-      exit 1
-    end;
     let config =
       {
         Server.Serve.default_config with
@@ -1037,7 +1016,6 @@ let serve_cmd =
         max_deadline = float_of_int max_deadline_ms /. 1000.0;
         default_budget_rows = budget_rows;
         jobs;
-        shards;
         cache_capacity = cache;
         drain_deadline = float_of_int drain_ms /. 1000.0;
         trace_sample;
@@ -1118,17 +1096,6 @@ let serve_cmd =
           ~doc:"Engine domains per query; 1 keeps each query serial and lets \
                 --concurrency provide the parallelism.")
   in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Cluster-hash shards the store is partitioned into at load: \
-             shardable queries scatter across N in-process shard catalogs \
-             and gather their partial results; the rest run unsharded. \
-             Answers are bag-identical whatever the value; 1 disables \
-             sharding.")
-  in
   let cache =
     Arg.(
       value & opt int 256
@@ -1186,7 +1153,7 @@ let serve_cmd =
           cancellations, 4 when the store cannot be loaded.")
     Term.(
       const run $ dir $ host $ port $ concurrency $ queue_capacity
-      $ deadline_ms $ max_deadline_ms $ budget_rows $ jobs $ shards $ cache
+      $ deadline_ms $ max_deadline_ms $ budget_rows $ jobs $ cache
       $ drain_ms $ trace_sample $ slow_query_ms $ query_log)
 
 (* ---- trace: inspect a running daemon's observability surface ---- *)
@@ -1388,11 +1355,8 @@ let fuzz_cmd =
          failure(s)\n"
         (List.length names) !agreed !rejected !skipped !failures
     | None ->
-      Printf.printf "fuzzing %d case(s) with seed %d (jobs %s; shards %s)\n%!"
-        cases seed
-        (String.concat "," (List.map string_of_int jobs))
-        (String.concat ","
-           (List.map string_of_int Fuzz.Differential.default_shards));
+      Printf.printf "fuzzing %d case(s) with seed %d (jobs %s)\n%!" cases seed
+        (String.concat "," (List.map string_of_int jobs));
       for i = 0 to cases - 1 do
         let rand = Random.State.make [| seed; i |] in
         let case = QCheck.Gen.generate1 ~rand (Fuzz.Case.gen ()) in

@@ -8,7 +8,6 @@ type session = {
   dirty : Dirty_db.t;
   engine : Engine.Database.t;
   env : Dirty_schema.env;
-  shard : Engine.Shard.session option;
   indexed : bool;  (* identifiers indexed and tables analyzed *)
 }
 
@@ -30,9 +29,8 @@ let spanned mode f =
 
 (* The one build path.  [prev], the session this one replaces, lends
    every identifier index and statistics column whose cells are
-   physically unchanged; a fresh session is the case with no [prev].
-   Shard catalogs are always rebuilt in full. *)
-let build ?prev ~index_identifiers ?shards dirty =
+   physically unchanged; a fresh session is the case with no [prev]. *)
+let build ?prev ~index_identifiers dirty =
   Telemetry.Metrics.inc m_sessions;
   Telemetry.Span.with_ ~name:"conquer.session_create" @@ fun () ->
   let prev = Option.map (fun p -> p.engine) prev in
@@ -51,52 +49,19 @@ let build ?prev ~index_identifiers ?shards dirty =
   let reuse = Engine.Database.reuse ?prev engine in
   Telemetry.Span.add_attr "tables_reused" (string_of_int reuse.tables_reused);
   Telemetry.Span.add_attr "columns_analyzed" (string_of_int reuse.columns_analyzed);
-  let shard =
-    match shards with
-    | None -> None
-    | Some n ->
-      Some (Engine.Shard.create ~index_identifiers ~base:engine ~shards:n dirty)
-  in
   {
     dirty;
     engine;
     env = Dirty_schema.of_dirty_db dirty;
-    shard;
     indexed = index_identifiers;
   }
 
-let create ?(index_identifiers = true) ?shards dirty =
-  build ~index_identifiers ?shards dirty
-
-let derive prev dirty =
-  build ~prev ~index_identifiers:prev.indexed
-    ?shards:(Option.map Engine.Shard.shards prev.shard)
-    dirty
+let create ?(index_identifiers = true) dirty = build ~index_identifiers dirty
+let derive prev dirty = build ~prev ~index_identifiers:prev.indexed dirty
 
 let dirty_db s = s.dirty
 let engine s = s.engine
 let env s = s.env
-let shards s = match s.shard with Some sh -> Engine.Shard.shards sh | None -> 1
-
-(* Every rewritten-query entry point funnels through these: a sharded
-   session scatters shardable queries across the shard catalogs and
-   falls back to the plain engine path for the rest, so callers see
-   one behaviour whatever the shard count. *)
-let run_ast ?config s q =
-  match s.shard with
-  | Some sh -> (
-    match Engine.Shard.query_ast ?config sh q with
-    | Some rel -> rel
-    | None -> Engine.Database.query_ast ?config s.engine q)
-  | None -> Engine.Database.query_ast ?config s.engine q
-
-let run_ast_within ?config ?cancel s q =
-  match s.shard with
-  | Some sh -> (
-    match Engine.Shard.query_ast_within ?config ?cancel sh q with
-    | Some r -> r
-    | None -> Engine.Database.query_ast_within ?config ?cancel s.engine q)
-  | None -> Engine.Database.query_ast_within ?config ?cancel s.engine q
 
 let check s sql = Rewritable.check s.env (Sql.Parser.parse_query sql)
 
@@ -110,7 +75,7 @@ let answers ?config s sql =
   let q = Sql.Parser.parse_query sql in
   let rewritten = Rewrite.rewrite_exn s.env q in
   Log.debug (fun m -> m "rewritten query:@\n%a" Sql.Pretty.pp_query rewritten);
-  let rel = run_ast ?config s rewritten in
+  let rel = Engine.Database.query_ast ?config s.engine rewritten in
   Telemetry.Span.add_attr "answers" (string_of_int (Relation.cardinality rel));
   rel
 
@@ -122,7 +87,8 @@ let top_answers ?config ~k s sql =
   let by_prob : Sql.Ast.order_item =
     { o_expr = Sql.Ast.col Rewrite.prob_column; desc = true }
   in
-  run_ast ?config s { q with order_by = [ by_prob ]; limit = Some k }
+  Engine.Database.query_ast ?config s.engine
+    { q with order_by = [ by_prob ]; limit = Some k }
 
 (* ---- graceful degradation under execution budgets ---- *)
 
@@ -131,14 +97,16 @@ type partial = { rows : Relation.t; truncated : bool; cancelled : bool }
 let partial_of (rows, { Engine.Database.truncated; cancelled }) =
   { rows; truncated; cancelled }
 
-let answers_ast_within ?config ?cancel s q = run_ast_within ?config ?cancel s q
+let answers_ast_within ?config ?cancel s q =
+  Engine.Database.query_ast_within ?config ?cancel s.engine q
 
 let answers_within ?config ?cancel s sql =
   spanned "rewritten-within" @@ fun () ->
   let q = Sql.Parser.parse_query sql in
   let rewritten = Rewrite.rewrite_exn s.env q in
   Log.debug (fun m -> m "rewritten query:@\n%a" Sql.Pretty.pp_query rewritten);
-  partial_of (run_ast_within ?config ?cancel s rewritten)
+  partial_of
+    (Engine.Database.query_ast_within ?config ?cancel s.engine rewritten)
 
 let top_answers_within ?config ?cancel ~k s sql =
   let q = rewritten_ast s sql in
@@ -146,7 +114,7 @@ let top_answers_within ?config ?cancel ~k s sql =
     { o_expr = Sql.Ast.col Rewrite.prob_column; desc = true }
   in
   partial_of
-    (run_ast_within ?config ?cancel s
+    (Engine.Database.query_ast_within ?config ?cancel s.engine
        { q with order_by = [ by_prob ]; limit = Some k })
 
 let answers_above ?config ~threshold s sql =
@@ -160,17 +128,18 @@ let answers_above ?config ~threshold s sql =
     | Star -> assert false
   in
   let having = Sql.Ast.Binop (Ge, sum_expr, Sql.Ast.lit_float threshold) in
-  run_ast ?config s { q with having = Some having }
+  Engine.Database.query_ast ?config s.engine { q with having = Some having }
 
 let answers_unchecked ?config s sql =
   let q = Sql.Parser.parse_query sql in
-  run_ast ?config s (Rewrite.rewrite_clean s.env q)
+  Engine.Database.query_ast ?config s.engine (Rewrite.rewrite_clean s.env q)
 
 let answers_oracle ?max_candidates s sql =
   Candidates.clean_answers ?max_candidates s.dirty (Sql.Parser.parse_query sql)
 
 let original ?config s sql =
-  spanned "original" @@ fun () -> run_ast ?config s (Sql.Parser.parse_query sql)
+  spanned "original" @@ fun () ->
+  Engine.Database.query_ast ?config s.engine (Sql.Parser.parse_query sql)
 
 let consistent_answers ?config ?(eps = 1e-9) s sql =
   let with_probs = answers ?config s sql in

@@ -7,43 +7,26 @@
 
 type session
 
-val create : ?index_identifiers:bool -> ?shards:int -> Dirty.Dirty_db.t -> session
+val create : ?index_identifiers:bool -> Dirty.Dirty_db.t -> session
 (** Build a session.  When [index_identifiers] (default [true]),
     hash indexes are created on every table's identifier attribute
     and statistics are collected, mirroring the paper's experimental
-    setup (indexes on the identifier + RUNSTATS).
-
-    When [shards] is given, the dirty database is additionally
-    hash-partitioned along cluster boundaries into that many
-    in-process shard catalogs ({!Engine.Shard}), and every query
-    entry point below scatters shardable queries across them —
-    gathering partial results with deterministic first-occurrence
-    merge order — falling back transparently to unsharded execution
-    for queries outside the shardable class (subqueries, [SELECT *],
-    LIMIT — so {!top_answers} always runs unsharded — outer joins,
-    AVG, and HAVING/ORDER BY not expressible over partials).  Answers
-    are bag-identical whatever the shard count.  Budgets in [config]
-    apply {e per shard}; cancellation tokens reach every shard. *)
+    setup (indexes on the identifier + RUNSTATS). *)
 
 val derive : session -> Dirty.Dirty_db.t -> session
 (** [derive prev db] is the session {!create} would build over [db]
-    with [prev]'s settings (identifier indexing, shard count), built
+    with [prev]'s identifier-indexing setting, built
     from [prev]: every table and column whose cells are physically
     those of [prev] ([==], row for row) keeps [prev]'s identifier
     index and statistics, and only the rest is recomputed.  A
     {!Dirty.Delta.apply} outcome shares untouched tables and cells
     with its input, so after a reassign only the probability column of
     one table is analyzed.  Plans and answers are identical to
-    [create]'s.  [prev] is not modified and keeps answering as before;
-    shard catalogs are rebuilt in full. *)
+    [create]'s.  [prev] is not modified and keeps answering as before. *)
 
 val dirty_db : session -> Dirty.Dirty_db.t
 val engine : session -> Engine.Database.t
 val env : session -> Dirty_schema.env
-
-val shards : session -> int
-(** The shard count the session was created with ([1] when
-    unsharded). *)
 
 val check : session -> string -> (Join_graph.t, Rewritable.violation list) result
 (** Parse the SQL text and test membership in the rewritable class. *)
@@ -102,10 +85,8 @@ val answers_ast_within :
   Sql.Ast.query ->
   Dirty.Relation.t * Engine.Database.stop
 (** Budgeted execution of an already-rewritten (prepared) query AST
-    through the session's execution path — sharded scatter/gather when
-    the session is sharded and the query is shardable, the plain
-    engine otherwise.  The daemon's prepared-statement cache uses
-    this. *)
+    on the session's engine ({!Engine.Database.query_ast_within}).
+    The daemon's prepared-statement cache uses this. *)
 
 val top_answers_within :
   ?config:Engine.Planner.config ->

@@ -129,36 +129,6 @@ let table_names db = List.map fst (Smap.bindings db)
 let tables db = List.map snd (Smap.bindings db)
 let validate db = List.concat_map table_validate (tables db)
 
-let shard_of_value ~shards v = Value.hash v land max_int mod shards
-
-let partition_table ~shards table =
-  let schema = Relation.schema table.relation in
-  let id_idx = Schema.index_of schema table.id_attr in
-  let buckets = Array.make shards [] in
-  Relation.iter
-    (fun row -> let s = shard_of_value ~shards row.(id_idx) in
-      buckets.(s) <- row :: buckets.(s))
-    table.relation;
-  Array.map
-    (fun rows ->
-      let relation = Relation.create schema (List.rev rows) in
-      (* fragments inherit validity from the source table: clusters stay
-         whole (all rows of a cluster share the identifier value, hence
-         the shard), so per-cluster sums are unchanged *)
-      make_table ~validate:false ~name:table.name ~id_attr:table.id_attr
-        ~prob_attr:table.prob_attr relation)
-    buckets
-
-let partition db ~shards =
-  if shards < 1 then invalidf "partition: shards must be >= 1, got %d" shards;
-  let out = Array.make shards Smap.empty in
-  Smap.iter
-    (fun name table ->
-      let frags = partition_table ~shards table in
-      Array.iteri (fun i frag -> out.(i) <- Smap.add name frag out.(i)) frags)
-    db;
-  out
-
 module Vtbl = Hashtbl.Make (struct
   type t = Value.t
 

@@ -78,26 +78,6 @@ val table_names : t -> string list
 val tables : t -> table list
 val validate : t -> string list
 
-(** {1 Cluster-hash partitioning}
-
-    Clusters are independent events, so a dirty database partitions
-    cleanly along cluster boundaries: every row of a cluster carries
-    the same identifier value and therefore lands on the same shard.
-    This is the storage side of scale-out sharding (ROADMAP item 5). *)
-
-val shard_of_value : shards:int -> Value.t -> int
-(** Shard index of a cluster identifier: [Value.hash v] reduced mod
-    [shards].  Deterministic in-process; [Int n] and [Float n.] hash
-    alike, matching {!Value.equal}. *)
-
-val partition : t -> shards:int -> t array
-(** [partition db ~shards] splits every table of [db] into [shards]
-    fragments by {!shard_of_value} of the cluster identifier.  Clusters
-    are never split across fragments and row order is preserved within
-    each fragment, so each fragment is itself a valid dirty database
-    (validation is skipped — it holds by construction).
-    @raise Invalid when [shards < 1]. *)
-
 (** {1 Identifier propagation}
 
     Tuple matchers emit cluster identifiers per relation; foreign keys

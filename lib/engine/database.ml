@@ -17,18 +17,6 @@ let m_queries =
 
 let create () : t = Hashtbl.create 16
 
-(* Shallow copy with one table's entry swapped in from another
-   database.  Entries (relations, indexes, stats) are shared with the
-   base, so an overlay is cheap to build per shard: the shard executor
-   overlays its fragment of the partition table over the global
-   catalog and reads every other table as-is. *)
-let overlay t ~name ~from : t =
-  let t' = Hashtbl.copy t in
-  (match Hashtbl.find_opt from name with
-  | Some e -> Hashtbl.replace t' name e
-  | None -> Hashtbl.remove t' name);
-  t'
-
 let add_relation t ~name rel =
   Hashtbl.replace t name { relation = rel; indexes = []; stats = None }
 
@@ -40,7 +28,6 @@ let entry t name =
   | None -> raise Not_found
 
 let relation t name = (entry t name).relation
-let relation_opt t name = Option.map (fun e -> e.relation) (Hashtbl.find_opt t name)
 let table_names t = List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t [])
 
 (* [prev]'s entry for [table], when there is one to build from.  A

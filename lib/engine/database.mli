@@ -5,15 +5,6 @@ type t
 
 val create : unit -> t
 
-val overlay : t -> name:string -> from:t -> t
-(** [overlay t ~name ~from] is a shallow copy of [t] whose entry for
-    table [name] — relation, indexes, statistics — is the one [from]
-    holds (removed when [from] has no such table).  Every other entry
-    is shared with [t], so later index or statistics changes on either
-    database are visible through both.  The shard executor uses this
-    to run a plan fragment against [fragment ∪ global-other-tables]
-    without copying any table data. *)
-
 val add_relation : t -> name:string -> Dirty.Relation.t -> unit
 (** Register (or replace) a base table. Replacing a table drops its
     indexes and statistics. *)
@@ -22,7 +13,6 @@ val drop_relation : t -> string -> unit
 val relation : t -> string -> Dirty.Relation.t
 (** @raise Not_found *)
 
-val relation_opt : t -> string -> Dirty.Relation.t option
 val table_names : t -> string list
 
 val create_index : ?prev:t -> t -> table:string -> attr:string -> unit

@@ -72,9 +72,3 @@ val run_profiled :
     profiled results are bit-identical to {!run}'s. *)
 
 val pp_profile : Format.formatter -> profile -> unit
-
-val infer_schema :
-  string list -> Dirty.Relation.row list -> Dirty.Schema.t
-(** Output-schema inference for computed columns: each column's type
-    is taken from its first non-null value (VARCHAR when none).
-    Exposed for tests. *)

@@ -3,8 +3,7 @@
 
    Operational path: [Rewritable.check], then [Rewrite.rewrite_exn],
    then engine execution — once per requested parallelism degree,
-   unsharded and at every requested shard count, since answers must
-   be bit-identical at any [jobs] and [shards] value.
+   since answers must not depend on the [jobs] value.
    Declarative path: [Oracle.answers], candidate enumeration with each
    candidate evaluated by [Reference.eval], which shares no code with
    the engine.
@@ -18,23 +17,13 @@ type outcome =
   | Rejected of Conquer.Rewritable.violation list
   | Agree of { answers : int }
   | Mismatch of { jobs : int; mismatch : Conquer.Oracle.mismatch }
-  | S_mismatch of {
-      shards : int;
-      jobs : int;
-      vs_oracle : bool;
-          (* true: sharded answers disagree with the oracle; false:
-             they disagree bit-for-bit with the unsharded answers *)
-      mismatch : Conquer.Oracle.mismatch;
-    }
-  | S_error of { shards : int; jobs : int; message : string }
   | Oracle_too_large of { count : float }
   | Error_during of { stage : string; message : string }
 
 let default_jobs = [ 1; 4 ]
-let default_shards = [ 1; 2; 4 ]
 
 let failing = function
-  | Mismatch _ | S_mismatch _ | S_error _ | Error_during _ -> true
+  | Mismatch _ | Error_during _ -> true
   | Rejected _ | Agree _ | Oracle_too_large _ -> false
 
 let to_string = function
@@ -46,21 +35,12 @@ let to_string = function
   | Mismatch { jobs; mismatch } ->
     Printf.sprintf "MISMATCH at jobs=%d: %s" jobs
       (Conquer.Oracle.mismatch_to_string mismatch)
-  | S_mismatch { shards; jobs; vs_oracle; mismatch } ->
-    Printf.sprintf "SHARD MISMATCH vs %s at shards=%d (jobs=%d): %s"
-      (if vs_oracle then "oracle" else "unsharded answers")
-      shards jobs
-      (Conquer.Oracle.mismatch_to_string mismatch)
-  | S_error { shards; jobs; message } ->
-    Printf.sprintf "SHARD ERROR at shards=%d (jobs=%d): %s" shards jobs
-      message
   | Oracle_too_large { count } ->
     Printf.sprintf "oracle budget exceeded (%.0f candidates)" count
   | Error_during { stage; message } ->
     Printf.sprintf "ERROR during %s: %s" stage message
 
-let run ?(jobs = default_jobs) ?(shards = default_shards)
-    ?(max_candidates = 200_000) (case : Case.t) =
+let run ?(jobs = default_jobs) ?(max_candidates = 200_000) (case : Case.t) =
   let env = Conquer.Dirty_schema.of_dirty_db case.db in
   match Conquer.Rewritable.check env case.query with
   | Error vs -> Rejected vs
@@ -76,10 +56,9 @@ let run ?(jobs = default_jobs) ?(shards = default_shards)
         Error_during { stage = "rewrite"; message = Printexc.to_string e }
       | rewritten ->
         let session = Conquer.Clean.create case.db in
-        (* one unsharded leg per jobs value *)
-        let reference = ref None in
+        (* one leg per jobs value *)
         let rec check_legs = function
-          | [] -> check_shards ()
+          | [] -> Agree { answers = Dirty.Relation.cardinality oracle }
           | j :: rest -> (
             let config = { Engine.Planner.default_config with jobs = j } in
             match
@@ -94,44 +73,9 @@ let run ?(jobs = default_jobs) ?(shards = default_shards)
                   message = Printexc.to_string e;
                 }
             | answers -> (
-              if !reference = None then reference := Some answers;
               match Conquer.Oracle.compare_answers ~oracle answers with
               | Ok () -> check_legs rest
               | Error mismatch -> Mismatch { jobs = j; mismatch }))
-        (* the shards legs: scatter/gather across every shard count ×
-           jobs combination must agree with the oracle and be
-           bit-identical (eps 0 — the dbgen grid keeps float sums exact
-           under re-association across shards) to the unsharded answers
-           of the first leg *)
-        and check_shards () =
-          let unsharded = Option.get !reference in
-          let shard_legs =
-            List.concat_map (fun s -> List.map (fun j -> (s, j)) jobs) shards
-          in
-          let rec go = function
-            | [] -> Agree { answers = Dirty.Relation.cardinality oracle }
-            | (s, j) :: rest -> (
-              let config = { Engine.Planner.default_config with jobs = j } in
-              match
-                let sharded = Conquer.Clean.create ~shards:s case.db in
-                Conquer.Clean.answers_ast_within ~config sharded rewritten
-              with
-              | exception e ->
-                S_error { shards = s; jobs = j; message = Printexc.to_string e }
-              | answers, _stop -> (
-                match Conquer.Oracle.compare_answers ~oracle answers with
-                | Error mismatch ->
-                  S_mismatch { shards = s; jobs = j; vs_oracle = true; mismatch }
-                | Ok () -> (
-                  match
-                    Conquer.Oracle.compare_answers ~eps:0.0 ~oracle:unsharded
-                      answers
-                  with
-                  | Error mismatch ->
-                    S_mismatch { shards = s; jobs = j; vs_oracle = false; mismatch }
-                  | Ok () -> go rest)))
-          in
-          go shard_legs
         in
         check_legs jobs))
 

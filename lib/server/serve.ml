@@ -71,7 +71,6 @@ type config = {
   max_deadline : float;
   default_budget_rows : int option;
   jobs : int;
-  shards : int;
   cache_capacity : int;
   breaker_threshold : int;
   compact_every : int;
@@ -94,7 +93,6 @@ let default_config =
     max_deadline = 60.0;
     default_budget_rows = None;
     jobs = 1;
-    shards = 1;
     cache_capacity = 256;
     breaker_threshold = 3;
     compact_every = 16;
@@ -232,20 +230,24 @@ let error_body detail =
 
 (* ---- construction ---- *)
 
-(* a snapshot loaded from the store gets a fresh session, sharded
-   when the daemon was configured with [--shards N] (N > 1); an update
-   derives its session from the live one, which keeps the shard count *)
-let clean_session (cfg : config) db =
-  Conquer.Clean.create
-    ?shards:(if cfg.shards > 1 then Some cfg.shards else None)
-    db
+(* with no worker or no queue slot the daemon would bind, admit and
+   never answer, so refuse before touching the store or a socket *)
+let check_config (cfg : config) =
+  if cfg.concurrency < 1 then
+    invalid_arg
+      (Printf.sprintf "concurrency must be at least 1, got %d" cfg.concurrency);
+  if cfg.queue_capacity < 1 then
+    invalid_arg
+      (Printf.sprintf "queue capacity must be at least 1, got %d"
+         cfg.queue_capacity)
 
 let create ?(config = default_config) ~dir () =
+  check_config config;
   Telemetry.Control.enable ();
   let recovered = Dirty.Store.recover dir in
   let db = Dirty.Store.load dir in
   let generation = Dirty.Store.generation dir in
-  let session = clean_session config db in
+  let session = Conquer.Clean.create db in
   let listen_fd = Unix.socket PF_INET SOCK_STREAM 0 in
   Unix.setsockopt listen_fd SO_REUSEADDR true;
   (try
@@ -325,7 +327,7 @@ let ensure_session_locked t =
             if attempts <= 1 then raise Generation_unstable
             else probe_and_load (attempts - 1)
           else begin
-            let s = clean_session t.cfg db in
+            let s = Conquer.Clean.create db in
             t.session <- Some (generation, s);
             (* another writer committed: which tables it changed is
                unknown here, so nothing carries over *)

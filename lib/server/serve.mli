@@ -96,12 +96,6 @@ type config = {
   max_deadline : float;  (** ceiling clamped onto client deadlines *)
   default_budget_rows : int option;  (** row budget when none given *)
   jobs : int;  (** engine domains per query; 1 = serial execution *)
-  shards : int;
-      (** cluster-hash shards the store is partitioned into at session
-          load ([--shards]); shardable queries scatter across them and
-          gather ({!Engine.Shard}), the rest run unsharded.  [1] (the
-          default) disables sharding.  Answers are bag-identical
-          whatever the value. *)
   cache_capacity : int;  (** result-cache entries; 0 disables *)
   breaker_threshold : int;  (** store failures before tripping open *)
   compact_every : int;
@@ -130,6 +124,9 @@ val create : ?config:config -> dir:string -> unit -> t
     committed snapshot, build the query session, and bind the listen
     socket.  Enables telemetry for the process (the daemon's counters
     and [/metrics] endpoint are part of its contract).
+    @raise Invalid_argument when [concurrency] or [queue_capacity] is
+    below 1 (no worker would ever answer, or every request would be
+    shed); nothing is read or bound then.
     @raise Dirty.Store.Corrupt when no intact snapshot exists (the
     CLI maps this to exit code 4). *)
 

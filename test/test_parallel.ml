@@ -1,8 +1,9 @@
 (* Parallel execution tests: the Engine.Parallel pool itself, and the
    serial-equivalence guarantee of the partition-parallel operators —
    jobs=4 must produce results bit-identical to jobs=1, including
-   aggregate group order, float keys (-0.0 vs 0.0, NaN), empty and
-   all-null inputs, and budgeted Truncate prefixes.
+   aggregate group order, float keys (-0.0 vs 0.0, NaN), thousands of
+   groups over off-grid floats, empty and all-null inputs, and
+   budgeted Truncate prefixes.
 
    [Parallel.min_rows_per_chunk] is lowered so the small relations
    used here actually take the parallel paths. *)
@@ -215,6 +216,33 @@ let test_float_join_keys () =
   (* -0.0 and 0.0 both meet r's 0.0; NaN meets NaN; 2.0 meets 2.0 *)
   Alcotest.(check int) "matches" 4 (Relation.cardinality serial)
 
+(* ---- many groups (ROADMAP 1b regression) ---- *)
+
+let test_many_group_aggregate () =
+  (* 12k groups of off-grid floats: group-hash-partitioned aggregation
+     feeds each group's accumulator in row order, so jobs=1 and jobs=4
+     agree bit for bit *)
+  let n_groups = 12_000 in
+  let rows =
+    List.concat_map
+      (fun g ->
+        [
+          [| v_i g; v_f (0.1 +. (float_of_int g *. 0.001)) |];
+          [| v_i g; v_f (0.3 +. (float_of_int (g mod 97) *. 0.007)) |];
+        ])
+      (List.init n_groups Fun.id)
+  in
+  let engine = Engine.Database.create () in
+  Engine.Database.add_relation engine ~name:"t"
+    (Relation.create
+       (Schema.make [ ("g", Value.TInt); ("v", Value.TFloat) ])
+       rows);
+  let serial =
+    bitwise_jobs1_jobs4 engine
+      "select g, count(*), sum(v), min(v), max(v) from t group by g"
+  in
+  Alcotest.(check int) "group count" n_groups (Relation.cardinality serial)
+
 (* ---- fixed edge shapes ---- *)
 
 let test_empty_and_all_null () =
@@ -418,6 +446,9 @@ let () =
           Alcotest.test_case "filter and project" `Quick
             test_filter_project_parallel;
           Alcotest.test_case "truncate prefix" `Quick test_truncate_prefix;
+          Alcotest.test_case
+            "12k groups bitwise at jobs=1 and jobs=4 (ROADMAP 1b)" `Quick
+            test_many_group_aggregate;
         ] );
       ( "float keys",
         [

@@ -433,6 +433,20 @@ let test_querylog_roundtrip () =
     (List.map (fun (r : Querylog.record) -> r.seq) (Querylog.recent ~n:2 log));
   Querylog.close log
 
+(* ---- unit: configurations that could never answer ---- *)
+
+(* With no worker the daemon would admit requests and never run them;
+   with no queue slot it would shed every one.  [create] refuses both
+   before it reads the store or binds a socket, so a directory that
+   does not exist still fails with the configuration error. *)
+let rejects_config name config () =
+  match Server.Serve.create ~config ~dir:"no-such-store" () with
+  | exception Invalid_argument _ -> ()
+  | exception e ->
+    Alcotest.failf "%s: expected Invalid_argument, got %s" name
+      (Printexc.to_string e)
+  | _ -> Alcotest.failf "%s: daemon created" name
+
 (* ---- request tracing ---- *)
 
 (* the pretty span rendering, one "(indent)name  X.XXXms ..." line per
@@ -1090,7 +1104,7 @@ let strip_per_reply body =
    gives over the same store at the same generation.  The batches
    weigh clusters off the dyadic grid ([Free]), where a probability's
    printed digits depend on the order its sums were taken in. *)
-let test_retention_matches_fresh ~shards () =
+let test_retention_matches_fresh () =
   let batches, _ =
     QCheck.Gen.generate1 ~rand:(Random.State.make [| 5 |])
       (Fuzz.Updategen.sequence_gen ~mode:Free retention_db ~batches:30 ~len:2)
@@ -1104,7 +1118,7 @@ let test_retention_matches_fresh ~shards () =
   let tables_of batch = List.sort_uniq compare (List.map Delta.op_table batch) in
   Alcotest.(check bool) "some batch spans several tables" true
     (List.exists (fun b -> List.length (tables_of b) > 1) batches);
-  let config = { base_config with concurrency = 1; shards } in
+  let config = { base_config with concurrency = 1 } in
   let retained = ref 0 in
   let (), _report =
     with_server ~config retention_db (fun dir _t port ->
@@ -1674,6 +1688,11 @@ let () =
             test_querylog_roundtrip;
           Alcotest.test_case "result encoder matches the old bytes" `Quick
             test_result_encoder;
+          Alcotest.test_case "create rejects concurrency 0" `Quick
+            (rejects_config "concurrency 0"
+               { base_config with concurrency = 0 });
+          Alcotest.test_case "create rejects queue 0" `Quick
+            (rejects_config "queue 0" { base_config with queue_capacity = 0 });
         ] );
       ( "tracing",
         [
@@ -1723,9 +1742,7 @@ let () =
           Alcotest.test_case "forced drain cancels in bounded time" `Quick
             test_forced_drain_cancels;
           Alcotest.test_case "kept answers equal a cacheless daemon's"
-            `Quick (test_retention_matches_fresh ~shards:1);
-          Alcotest.test_case "kept answers equal, 2 shards" `Quick
-            (test_retention_matches_fresh ~shards:2);
+            `Quick test_retention_matches_fresh;
         ] );
       ( "soak",
         [ Alcotest.test_case "chaos soak" `Slow test_chaos_soak ] );
