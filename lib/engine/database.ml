@@ -20,8 +20,6 @@ let create () : t = Hashtbl.create 16
 let add_relation t ~name rel =
   Hashtbl.replace t name { relation = rel; indexes = []; stats = None }
 
-let drop_relation t name = Hashtbl.remove t name
-
 let entry t name =
   match Hashtbl.find_opt t name with
   | Some e -> e

@@ -9,7 +9,6 @@ val add_relation : t -> name:string -> Dirty.Relation.t -> unit
 (** Register (or replace) a base table. Replacing a table drops its
     indexes and statistics. *)
 
-val drop_relation : t -> string -> unit
 val relation : t -> string -> Dirty.Relation.t
 (** @raise Not_found *)
 

@@ -102,76 +102,6 @@ let predicate schema e =
 
 (* ---- aggregation ---- *)
 
-type agg_state =
-  | Count_state of int ref
-  | Sum_state of { mutable int_sum : int; mutable float_sum : float;
-                   mutable is_float : bool; mutable seen : bool }
-  | Avg_state of { mutable total : float; mutable count : int }
-  | Min_state of Value.t option ref
-  | Max_state of Value.t option ref
-
-let new_state (f : Sql.Ast.agg_fun) =
-  match f with
-  | Count -> Count_state (ref 0)
-  | Sum -> Sum_state { int_sum = 0; float_sum = 0.0; is_float = false; seen = false }
-  | Avg -> Avg_state { total = 0.0; count = 0 }
-  | Min -> Min_state (ref None)
-  | Max -> Max_state (ref None)
-
-let feed state (v : Value.t option) =
-  (* [v] is [None] for count-star, [Some value] otherwise *)
-  match state, v with
-  | Count_state r, None -> incr r
-  | Count_state r, Some v -> if not (Value.is_null v) then incr r
-  | Sum_state s, Some v -> (
-    if not (Value.is_null v) then
-      match v with
-      | Value.Int i ->
-        s.seen <- true;
-        if s.is_float then s.float_sum <- s.float_sum +. float_of_int i
-        else s.int_sum <- s.int_sum + i
-      | _ -> (
-        match Value.to_float v with
-        | Some f ->
-          s.seen <- true;
-          if not s.is_float then begin
-            s.is_float <- true;
-            s.float_sum <- float_of_int s.int_sum
-          end;
-          s.float_sum <- s.float_sum +. f
-        | None -> exec_errorf "SUM of non-numeric value %s" (Value.to_string v)))
-  | Avg_state s, Some v -> (
-    if not (Value.is_null v) then
-      match Value.to_float v with
-      | Some f ->
-        s.total <- s.total +. f;
-        s.count <- s.count + 1
-      | None -> exec_errorf "AVG of non-numeric value %s" (Value.to_string v))
-  | Min_state r, Some v ->
-    if not (Value.is_null v) then begin
-      match !r with
-      | None -> r := Some v
-      | Some m -> if Value.compare v m < 0 then r := Some v
-    end
-  | Max_state r, Some v ->
-    if not (Value.is_null v) then begin
-      match !r with
-      | None -> r := Some v
-      | Some m -> if Value.compare v m > 0 then r := Some v
-    end
-  | (Sum_state _ | Avg_state _ | Min_state _ | Max_state _), None ->
-    exec_errorf "aggregate other than COUNT requires an argument"
-
-let finish = function
-  | Count_state r -> Value.Int !r
-  | Sum_state s ->
-    if not s.seen then Value.Null
-    else if s.is_float then Value.Float s.float_sum
-    else Value.Int s.int_sum
-  | Avg_state s ->
-    if s.count = 0 then Value.Null else Value.Float (s.total /. float_of_int s.count)
-  | Min_state r | Max_state r -> Option.value ~default:Value.Null !r
-
 (* Collect the distinct aggregate calls appearing in the given
    expressions, in syntactic order. *)
 let collect_aggs exprs =
@@ -370,118 +300,381 @@ let run_map_rows ?cancel ~jobs f rel =
     List.concat (Array.to_list parts)
   end
 
+(* ---- the grouping kernel ----
+
+   One hash-aggregate for every GROUP BY, serial or partitioned.  Its
+   per-row work allocates nothing beyond what the key and argument
+   expressions themselves return:
+   - an open-addressing table of two int arrays (full hash, group id),
+     linear probing, grown by doubling at half load; it sizes with the
+     number of groups, not rows;
+   - keys are evaluated into one reused scratch buffer and copied into
+     a flat key store only when they open a new group;
+   - accumulators are flat per-group arrays ([Float.Array] for float
+     sums, int arrays for counts and int sums, one [Value.t] array for
+     MIN/MAX) that grow with the group count.
+   Group ids are dense and in first-occurrence order, so the output
+   rows are built once, in that order. *)
+
+(* A finalizer for 63-bit ints: every input bit reaches the low bits
+   the slot mask uses and the high bits the partition id uses. *)
+let mix x =
+  let x = (x lxor (x lsr 32)) * 0x2545F4914F6CDD1D in
+  let x = (x lxor (x lsr 29)) * 0x1CE4E5B9AE5F1 in
+  x lxor (x lsr 32)
+
+(* A hash that allocates nothing and agrees with [Value.equal]: an
+   integral float in the int range hashes as that int, so [Int 2] and
+   [Float 2.0] (and [Float (-0.0)] and [Int 0]) meet; every NaN hashes
+   alike.  [Value.hash] would box [float_of_int i] for every int. *)
+let hash_value (v : Value.t) =
+  match v with
+  | Null -> 0x3A4F
+  | Bool b -> if b then 0x1B3 else 0x2C1
+  | Int i -> mix i
+  | Float f ->
+    if Float.is_integer f && f >= -0x1p62 && f < 0x1p62 then mix (int_of_float f)
+    else if Float.is_nan f then 0x7FF8
+    else mix (Int64.to_int (Int64.bits_of_float f))
+  | String s -> mix (Hashtbl.hash s)
+  | Date d -> mix (d lxor 0x5BD1E995)
+
+(* per-group accumulators; [sum_state] is 0 before the first non-NULL
+   value, 1 while the sum is exact in ints, 2 once a non-int value
+   switched it to floats *)
+type acc =
+  | Count_acc of { mutable counts : int array }
+  | Sum_acc of {
+      mutable sum_state : Bytes.t;
+      mutable int_sums : int array;
+      mutable float_sums : Float.Array.t;
+    }
+  | Avg_acc of { mutable totals : Float.Array.t; mutable avg_counts : int array }
+  | Best_acc of { min : bool; mutable best : Value.t array }  (** MIN or MAX *)
+
+let new_acc (f : Sql.Ast.agg_fun) cap =
+  match f with
+  | Count -> Count_acc { counts = Array.make cap 0 }
+  | Sum ->
+    Sum_acc
+      {
+        sum_state = Bytes.make cap '\000';
+        int_sums = Array.make cap 0;
+        float_sums = Float.Array.make cap 0.0;
+      }
+  | Avg -> Avg_acc { totals = Float.Array.make cap 0.0; avg_counts = Array.make cap 0 }
+  | Min -> Best_acc { min = true; best = Array.make cap Value.Null }
+  | Max -> Best_acc { min = false; best = Array.make cap Value.Null }
+
+let grow_ints a cap =
+  let b = Array.make cap 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let grow_floats a cap =
+  let b = Float.Array.make cap 0.0 in
+  Float.Array.blit a 0 b 0 (Float.Array.length a);
+  b
+
+let grow_values a cap =
+  let b = Array.make cap Value.Null in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let grow_acc acc cap =
+  match acc with
+  | Count_acc a -> a.counts <- grow_ints a.counts cap
+  | Sum_acc a ->
+    let st = Bytes.make cap '\000' in
+    Bytes.blit a.sum_state 0 st 0 (Bytes.length a.sum_state);
+    a.sum_state <- st;
+    a.int_sums <- grow_ints a.int_sums cap;
+    a.float_sums <- grow_floats a.float_sums cap
+  | Avg_acc a ->
+    a.totals <- grow_floats a.totals cap;
+    a.avg_counts <- grow_ints a.avg_counts cap
+  | Best_acc a -> a.best <- grow_values a.best cap
+
+let count_star acc g =
+  match acc with
+  | Count_acc a -> a.counts.(g) <- a.counts.(g) + 1
+  | Sum_acc _ | Avg_acc _ | Best_acc _ ->
+    exec_errorf "aggregate other than COUNT requires an argument"
+
+let sum_float (a : Float.Array.t) g f = Float.Array.set a g (Float.Array.get a g +. f)
+
+(* fold one non-star argument value into group [g] *)
+let feed acc g (v : Value.t) =
+  match acc, v with
+  | _, Null -> ()
+  | Count_acc a, _ -> a.counts.(g) <- a.counts.(g) + 1
+  | Sum_acc a, Int i ->
+    if Bytes.get a.sum_state g = '\002' then sum_float a.float_sums g (float_of_int i)
+    else begin
+      Bytes.set a.sum_state g '\001';
+      a.int_sums.(g) <- a.int_sums.(g) + i
+    end
+  | Sum_acc a, _ ->
+    let f =
+      match v with
+      | Float f -> f
+      | _ -> (
+        match Value.to_float v with
+        | Some f -> f
+        | None -> exec_errorf "SUM of non-numeric value %s" (Value.to_string v))
+    in
+    if Bytes.get a.sum_state g <> '\002' then begin
+      (* the exact int prefix becomes the float sum's start *)
+      Bytes.set a.sum_state g '\002';
+      Float.Array.set a.float_sums g (float_of_int a.int_sums.(g))
+    end;
+    sum_float a.float_sums g f
+  | Avg_acc a, _ ->
+    let f =
+      match v with
+      | Float f -> f
+      | Int i -> float_of_int i
+      | _ -> (
+        match Value.to_float v with
+        | Some f -> f
+        | None -> exec_errorf "AVG of non-numeric value %s" (Value.to_string v))
+    in
+    sum_float a.totals g f;
+    a.avg_counts.(g) <- a.avg_counts.(g) + 1
+  | Best_acc a, _ -> (
+    match a.best.(g) with
+    | Null -> a.best.(g) <- v
+    | m ->
+      let c = Value.compare v m in
+      if (a.min && c < 0) || ((not a.min) && c > 0) then a.best.(g) <- v)
+
+let finish acc g : Value.t =
+  match acc with
+  | Count_acc a -> Int a.counts.(g)
+  | Sum_acc a -> (
+    match Bytes.get a.sum_state g with
+    | '\000' -> Null
+    | '\001' -> Int a.int_sums.(g)
+    | _ -> Float (Float.Array.get a.float_sums g))
+  | Avg_acc a ->
+    let n = a.avg_counts.(g) in
+    if n = 0 then Null else Float (Float.Array.get a.totals g /. float_of_int n)
+  | Best_acc a -> a.best.(g)
+
+type groups = {
+  arity : int;  (** key columns *)
+  mutable mask : int;  (** slot count - 1 *)
+  mutable slot_hash : int array;
+  mutable slot_gid : int array;  (** -1 = empty slot *)
+  mutable count : int;  (** groups so far; ids are [0 .. count - 1] *)
+  mutable keys : Value.t array;  (** [arity] values per group *)
+  mutable first : int array;  (** each group's first row index *)
+  accs : acc array;
+}
+
+let new_groups arity funs =
+  let cap = 16 in
+  {
+    arity;
+    mask = (2 * cap) - 1;
+    slot_hash = Array.make (2 * cap) 0;
+    slot_gid = Array.make (2 * cap) (-1);
+    count = 0;
+    keys = Array.make (arity * cap) Value.Null;
+    first = Array.make cap 0;
+    accs = Array.map (fun f -> new_acc f cap) funs;
+  }
+
+let rec free_slot slot_gid mask i =
+  if slot_gid.(i) < 0 then i else free_slot slot_gid mask ((i + 1) land mask)
+
+(* double the group capacity and the slot table (kept at most half
+   full), re-placing every group by its stored hash *)
+let grow g =
+  let cap = 2 * Array.length g.first in
+  g.keys <- grow_values g.keys (g.arity * cap);
+  g.first <- grow_ints g.first cap;
+  Array.iter (fun acc -> grow_acc acc cap) g.accs;
+  let nslots = 2 * cap in
+  let mask = nslots - 1 in
+  let slot_hash = Array.make nslots 0 and slot_gid = Array.make nslots (-1) in
+  for s = 0 to g.mask do
+    let gid = g.slot_gid.(s) in
+    if gid >= 0 then begin
+      let h = g.slot_hash.(s) in
+      let i = free_slot slot_gid mask (h land mask) in
+      slot_hash.(i) <- h;
+      slot_gid.(i) <- gid
+    end
+  done;
+  g.mask <- mask;
+  g.slot_hash <- slot_hash;
+  g.slot_gid <- slot_gid
+
+(* keys read from the same stored row or joined-in tuple are often
+   physically the same value, which [Value.equal] would still walk *)
+let rec same_key keys kofs src sofs j arity =
+  j >= arity
+  ||
+  let a = keys.(kofs + j) and b = src.(sofs + j) in
+  (a == b || Value.equal a b) && same_key keys kofs src sofs (j + 1) arity
+
+(* open group [gid = g.count] for the key at [src.(sofs)] in slot [i] *)
+let insert g i src sofs h row =
+  let gid = g.count in
+  g.count <- gid + 1;
+  g.slot_hash.(i) <- h;
+  g.slot_gid.(i) <- gid;
+  Array.blit src sofs g.keys (gid * g.arity) g.arity;
+  g.first.(gid) <- row;
+  gid
+
+(* the group of the key [src.(sofs) .. src.(sofs + arity - 1)] with
+   hash [h], opened (key copied, first row [row]) when it is new;
+   top-level and tail-recursive, so a lookup allocates nothing *)
+let rec find_or_add g src sofs h row i =
+  let gid = g.slot_gid.(i) in
+  if gid < 0 then
+    if g.count < Array.length g.first then insert g i src sofs h row
+    else begin
+      grow g;
+      insert g (free_slot g.slot_gid g.mask (h land g.mask)) src sofs h row
+    end
+  else if g.slot_hash.(i) = h && same_key g.keys (gid * g.arity) src sofs 0 g.arity
+  then gid
+  else find_or_add g src sofs h row ((i + 1) land g.mask)
+
+let group_of g src sofs h row = find_or_add g src sofs h row (h land g.mask)
+
+(* the output row of group [gid]: its key, then each aggregate *)
+let group_row g gid =
+  let arity = g.arity in
+  let row = Array.make (arity + Array.length g.accs) Value.Null in
+  Array.blit g.keys (gid * arity) row 0 arity;
+  Array.iteri (fun a acc -> row.(arity + a) <- finish acc gid) g.accs;
+  row
+
 (* an aggregate argument: count-star or a compiled expression *)
 type agg_arg = Star_arg | Expr_arg of (Relation.row -> Value.t)
 
-let feed_arg state arg row =
-  match arg with
-  | Star_arg -> feed state None
-  | Expr_arg f -> feed state (Some (f row))
+let key_hash key_fns scratch row =
+  let h = ref 0 in
+  for j = 0 to Array.length key_fns - 1 do
+    let v = key_fns.(j) row in
+    scratch.(j) <- v;
+    h := (!h * 0x9E3779B1) + hash_value v
+  done;
+  mix !h
+
+let feed_row g gid args row =
+  for a = 0 to Array.length args - 1 do
+    match args.(a) with
+    | Star_arg -> count_star g.accs.(a) gid
+    | Expr_arg f -> feed g.accs.(a) gid (f row)
+  done
+
+let group_serial ~key_fns ~funs ~args rows =
+  let arity = Array.length key_fns in
+  let g = new_groups arity funs in
+  let scratch = Array.make arity Value.Null in
+  for i = 0 to Array.length rows - 1 do
+    let row = rows.(i) in
+    feed_row g (group_of g scratch 0 (key_hash key_fns scratch row) i) args row
+  done;
+  (* SQL semantics: an ungrouped aggregate over an empty input yields
+     a single row of initial aggregate values *)
+  if arity = 0 && g.count = 0 then ignore (group_of g scratch 0 (mix 0) 0);
+  List.init g.count (group_row g)
+
+(* Parallel grouping partitions GROUPS (by key hash), not rows.  Row
+   chunks hash every row's key in parallel; then each partition runs
+   the kernel over the rows of its groups in original row order,
+   evaluating their keys and arguments itself, so per-group
+   accumulation (float order included) is exactly the serial one.
+   Partitions' groups are merged by first-occurrence row index, which
+   recovers the serial group order: the whole operator is
+   bit-identical to serial.  Keys are evaluated twice (to hash, then
+   to group), which costs less than keeping every row's keys and
+   argument values in shared arrays: those boxed values would all be
+   promoted out of the minor heap. *)
+let group_partitioned ?cancel ~jobs ~key_fns ~funs ~args rows =
+  let n = Array.length rows and arity = Array.length key_fns in
+  let hashes = Array.make n 0 in
+  let ranges = chunk_ranges ~jobs n in
+  Parallel.run ?cancel ~jobs (Array.length ranges) (fun ci ->
+      let lo, len = ranges.(ci) in
+      let scratch = Array.make arity Value.Null in
+      for i = lo to lo + len - 1 do
+        hashes.(i) <- key_hash key_fns scratch rows.(i)
+      done);
+  (* row indices bucketed by partition, ascending within each *)
+  let nparts = min jobs Parallel.max_jobs in
+  let pid i = (hashes.(i) lsr 32) mod nparts in
+  let starts = Array.make (nparts + 1) 0 in
+  for i = 0 to n - 1 do
+    let p = pid i in
+    starts.(p + 1) <- starts.(p + 1) + 1
+  done;
+  for p = 1 to nparts do
+    starts.(p) <- starts.(p) + starts.(p - 1)
+  done;
+  let order = Array.make n 0 and fill = Array.sub starts 0 nparts in
+  for i = 0 to n - 1 do
+    let p = pid i in
+    order.(fill.(p)) <- i;
+    fill.(p) <- fill.(p) + 1
+  done;
+  let parts =
+    Parallel.init ?cancel ~jobs nparts (fun p ->
+        let g = new_groups arity funs in
+        let scratch = Array.make arity Value.Null in
+        for k = starts.(p) to starts.(p + 1) - 1 do
+          let i = order.(k) in
+          let row = rows.(i) in
+          for j = 0 to arity - 1 do
+            scratch.(j) <- key_fns.(j) row
+          done;
+          feed_row g (group_of g scratch 0 hashes.(i) i) args row
+        done;
+        g)
+  in
+  (* merge by first-occurrence row index *)
+  let total = Array.fold_left (fun acc g -> acc + g.count) 0 parts in
+  let out = Array.make total [||] and next = Array.make nparts 0 in
+  for k = 0 to total - 1 do
+    let best = ref (-1) in
+    for p = 0 to nparts - 1 do
+      if next.(p) < parts.(p).count
+         && (!best < 0
+            || parts.(p).first.(next.(p)) < parts.(!best).first.(next.(!best)))
+      then best := p
+    done;
+    out.(k) <- group_row parts.(!best) next.(!best);
+    next.(!best) <- next.(!best) + 1
+  done;
+  Array.to_list out
 
 let run_aggregate ?cancel ~jobs input ~group_by ~items ~having =
   let in_schema = Relation.schema input in
   let key_fns = Array.of_list (List.map (compile in_schema) group_by) in
-  let num_keys = Array.length key_fns in
-  let exprs = List.map fst items @ Option.to_list having in
-  let aggs = collect_aggs exprs in
-  let agg_specs =
-    Array.of_list
-      (List.map
-         (fun e ->
-           match (e : Sql.Ast.expr) with
-           | Agg (f, None) -> (f, Star_arg)
-           | Agg (f, Some arg) -> (f, Expr_arg (compile in_schema arg))
-           | _ -> assert false)
-         aggs)
+  let aggs = collect_aggs (List.map fst items @ Option.to_list having) in
+  let funs, args =
+    Array.split
+      (Array.of_list
+         (List.map
+            (fun e ->
+              match (e : Sql.Ast.expr) with
+              | Agg (f, None) -> (f, Star_arg)
+              | Agg (f, Some arg) -> (f, Expr_arg (compile in_schema arg))
+              | _ -> assert false)
+            aggs))
   in
-  let num_aggs = Array.length agg_specs in
-  let new_states () = Array.map (fun (f, _) -> new_state f) agg_specs in
   let rows = Relation.rows input in
-  let n = Array.length rows in
-  let feed_row states row =
-    for i = 0 to num_aggs - 1 do
-      feed_arg states.(i) (snd agg_specs.(i)) row
-    done
-  in
-  (* Parallel grouping partitions GROUPS (by key hash), not rows: a
-     partition owns every row of its groups and feeds them in original
-     row order, so per-group accumulation (including float order) is
-     exactly the serial one.  Merging sorts partitions' groups by
-     first-occurrence row index, recovering serial group order — the
-     whole operator is bit-identical to serial.  Ungrouped aggregates
-     have a single group and stay serial. *)
+  (* ungrouped aggregates have a single group and stay serial *)
   let finished_rows =
-    if num_keys > 0 && use_parallel ~jobs n then begin
-      let keys = Array.make n [||] in
-      let nparts = min jobs Parallel.max_jobs in
-      let pids = Array.make n 0 in
-      let ranges = chunk_ranges ~jobs n in
-      Parallel.run ?cancel ~jobs (Array.length ranges) (fun ci ->
-          let lo, len = ranges.(ci) in
-          for i = lo to lo + len - 1 do
-            let key = Array.init num_keys (fun j -> key_fns.(j) rows.(i)) in
-            keys.(i) <- key;
-            pids.(i) <- key_pid ~nparts key
-          done);
-      let per_part =
-        Parallel.init ?cancel ~jobs nparts (fun p ->
-            let groups = Ktbl.create 64 in
-            (* (first-occurrence row index, key, states), reversed *)
-            let entries = ref [] in
-            for i = 0 to n - 1 do
-              if pids.(i) = p then begin
-                let states =
-                  match Ktbl.find_opt groups keys.(i) with
-                  | Some states -> states
-                  | None ->
-                    let states = new_states () in
-                    Ktbl.add groups keys.(i) states;
-                    entries := (i, keys.(i), states) :: !entries;
-                    states
-                in
-                feed_row states rows.(i)
-              end
-            done;
-            List.rev !entries)
-      in
-      let merged =
-        List.sort
-          (fun (a, _, _) (b, _, _) -> Int.compare a b)
-          (List.concat (Array.to_list per_part))
-      in
-      List.map
-        (fun (_, key, states) -> Array.append key (Array.map finish states))
-        merged
-    end
-    else begin
-      let groups = Ktbl.create 256 in
-      let order = ref [] in
-      Array.iter
-        (fun row ->
-          let key = Array.init num_keys (fun i -> key_fns.(i) row) in
-          let states =
-            match Ktbl.find_opt groups key with
-            | Some states -> states
-            | None ->
-              let states = new_states () in
-              Ktbl.add groups key states;
-              order := key :: !order;
-              states
-          in
-          feed_row states row)
-        rows;
-      (* SQL semantics: an ungrouped aggregate over an empty input
-         yields a single row of initial aggregate values *)
-      if group_by = [] && Ktbl.length groups = 0 then begin
-        Ktbl.add groups [||] (new_states ());
-        order := [ [||] ]
-      end;
-      List.rev_map
-        (fun key ->
-          let states = Ktbl.find groups key in
-          Array.append key (Array.map finish states))
-        !order
-    end
+    if Array.length key_fns > 0 && use_parallel ~jobs (Array.length rows) then
+      group_partitioned ?cancel ~jobs ~key_fns ~funs ~args rows
+    else group_serial ~key_fns ~funs ~args rows
   in
   aggregate_output ~group_by ~items ~having ~aggs finished_rows
 

@@ -24,7 +24,13 @@ val resolve : Dirty.Schema.t -> Sql.Ast.column -> int
     @raise Unbound_column / Ambiguous_column *)
 
 val compile : Dirty.Schema.t -> Sql.Ast.expr -> Dirty.Relation.row -> Dirty.Value.t
-(** @raise Unbound_column / Ambiguous_column at compile time;
+(** An [Add]/[Sub]/[Mul] tree over INTEGER- or FLOAT-typed columns and
+    numeric literals runs on unboxed ints and floats; a row whose
+    values do not have the schema's types (NULL among them) is
+    evaluated by the generic boxed path instead, so the result is the
+    same bit for bit either way.  The closure is safe to share across
+    domains.
+    @raise Unbound_column / Ambiguous_column at compile time;
     [Type_error] at evaluation time.
     @raise Type_error also at compile time when the expression
     contains an aggregate (aggregates are handled by the aggregation
@@ -37,6 +43,3 @@ val truth : Dirty.Value.t -> bool
 val like_matcher : string -> string -> bool
 (** [like_matcher pattern s] implements SQL LIKE ([%] = any sequence,
     [_] = any single character). *)
-
-val columns_of : Sql.Ast.expr -> Sql.Ast.column list
-(** Re-export of {!Sql.Ast.expr_columns} for convenience. *)

@@ -96,15 +96,3 @@ let rec pp_indent fmt indent plan =
 
 let pp fmt plan = pp_indent fmt 0 plan
 let to_string plan = Format.asprintf "%a" pp plan
-
-let rec base_tables = function
-  | Scan { table; alias } -> [ (table, alias) ]
-  | Filter { input; _ } | Project { input; _ } | Aggregate { input; _ }
-  | Sort { input; _ } ->
-    base_tables input
-  | Hash_join { left; right; _ }
-  | Left_outer_join { left; right; _ }
-  | Cross (left, right) ->
-    base_tables left @ base_tables right
-  | Index_join { left; table; alias; _ } -> base_tables left @ [ (table, alias) ]
-  | Distinct input | Limit (input, _) -> base_tables input

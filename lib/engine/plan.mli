@@ -60,7 +60,3 @@ val pp : Format.formatter -> t -> unit
 (** EXPLAIN-style indented rendering. *)
 
 val to_string : t -> string
-
-val base_tables : t -> (string * string) list
-(** [(table, alias)] pairs of all scans, left to right. *)
-

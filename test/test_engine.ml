@@ -90,6 +90,168 @@ let test_expr_like () =
   Alcotest.(check bool) "percent only" true (m "%" "");
   Alcotest.(check bool) "multi wildcard" true (m "%a%b%" "xxaxxbxx")
 
+(* The LIKE matcher before it stopped allocating: memoized recursion
+   over (pattern index, string index).  The property below checks the
+   allocation-free matcher against it. *)
+let memo_like pattern s =
+  let np = String.length pattern and ns = String.length s in
+  let memo = Hashtbl.create 16 in
+  let rec go i j =
+    match Hashtbl.find_opt memo (i, j) with
+    | Some r -> r
+    | None ->
+      let r =
+        if i >= np then j >= ns
+        else
+          match pattern.[i] with
+          | '%' -> go (i + 1) j || (j < ns && go i (j + 1))
+          | '_' -> j < ns && go (i + 1) (j + 1)
+          | c -> j < ns && s.[j] = c && go (i + 1) (j + 1)
+      in
+      Hashtbl.add memo (i, j) r;
+      r
+  in
+  go 0 0
+
+let prop_like_matches_memo =
+  let word alphabet max_len =
+    QCheck.Gen.(string_size ~gen:(oneofl alphabet) (int_range 0 max_len))
+  in
+  QCheck.Test.make ~count:3000 ~name:"LIKE agrees with the memoized matcher"
+    QCheck.(
+      make ~print:Print.(pair string string)
+        (Gen.pair (word [ 'a'; 'b'; '%'; '_' ] 7) (word [ 'a'; 'b' ] 9)))
+    (fun (pattern, s) -> Engine.Expr.like_matcher pattern s = memo_like pattern s)
+
+(* ---- unboxed arithmetic ----
+
+   [Expr.compile] runs Add/Sub/Mul trees over Int/Float-typed columns
+   unboxed.  Compiled against the same column names typed VARCHAR, the
+   tree takes the generic boxed evaluator at every column node, so the
+   two must agree bit for bit on any row: values of the declared type,
+   NULL, dates, values of the other numeric type (a schema that does
+   not match its values), ints beyond 2^53 and overflowing ones. *)
+
+let arith_value_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map v_i (int_range (-5) 5));
+        ( 2,
+          map v_i
+            (oneofl
+               [ 1 lsl 53; (1 lsl 53) + 1; -(1 lsl 53) - 1; max_int; min_int; 1 lsl 40 ]) );
+        (3, map v_f (float_range (-10.0) 10.0));
+        ( 2,
+          map v_f (oneofl [ -0.0; 0.0; Float.nan; Float.infinity; 1e308; 0.1; 9007199254740993.0 ]) );
+        (1, return Value.Null);
+        (1, map (fun d -> Value.Date d) (int_range 0 20000));
+      ])
+
+let arith_expr_gen ncols =
+  QCheck.Gen.(
+    sized_size (int_range 1 4)
+    @@ fix (fun self depth ->
+           let leaf =
+             frequency
+               [
+                 ( 4,
+                   map
+                     (fun i -> Sql.Ast.Col { table = None; name = Printf.sprintf "c%d" i })
+                     (int_range 0 (ncols - 1)) );
+                 (1, map (fun v -> Sql.Ast.Lit v) arith_value_gen);
+               ]
+           in
+           if depth = 0 then leaf
+           else
+             frequency
+               [
+                 (1, leaf);
+                 ( 3,
+                   map3
+                     (fun op a b -> Sql.Ast.Binop (op, a, b))
+                     (oneofl [ Sql.Ast.Add; Sql.Ast.Sub; Sql.Ast.Mul ])
+                     (self (depth - 1)) (self (depth - 1)) );
+               ]))
+
+(* a cell usually of its column's declared type, sometimes anything *)
+let cell_gen ty =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          match ty with
+          | Value.TInt -> map v_i (oneof [ int_range (-9) 9; oneofl [ max_int; 1 lsl 53 ] ])
+          | _ -> map v_f (float_range (-10.0) 10.0) );
+        (1, arith_value_gen);
+      ])
+
+let arith_case_gen =
+  let ncols = 3 in
+  QCheck.Gen.(
+    let* tys = list_repeat ncols (oneofl [ Value.TInt; Value.TFloat ]) in
+    let* e = arith_expr_gen ncols in
+    let* rows =
+      list_size (int_range 1 12)
+        (map Array.of_list (flatten_l (List.map cell_gen tys)))
+    in
+    return (tys, e, rows))
+
+let bits_equal a b =
+  match (a : Value.t), (b : Value.t) with
+  | Float x, Float y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | Int x, Int y -> x = y
+  | Date x, Date y -> x = y
+  | Null, Null -> true
+  | _ -> false
+
+let eval_result f row =
+  match f row with v -> Ok v | exception Engine.Expr.Type_error m -> Error m
+
+let prop_unboxed_arith =
+  QCheck.Test.make ~count:1000 ~name:"unboxed arithmetic = generic, bitwise"
+    QCheck.(
+      make
+        ~print:(fun (tys, e, rows) ->
+          Printf.sprintf "%s over [%s] rows %s"
+            (Sql.Pretty.expr_to_string e)
+            (String.concat ", " (List.map Value.ty_name tys))
+            (String.concat "; "
+               (List.map
+                  (fun r -> String.concat "," (Array.to_list (Array.map Value.to_sql r)))
+                  rows)))
+        arith_case_gen)
+    (fun (tys, e, rows) ->
+      let names = List.mapi (fun i _ -> Printf.sprintf "c%d" i) tys in
+      let typed = Engine.Expr.compile (Schema.make (List.combine names tys)) e in
+      let boxed =
+        Engine.Expr.compile
+          (Schema.make (List.map (fun n -> (n, Value.TString)) names))
+          e
+      in
+      List.for_all
+        (fun row ->
+          match eval_result typed row, eval_result boxed row with
+          | Ok a, Ok b when bits_equal a b -> true
+          | Error a, Error b when a = b -> true
+          | _ ->
+            QCheck.Test.fail_reportf "row %s differs"
+              (String.concat "," (Array.to_list (Array.map Value.to_sql row))))
+        rows)
+
+let test_arith_mismatched_schema () =
+  (* declared INTEGER, FLOAT and NULL values: every row falls back *)
+  let schema = Schema.make [ ("a", Value.TInt); ("b", Value.TInt) ] in
+  let f = Engine.Expr.compile schema (Sql.Parser.parse_expr "a * b + 1") in
+  check_value "floats under an int schema" (v_f 4.0) (f [| v_f 1.5; v_f 2.0 |]);
+  check_value "null under an int schema" Value.Null (f [| Value.Null; v_i 2 |]);
+  check_value "ints wrap" (v_i min_int) (f [| v_i max_int; v_i 1 |]);
+  check_value "date + int" (Value.Date 11)
+    (Engine.Expr.compile
+       (Schema.make [ ("d", Value.TInt) ])
+       (Sql.Parser.parse_expr "d + 1")
+       [| Value.Date 10 |])
+
 let test_expr_resolution_errors () =
   let schema = Schema.make [ ("t.a", Value.TInt); ("u.a", Value.TInt) ] in
   (match Engine.Expr.resolve schema { table = None; name = "a" } with
@@ -780,6 +942,10 @@ let () =
           Alcotest.test_case "division by zero" `Quick test_expr_division_by_zero;
           Alcotest.test_case "comparisons" `Quick test_expr_comparisons;
           Alcotest.test_case "like" `Quick test_expr_like;
+          QCheck_alcotest.to_alcotest prop_like_matches_memo;
+          QCheck_alcotest.to_alcotest prop_unboxed_arith;
+          Alcotest.test_case "arithmetic under a mismatched schema" `Quick
+            test_arith_mismatched_schema;
           Alcotest.test_case "resolution errors" `Quick test_expr_resolution_errors;
         ] );
       ( "scan/filter/project",

@@ -290,6 +290,181 @@ let test_truncate_prefix_filter_project () =
   let parallel = check_at 4 in
   check_bitwise_relation "truncated prefixes agree" serial parallel
 
+(* ---- grouping corner cases against a list-based reference ----
+
+   Each relation has enough rows for the partitioned path at jobs=4
+   (the chunk threshold is lowered above); both jobs counts are
+   checked against [reference_groups], a plain association-list
+   grouping under [Value.equal] written here, independent of the
+   executor's hash table.  Floats are compared bit for bit. *)
+
+(* [(k, v)] rows grouped by k in first-occurrence order; each group's
+   row is k, COUNT star, then COUNT, SUM, AVG, MIN and MAX of v *)
+let reference_groups rows =
+  let groups =
+    List.fold_left
+      (fun acc (k, v) ->
+        if List.exists (fun (k', _) -> Value.equal k k') acc then
+          List.map
+            (fun (k', vs) -> if Value.equal k k' then (k', v :: vs) else (k', vs))
+            acc
+        else acc @ [ (k, [ v ]) ])
+      [] rows
+  in
+  let to_float v = Option.get (Value.to_float v) in
+  List.map
+    (fun (k, vs) ->
+      let vs = List.rev vs in
+      let present = List.filter (fun v -> not (Value.is_null v)) vs in
+      (* SUM stays an exact int until a non-int value arrives; then the
+         int prefix converts once and floats add in row order *)
+      let sum =
+        List.fold_left
+          (fun acc v ->
+            match acc, v with
+            | Value.Null, Value.Int i -> Value.Int i
+            | Value.Int s, Value.Int i -> Value.Int (s + i)
+            | Value.Float s, Value.Int i -> Value.Float (s +. float_of_int i)
+            | Value.Null, _ -> Value.Float (0.0 +. to_float v)
+            | Value.Int s, _ -> Value.Float (float_of_int s +. to_float v)
+            | _, _ -> Value.Float (to_float acc +. to_float v))
+          Value.Null present
+      in
+      let avg =
+        match present with
+        | [] -> Value.Null
+        | _ ->
+          Value.Float
+            (List.fold_left (fun t v -> t +. to_float v) 0.0 present
+            /. float_of_int (List.length present))
+      in
+      let best better =
+        List.fold_left
+          (fun acc v -> if Value.is_null acc || better (Value.compare v acc) then v else acc)
+          Value.Null present
+      in
+      [|
+        k;
+        v_i (List.length vs);
+        v_i (List.length present);
+        sum;
+        avg;
+        best (fun c -> c < 0);
+        best (fun c -> c > 0);
+      |])
+    groups
+
+(* same constructor, same bits for floats, [Value.equal] otherwise *)
+let same_cell a b =
+  match a, b with
+  | Value.Float x, Value.Float y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | Value.Int _, Value.Float _ | Value.Float _, Value.Int _ -> false
+  | _ -> Value.equal a b
+
+let check_rows msg expected rel =
+  let actual = Array.to_list (Relation.rows rel) in
+  Alcotest.(check int) (msg ^ ": groups") (List.length expected) (List.length actual);
+  List.iteri
+    (fun i (e, a) ->
+      Array.iteri
+        (fun j v ->
+          if not (same_cell v a.(j)) then
+            Alcotest.failf "%s: group %d col %d: expected %s (%h), got %s" msg i j
+              (Value.to_string v)
+              (match v with Value.Float f -> f | _ -> 0.0)
+              (Value.to_string a.(j)))
+        e)
+    (List.combine expected actual)
+
+let grouping_sql =
+  "select k, count(*), count(v), sum(v), avg(v), min(v), max(v) from t group by k"
+
+(* runs [grouping_sql] (and a HAVING variant) over [(k, v)] rows at
+   jobs 1 and 4 and checks both against the reference *)
+let check_grouping msg ~kty ~vty rows =
+  let engine = Engine.Database.create () in
+  Engine.Database.add_relation engine ~name:"t"
+    (Relation.create
+       (Schema.make [ ("k", kty); ("v", vty) ])
+       (List.map (fun (k, v) -> [| k; v |]) rows));
+  let expected = reference_groups rows in
+  let having =
+    List.filter
+      (fun g -> match g.(1) with Value.Int n -> n > 1 | _ -> false)
+      expected
+  in
+  List.iter
+    (fun jobs ->
+      let run sql = Engine.Database.query ~config:(config ~jobs) engine sql in
+      check_rows (Printf.sprintf "%s, jobs=%d" msg jobs) expected (run grouping_sql);
+      check_rows
+        (Printf.sprintf "%s, having, jobs=%d" msg jobs)
+        having
+        (run (grouping_sql ^ " having count(*) > 1")))
+    [ 1; 4 ]
+
+let two_53 = 1 lsl 53
+
+let test_group_numeric_keys () =
+  (* Int 2 and Float 2.0 are one group; 2^53 and 2^53 + 1 are two,
+     though both round to the same float; Float 2^53 joins Int 2^53 *)
+  let keys =
+    [
+      v_i 2; v_f 2.0; v_i two_53; v_i (two_53 + 1); v_f (float_of_int two_53);
+      v_i 2; v_i (two_53 + 1); v_f 2.5; v_i max_int; v_i min_int; v_f 2.0;
+    ]
+  in
+  check_grouping "numeric keys" ~kty:Value.TFloat ~vty:Value.TInt
+    (List.mapi (fun i k -> (k, v_i i)) keys)
+
+let test_group_float_corner_keys () =
+  (* -0.0/0.0 meet, every NaN payload meets, NULL is a key of its own *)
+  let nan2 = Int64.float_of_bits 0x7FF0000000000001L in
+  let nan3 = Int64.float_of_bits 0xFFF8000000000000L in
+  let keys =
+    [
+      v_f (-0.0); Value.Null; v_f Float.nan; v_f 0.0; v_f nan2; v_i 0;
+      Value.Null; v_f nan3; v_f (-0.0); v_f Float.infinity; v_f Float.neg_infinity;
+    ]
+  in
+  check_grouping "float corner keys" ~kty:Value.TFloat ~vty:Value.TFloat
+    (List.mapi (fun i k -> (k, v_f (0.1 *. float_of_int i))) keys)
+
+let test_group_sum_switch () =
+  (* group 1 sums ints, then turns float mid-group; group 2 is all
+     NULL (SUM, AVG, MIN, MAX NULL; COUNT(v) 0); group 3 starts float *)
+  let rows =
+    [
+      (v_i 1, v_i 1); (v_i 2, Value.Null); (v_i 1, v_i max_int); (v_i 3, v_f 0.1);
+      (v_i 1, v_f 0.5); (v_i 2, Value.Null); (v_i 1, v_i 3); (v_i 3, v_i 7);
+      (v_i 1, v_f (-0.0)); (v_i 2, Value.Null); (v_i 3, v_f 0.2); (v_i 1, Value.Null);
+    ]
+  in
+  check_grouping "sum switch" ~kty:Value.TInt ~vty:Value.TInt rows
+
+let test_group_many_dense () =
+  (* enough groups to grow the table several times, with off-grid
+     float sums *)
+  let rows =
+    List.init 3000 (fun i ->
+        (v_i ((i * 7919) mod 701), v_f (0.1 +. (float_of_int (i mod 13) *. 0.37))))
+  in
+  check_grouping "dense" ~kty:Value.TInt ~vty:Value.TFloat rows
+
+let test_ungrouped_empty () =
+  (* an ungrouped aggregate over an empty input still answers one row *)
+  let engine = Engine.Database.create () in
+  Engine.Database.add_relation engine ~name:"t"
+    (Relation.create (Schema.make [ ("k", Value.TInt); ("v", Value.TInt) ]) []);
+  List.iter
+    (fun jobs ->
+      check_rows
+        (Printf.sprintf "ungrouped empty, jobs=%d" jobs)
+        [ [| v_i 0; v_i 0; Value.Null; Value.Null; Value.Null; Value.Null |] ]
+        (Engine.Database.query ~config:(config ~jobs) engine
+           "select count(*), count(v), sum(v), avg(v), min(v), max(v) from t"))
+    [ 1; 4 ]
+
 (* ---- randomized serial-equivalence (QCheck) ---- *)
 
 let ( let* ) gen f = QCheck.Gen.( >>= ) gen f
@@ -456,6 +631,17 @@ let () =
             test_float_group_keys;
           Alcotest.test_case "join keys -0.0/0.0/NaN" `Quick
             test_float_join_keys;
+        ] );
+      ( "grouping",
+        [
+          Alcotest.test_case "Int 2 = Float 2.0, 2^53 <> 2^53+1" `Quick
+            test_group_numeric_keys;
+          Alcotest.test_case "-0.0/0.0, NaN payloads, NULL keys" `Quick
+            test_group_float_corner_keys;
+          Alcotest.test_case "SUM int to float, all-NULL SUM" `Quick
+            test_group_sum_switch;
+          Alcotest.test_case "table growth" `Quick test_group_many_dense;
+          Alcotest.test_case "ungrouped empty input" `Quick test_ungrouped_empty;
         ] );
       ( "executor",
         [
