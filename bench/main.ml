@@ -1071,21 +1071,19 @@ let report_serve () =
   note "trace_overhead = traced(sample 1.0) p50 / untraced p50, same load"
 
 (* ------------------------------------------------------------------ *)
-(* report: update — delta commits, incremental refresh, recovery       *)
+(* report: update — delta commits, crash recovery                      *)
 (* ------------------------------------------------------------------ *)
 
 (* The mutable-store write path end to end: how fast a delta batch
-   commits versus rewriting the whole snapshot, how much an
-   incremental view refresh saves over from-scratch re-execution when
-   an update touches one cluster out of many, and how long recovery
+   commits versus rewriting the whole snapshot, and how long recovery
    takes after a crash torn mid-commit.
 
-   Throughputs (commits/s) and the refresh speedup are dimensionless,
-   so — like the parallel report's ratios — they are recorded divided
-   by 1000 to survive the ms conversion in BENCH_<n>.json. *)
+   Throughput (commits/s) is dimensionless, so — like the parallel
+   report's ratios — it is recorded divided by 1000 to survive the ms
+   conversion in BENCH_<n>.json. *)
 
 let report_update () =
-  section "Update path: delta commits, incremental refresh, crash recovery";
+  section "Update path: delta commits, crash recovery";
   let n_clusters = if !quick then 300 else 1000 in
   let members = 3 in
   let rows =
@@ -1164,37 +1162,7 @@ let report_update () =
     "compacting snapshot: %.2fms (one full rewrite = %.1f delta commits)\n"
     (ms t_snapshot)
     (t_snapshot /. (t_delta /. float_of_int n_commits));
-  (* 2. incremental refresh vs from-scratch re-execution *)
-  let sql = "select id from items" in
-  let session = Conquer.Clean.create db in
-  let view = Conquer.Incremental.materialize session sql in
-  let outcome = Dirty.Delta.apply db (batch 17) in
-  let session' = Conquer.Clean.create outcome.Dirty.Delta.db in
-  let stats =
-    Conquer.Incremental.refresh view session' ~touched:outcome.Dirty.Delta.touched
-  in
-  let t_inc =
-    time_runs ~name:"refresh/incremental" (fun () ->
-        ignore
-          (Conquer.Incremental.refresh view session'
-             ~touched:outcome.Dirty.Delta.touched))
-  in
-  let t_scratch =
-    time_runs ~name:"refresh/from-scratch" (fun () ->
-        ignore (Conquer.Clean.answers session' sql))
-  in
-  let speedup = if t_inc > 0.0 then t_scratch /. t_inc else 1.0 in
-  record "refresh/speedup" (Telemetry.Timing.singleton (speedup /. 1000.0));
-  Printf.printf
-    "view refresh after a 1-cluster batch (%d groups, %d affected%s):\n"
-    (Relation.cardinality (Conquer.Incremental.answers view))
-    stats.Conquer.Incremental.s_affected
-    (match stats.Conquer.Incremental.s_fallback with
-    | None -> ""
-    | Some r -> ", FELL BACK: " ^ r);
-  Printf.printf "  incremental %.2fms   from-scratch %.2fms   speedup %.1fx\n"
-    (ms t_inc) (ms t_scratch) speedup;
-  (* 3. recovery time after a crash torn mid-commit *)
+  (* 2. recovery time after a crash torn mid-commit *)
   Fault.Io.reset ~record:true ();
   ignore (Dirty.Store.commit_delta dir (batch 23));
   let n_ops = Fault.Io.ops () in
@@ -1216,9 +1184,8 @@ let report_update () =
     (n_ops / 2) n_ops (ms t_recover) (List.length swept);
   rm_rf dir;
   note "delta commits journal one batch (CRC-checked, fsync'd) instead of";
-  note "        rewriting the snapshot; refresh recomputes only the answer";
-  note "        groups reachable from the touched clusters; recovery replays";
-  note "        the committed chain and sweeps the torn tail"
+  note "        rewriting the snapshot; recovery replays the committed chain";
+  note "        and sweeps the torn tail"
 
 (* ------------------------------------------------------------------ *)
 (* bechamel statistical pass                                           *)

@@ -37,11 +37,6 @@ type evaluator = (string * Dirty.Relation.t) list -> Dirty.Relation.t
 (** Answers a fixed query over one candidate database, given as
     {!candidate_relations}. *)
 
-val engine_evaluator : Dirty.Dirty_db.t -> Sql.Ast.query -> evaluator
-(** The query planned once on the engine and run on each candidate.
-    Unlike {!Reference.eval}, it covers the engine's whole SQL
-    subset, subqueries included. *)
-
 val clean_answers_with :
   ?max_candidates:int -> evaluator -> Dirty.Dirty_db.t -> Dirty.Relation.t
 (** Clean answers by direct application of Dfn 5: answer the query on
@@ -51,18 +46,16 @@ val clean_answers_with :
     schema with a [clean_prob] column and is sorted by the answer
     columns. *)
 
-val nonempty_mass_with :
-  ?max_candidates:int -> evaluator -> Dirty.Dirty_db.t -> float
-(** Probability mass of the candidates on which the evaluator returns
-    at least one row (used to answer boolean queries). *)
-
 val clean_answers :
   ?max_candidates:int ->
   Dirty.Dirty_db.t ->
   Sql.Ast.query ->
   Dirty.Relation.t
-(** {!clean_answers_with} on the {!engine_evaluator}. *)
+(** {!clean_answers_with} with the query planned once on the engine and
+    run on each candidate. *)
 
 val probability_that_nonempty :
   ?max_candidates:int -> Dirty.Dirty_db.t -> Sql.Ast.query -> float
-(** {!nonempty_mass_with} on the {!engine_evaluator}. *)
+(** Probability mass of the candidates on which the query, planned
+    once on the engine and run on each candidate, returns at least one
+    row (used to answer boolean queries). *)

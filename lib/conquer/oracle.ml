@@ -14,9 +14,6 @@ let m_candidates =
 
 let candidate_count = Candidates.count
 
-let within_budget ?(max_candidates = default_max_candidates) db =
-  candidate_count db <= float_of_int max_candidates
-
 let guard max_candidates db =
   let count = candidate_count db in
   if count > float_of_int max_candidates then
@@ -46,10 +43,6 @@ let answer_probabilities ?max_candidates db query =
       | None -> acc)
     [] rel
   |> List.rev
-
-let nonempty_probability ?(max_candidates = default_max_candidates) db query =
-  guard max_candidates db;
-  Candidates.nonempty_mass_with ~max_candidates (reference query) db
 
 (* ---- differential comparison ---- *)
 

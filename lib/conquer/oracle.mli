@@ -19,15 +19,6 @@
 
 exception Too_many_candidates of { count : float; limit : int }
 
-val default_max_candidates : int
-(** 1_000_000, matching {!Candidates.fold}. *)
-
-val candidate_count : Dirty.Dirty_db.t -> float
-(** Number of candidate databases (as a float; it overflows 63-bit
-    integers quickly). *)
-
-val within_budget : ?max_candidates:int -> Dirty.Dirty_db.t -> bool
-
 val answers :
   ?max_candidates:int -> Dirty.Dirty_db.t -> Sql.Ast.query -> Dirty.Relation.t
 (** Reference clean answers: the query's output schema extended with
@@ -41,11 +32,6 @@ val answer_probabilities :
   (Dirty.Relation.row * float) list
 (** The same answers as an association list keyed on the answer tuple
     (probability column not included in the key). *)
-
-val nonempty_probability :
-  ?max_candidates:int -> Dirty.Dirty_db.t -> Sql.Ast.query -> float
-(** Probability mass of the candidates on which the query returns at
-    least one row. *)
 
 (** {1 Differential comparison} *)
 

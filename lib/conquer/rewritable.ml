@@ -142,8 +142,6 @@ let check env (q : Sql.Ast.query) =
     | [] -> Ok graph
     | vs -> Error (List.rev vs))
 
-let is_rewritable env q = Result.is_ok (check env q)
-
 let root graph =
   if not (Join_graph.is_tree graph) then
     invalid_arg "Rewritable.root: join graph is not a tree"

@@ -34,8 +34,6 @@ val check :
 (** All violations (empty list never returned as [Error]); on success
     the query's join graph. *)
 
-val is_rewritable : Dirty_schema.env -> Sql.Ast.query -> bool
-
 val root : Join_graph.t -> string
 (** The root of a tree-shaped join graph.
     @raise Invalid_argument if the graph is not a tree. *)

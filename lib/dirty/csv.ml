@@ -146,21 +146,6 @@ let parse_rows_loc ?(sep = ',') s =
 
 let parse_rows ?sep s = List.map snd (parse_rows_loc ?sep s)
 
-let read_all ic =
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 4096 in
-  let rec go () =
-    let k = input ic chunk 0 (Bytes.length chunk) in
-    if k > 0 then begin
-      Buffer.add_subbytes buf chunk 0 k;
-      go ()
-    end
-  in
-  go ();
-  Buffer.contents buf
-
-let read_channel ?sep ic = parse_rows ?sep (read_all ic)
-
 (* whole-file reads go through the fault-injection shim so the chaos
    harness can exercise short reads and crashes on the load path too *)
 let read_file ?sep path = parse_rows ?sep (Fault.Io.read_file path)

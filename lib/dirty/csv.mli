@@ -18,17 +18,10 @@ val parse_rows : ?sep:char -> string -> string list list
     (outside quotes) are skipped; CRLF and lone-CR terminators are
     tolerated. *)
 
-val parse_rows_loc : ?sep:char -> string -> (int * string list) list
-(** Like {!parse_rows}, each row tagged with the 1-based physical line
-    it starts on. *)
-
 val render_line : ?sep:char -> string list -> string
 (** Inverse of {!parse_line}/{!parse_rows} row rendering.  A row whose
     single field is the empty string renders as [""] (quoted) so it is
     not mistaken for a blank line on read. *)
-
-val read_channel : ?sep:char -> in_channel -> string list list
-(** {!parse_rows} over the channel's remaining contents. *)
 
 val read_file : ?sep:char -> string -> string list list
 (** Reads go through {!Fault.Io}, so fault-injection schedules cover
@@ -53,5 +46,4 @@ val load_file : ?sep:char -> ?header:bool -> string -> Relation.t
 (** @raise Parse_error with the file's path and physical line number
     on malformed rows. *)
 
-val write_channel : ?sep:char -> ?header:bool -> out_channel -> Relation.t -> unit
 val write_file : ?sep:char -> ?header:bool -> string -> Relation.t -> unit

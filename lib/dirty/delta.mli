@@ -51,9 +51,11 @@ type outcome = {
   db : Dirty_db.t;  (** the updated database *)
   touched : (string * Value.t) list;
       (** distinct (table, cluster id) pairs affected by the batch, in
-          first-touch order — the input to incremental view
-          maintenance.  Clusters that no longer exist (deleted, merged
-          away) are still listed. *)
+          first-touch order.  The [POST /update] reply and
+          [conquer update] report their count; [Fuzz.Updategen]'s
+          grid mode reassigns each one back onto the sixteenths grid.
+          Clusters that no longer exist (deleted, merged away) are
+          still listed. *)
   actions : Repair.action list;
       (** renormalizations performed, in application order *)
 }
@@ -67,7 +69,6 @@ val apply : Dirty_db.t -> batch -> outcome
 
 val op_table : op -> string
 val op_to_row : op -> string list
-val op_of_row : string list -> op
 val to_rows : batch -> string list list
 val of_rows : string list list -> batch
 val op_to_string : op -> string

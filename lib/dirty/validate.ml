@@ -39,18 +39,6 @@ let severity = function
     Error
   | Zero_probability _ | Duplicate_tuple _ -> Warning
 
-let table_of = function
-  | Missing_column { table; _ }
-  | Non_numeric_probability { table; _ }
-  | Nan_probability { table; _ }
-  | Probability_out_of_range { table; _ }
-  | Zero_probability { table; _ }
-  | Cluster_sum_mismatch { table; _ }
-  | Duplicate_tuple { table; _ }
-  | Empty_cluster { table; _ }
-  | Dangling_reference { table; _ } ->
-    table
-
 let to_string d =
   let tag = match severity d with Error -> "error" | Warning -> "warning" in
   let body =

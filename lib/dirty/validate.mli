@@ -65,7 +65,6 @@ type diagnostic =
           maps unmatched keys to [Null]. *)
 
 val severity : diagnostic -> severity
-val table_of : diagnostic -> string
 
 val to_string : diagnostic -> string
 (** One-line human-readable rendering, e.g.

@@ -34,9 +34,6 @@ val analyze : ?prev:Dirty.Relation.t * t -> Dirty.Relation.t -> t
 
 val column : t -> string -> column_stats option
 
-val histogram_buckets : int
-(** Number of equi-depth buckets collected (32). *)
-
 val range_fraction : histogram -> ?lo:float -> ?hi:float -> unit -> float
 (** Estimated fraction of (non-null) rows whose value lies in
     [(lo, hi]]; unbounded sides default to the histogram ends.

@@ -82,15 +82,14 @@ let m_faults_injected =
     ~help:"simulated I/O failures triggered by the armed schedule"
 
 (* a fault is keyed either on the absolute operation index or on the
-   index within one kind of operation (the "nth write") *)
-type trigger = At_op of int | At_write of int | At_read of int
+   index among write operations (the "nth write") *)
+type trigger = At_op of int | At_write of int
 
 type state = {
   lock : Mutex.t;
   mutable armed : (trigger * fault) list;
   mutable ops : int;
   mutable writes : int;
-  mutable reads : int;
   mutable crashed : bool;
   mutable recording : bool;
   mutable trace : (int * op * string) list; (* reversed *)
@@ -103,7 +102,6 @@ let st =
     armed = [];
     ops = 0;
     writes = 0;
-    reads = 0;
     crashed = false;
     recording = false;
     trace = [];
@@ -123,7 +121,6 @@ let reset ?(record = false) () =
       st.armed <- [];
       st.ops <- 0;
       st.writes <- 0;
-      st.reads <- 0;
       st.crashed <- false;
       st.recording <- record;
       st.trace <- [];
@@ -138,11 +135,6 @@ let arm schedule =
 let arm_nth_write n fault =
   with_lock (fun () ->
       st.armed <- st.armed @ [ (At_write n, fault) ];
-      Atomic.set active true)
-
-let arm_nth_read n fault =
-  with_lock (fun () ->
-      st.armed <- st.armed @ [ (At_read n, fault) ];
       Atomic.set active true)
 
 let ops () = with_lock (fun () -> st.ops)
@@ -164,24 +156,19 @@ let check opk path : fault option =
           else begin
             let n = st.ops in
             st.ops <- st.ops + 1;
-            let kind_index =
+            let write_index =
               match opk with
               | Write ->
                 let w = st.writes in
                 st.writes <- st.writes + 1;
-                Some (`W w)
-              | Read ->
-                let r = st.reads in
-                st.reads <- st.reads + 1;
-                Some (`R r)
+                Some w
               | _ -> None
             in
             if st.recording && List.length st.trace < trace_cap then
               st.trace <- (n, opk, path) :: st.trace;
             let matches = function
               | At_op i -> i = n
-              | At_write i -> kind_index = Some (`W i)
-              | At_read i -> kind_index = Some (`R i)
+              | At_write i -> write_index = Some i
             in
             match
               List.find_opt (fun (trig, _) -> matches trig) st.armed

@@ -61,8 +61,6 @@ val arm : (int * fault) list -> unit
 val arm_nth_write : int -> fault -> unit
 (** Schedule a fault at the nth [Write] operation (0-based). *)
 
-val arm_nth_read : int -> fault -> unit
-
 val ops : unit -> int
 (** Operations performed since the last {!reset} (only counted while
     the shim is active — after [reset ~record:true] or [arm]). *)

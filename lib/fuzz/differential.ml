@@ -79,27 +79,26 @@ let run ?(jobs = default_jobs) ?(max_candidates = 200_000) (case : Case.t) =
         in
         check_legs jobs))
 
-(* The update differential: replay a sequence of update batches and
-   compare incremental view maintenance against from-scratch execution
-   after every batch, at every jobs leg.  The comparison runs at
-   eps 0 by default: refreshes feed each answer group's probabilities
-   in the order a from-scratch run does, so both produce the same
-   float bits, on or off the dyadic grid.  The final database is additionally checked
-   against the enumeration oracle when it fits the candidate budget. *)
+(* The update differential: apply a sequence of update batches and,
+   after every batch, run the rewritten query from scratch at every
+   jobs leg.  Each batch's session is derived from the previous one
+   with [Clean.derive], as [conquer serve] does after a commit, so the
+   check covers [Delta.apply] and [Clean.derive] together.  Every leg
+   is compared with the enumeration oracle on that batch's database
+   whenever the database fits the candidate budget. *)
 
 type update_outcome =
   | U_rejected of Conquer.Rewritable.violation list
-  | U_agree of { batches : int; answers : int; fallbacks : int }
+  | U_agree of { batches : int; answers : int }
   | U_mismatch of {
       jobs : int;
       batch : int;  (** 1-based index of the first diverging batch *)
       mismatch : Conquer.Oracle.mismatch;
     }
-  | U_oracle_mismatch of { mismatch : Conquer.Oracle.mismatch }
   | U_error of { stage : string; message : string }
 
 let update_failing = function
-  | U_mismatch _ | U_oracle_mismatch _ | U_error _ -> true
+  | U_mismatch _ | U_error _ -> true
   | U_rejected _ | U_agree _ -> false
 
 let update_to_string = function
@@ -107,131 +106,72 @@ let update_to_string = function
     "rejected: "
     ^ String.concat "; "
         (List.map Conquer.Rewritable.violation_to_string vs)
-  | U_agree { batches; answers; fallbacks } ->
-    Printf.sprintf "agree (%d batches, %d answers, %d fallbacks)" batches
-      answers fallbacks
+  | U_agree { batches; answers } ->
+    Printf.sprintf "agree (%d batches, %d answers)" batches answers
   | U_mismatch { jobs; batch; mismatch } ->
     Printf.sprintf "MISMATCH after batch %d at jobs=%d: %s" batch jobs
-      (Conquer.Oracle.mismatch_to_string mismatch)
-  | U_oracle_mismatch { mismatch } ->
-    Printf.sprintf "ORACLE MISMATCH on final database: %s"
       (Conquer.Oracle.mismatch_to_string mismatch)
   | U_error { stage; message } ->
     Printf.sprintf "ERROR during %s: %s" stage message
 
 let run_updates ?(jobs = default_jobs) ?(max_candidates = 200_000)
-    ?(eps = 0.0) (case : Case.t) (batches : Dirty.Delta.batch list) =
+    (case : Case.t) (batches : Dirty.Delta.batch list) =
   let env = Conquer.Dirty_schema.of_dirty_db case.db in
   match Conquer.Rewritable.check env case.query with
   | Error vs -> U_rejected vs
   | Ok _ -> (
-    match
-      (* apply the batches once; the per-leg work is read-only *)
-      List.fold_left
-        (fun (db, acc) batch ->
-          let o = Dirty.Delta.apply db batch in
-          (o.Dirty.Delta.db, (o.Dirty.Delta.touched, o.Dirty.Delta.db) :: acc))
-        (case.db, []) batches
-    with
+    match Conquer.Rewrite.rewrite_exn env case.query with
     | exception e ->
-      U_error { stage = "apply"; message = Printexc.to_string e }
-    | _, rev_states -> (
-      let states =
-        List.rev_map
-          (fun (touched, db) -> (touched, Conquer.Clean.create db))
-          rev_states
+      U_error { stage = "rewrite"; message = Printexc.to_string e }
+    | rewritten -> (
+      let exception Fail of update_outcome in
+      let fail stage e =
+        raise (Fail (U_error { stage; message = Printexc.to_string e }))
       in
-      let session0 = Conquer.Clean.create case.db in
-      match Conquer.Rewrite.rewrite_exn env case.query with
-      | exception e ->
-        U_error { stage = "rewrite"; message = Printexc.to_string e }
-      | rewritten -> (
-        let fallbacks = ref 0 in
-        let exception Fail of update_outcome in
+      (* returns the derived session and the answer count of the last
+         leg *)
+      let check_batch (session, _) (batch_no, batch) =
+        let db =
+          try (Dirty.Delta.apply (Conquer.Clean.dirty_db session) batch).db
+          with e -> fail (Printf.sprintf "apply (batch %d)" batch_no) e
+        in
+        let session = Conquer.Clean.derive session db in
+        let oracle =
+          match Conquer.Oracle.answers ~max_candidates db case.query with
+          | oracle -> Some oracle
+          | exception Conquer.Oracle.Too_many_candidates _ -> None
+          | exception e ->
+            fail (Printf.sprintf "oracle (batch %d)" batch_no) e
+        in
         let check_leg j =
           let config = { Engine.Planner.default_config with jobs = j } in
-          let stage fmt =
-            Printf.ksprintf (fun s -> Printf.sprintf "%s (jobs=%d)" s j) fmt
-          in
-          let view =
-            try Conquer.Incremental.materialize_query ~config session0 case.query
-            with e ->
-              raise
-                (Fail
-                   (U_error
-                      {
-                        stage = stage "materialize";
-                        message = Printexc.to_string e;
-                      }))
-          in
-          List.iteri
-            (fun i (touched, session) ->
-              (match
-                 Conquer.Incremental.refresh ~config view session ~touched
-               with
-              | exception e ->
-                raise
-                  (Fail
-                     (U_error
-                        {
-                          stage = stage "refresh (batch %d)" (i + 1);
-                          message = Printexc.to_string e;
-                        }))
-              | stats ->
-                if stats.Conquer.Incremental.s_fallback <> None then
-                  incr fallbacks);
-              let scratch =
-                try
-                  Engine.Database.query_ast ~config
-                    (Conquer.Clean.engine session)
-                    rewritten
-                with e ->
-                  raise
-                    (Fail
-                       (U_error
-                          {
-                            stage = stage "execute (batch %d)" (i + 1);
-                            message = Printexc.to_string e;
-                          }))
-              in
-              match
-                Conquer.Oracle.compare_answers ~eps ~oracle:scratch
-                  (Conquer.Incremental.answers view)
-              with
-              | Ok () -> ()
-              | Error mismatch ->
-                raise
-                  (Fail (U_mismatch { jobs = j; batch = i + 1; mismatch })))
-            states;
-          view
-        in
-        match List.map check_leg jobs with
-        | exception Fail outcome -> outcome
-        | views -> (
-          let view = List.hd views in
           let answers =
-            Dirty.Relation.cardinality (Conquer.Incremental.answers view)
+            try
+              Engine.Database.query_ast ~config
+                (Conquer.Clean.engine session)
+                rewritten
+            with e ->
+              fail (Printf.sprintf "execute (batch %d, jobs=%d)" batch_no j) e
           in
-          let agree =
-            U_agree
-              { batches = List.length states; answers; fallbacks = !fallbacks }
-          in
-          match states with
-          | [] -> agree
-          | _ -> (
-            let _, final_session = List.nth states (List.length states - 1) in
-            let final_db = Conquer.Clean.dirty_db final_session in
-            match Conquer.Oracle.answers ~max_candidates final_db case.query with
-            | exception Conquer.Oracle.Too_many_candidates _ -> agree
-            | exception e ->
-              U_error { stage = "oracle"; message = Printexc.to_string e }
-            | oracle -> (
-              match
-                Conquer.Oracle.compare_answers ~oracle
-                  (Conquer.Incremental.answers view)
-              with
-              | Ok () -> agree
-              | Error mismatch -> U_oracle_mismatch { mismatch }))))))
+          (match oracle with
+          | None -> ()
+          | Some oracle -> (
+            match Conquer.Oracle.compare_answers ~oracle answers with
+            | Ok () -> ()
+            | Error mismatch ->
+              raise
+                (Fail (U_mismatch { jobs = j; batch = batch_no; mismatch }))));
+          Dirty.Relation.cardinality answers
+        in
+        (session, List.fold_left (fun _ j -> check_leg j) 0 jobs)
+      in
+      match
+        List.fold_left check_batch
+          (Conquer.Clean.create case.db, 0)
+          (List.mapi (fun i batch -> (i + 1, batch)) batches)
+      with
+      | exception Fail outcome -> outcome
+      | _, answers -> U_agree { batches = List.length batches; answers }))
 
 (* Greedy shrinking: repeatedly take the first shrink candidate that
    still fails, until none does (or the step budget runs out).  Used

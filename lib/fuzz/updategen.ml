@@ -11,9 +11,9 @@
      by 1.0, so every probability in the database stays a dyadic
      rational, so float sums and products are exact in whatever order
      a path folds them.
-   - [Free]: raw integer weights renormalized off-grid.  Incremental
-     maintenance still matches from-scratch execution bit for bit,
-     because a refresh folds each group in from-scratch row order. *)
+   - [Free]: raw integer weights renormalized off-grid, so the
+     probabilities are inexact and float sums depend on fold order;
+     the harness compares them with the oracle at a tolerance. *)
 
 open Dirty
 

@@ -8,9 +8,6 @@ val mutual_information : (float * Dist.t) list -> float
 (** [I(C;V) = Σ_c p(c) Σ_v p(v|c) log₂ (p(v|c) / p(v))] with
     [p(v) = Σ_c p(c) p(v|c)]. *)
 
-val marginal : (float * Dist.t) list -> Dist.t
-(** [p(V)] of the clustering. *)
-
 val merge_loss : total:float -> Dcf.t -> Dcf.t -> rest:Dcf.t list -> float
 (** Direct computation of [I(C;V) − I(C';V)] where C consists of the
     two clusters plus [rest] and C' merges the two.  Used in tests to

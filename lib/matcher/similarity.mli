@@ -15,8 +15,6 @@ val string_similarity : string -> string -> float
 val token_jaccard : string -> string -> float
 (** Jaccard similarity of whitespace-token sets (case-folded). *)
 
-val numeric_similarity : float -> float -> float
-
 val value_similarity : Dirty.Value.t -> Dirty.Value.t -> float
 
 val record_similarity :

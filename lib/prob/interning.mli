@@ -15,8 +15,5 @@ val intern : t -> attr:int -> Dirty.Value.t -> int
 val find_opt : t -> attr:int -> Dirty.Value.t -> int option
 val size : t -> int
 
-val to_pair : t -> int -> int * Dirty.Value.t
-(** Inverse mapping. @raise Not_found for unallocated symbols. *)
-
 val attr_of : t -> int -> int
 val value_of : t -> int -> Dirty.Value.t

@@ -24,7 +24,6 @@ let of_relation ?attrs rel =
 let num_rows t = Array.length t.symbols
 let attrs t = t.attrs
 let interning t = t.interning
-let symbols_of_row t i = Array.to_list t.symbols.(i)
 
 let row_dist t i =
   let syms = t.symbols.(i) in

@@ -16,9 +16,6 @@ val num_rows : t -> int
 val attrs : t -> string list
 val interning : t -> Interning.t
 
-val symbols_of_row : t -> int -> int list
-(** The m interned symbols of the row, attribute order. *)
-
 val row_dist : t -> int -> Infotheory.Dist.t
 (** [p(v | t)]: uniform over the row's symbols. *)
 

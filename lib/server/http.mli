@@ -20,17 +20,13 @@ exception Bad_request of string
     speak; answer 400. *)
 
 exception Too_large of string
-(** Header block or body over the configured limit; answer 413. *)
+(** Header block over 8 KiB or body over 1 MiB; answer 413. *)
 
 exception Timeout
 (** The socket read timed out before a full request arrived. *)
 
 exception Disconnected
 (** The peer closed (or reset) the connection. *)
-
-val max_header_bytes : int  (** 8 KiB *)
-
-val max_body_bytes : int  (** 1 MiB *)
 
 val read_request : ?read_timeout:float -> Unix.file_descr -> request
 (** Read and parse one request.  [read_timeout] (default 5s) bounds
@@ -42,9 +38,6 @@ val header : request -> string -> string option
 
 val param : request -> string -> string option
 (** Query-string parameter lookup. *)
-
-val status_reason : int -> string
-(** ["OK"], ["Service Unavailable"], ... *)
 
 val write_response :
   Unix.file_descr ->

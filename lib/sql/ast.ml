@@ -57,19 +57,6 @@ let rec conjuncts = function
   | Binop (And, a, b) -> conjuncts a @ conjuncts b
   | e -> [ e ]
 
-let simple_query ~select ~from ?where () =
-  {
-    distinct = false;
-    select = Items select;
-    from;
-    outer_joins = [];
-    where;
-    group_by = [];
-    having = None;
-    order_by = [];
-    limit = None;
-  }
-
 (* subqueries are opaque scopes: their aggregates and columns are not
    the outer query's *)
 let rec has_aggregates = function
@@ -101,15 +88,6 @@ let query_has_subqueries (q : query) =
     @ List.map (fun oj -> oj.oj_on) q.outer_joins
   in
   List.exists has_subqueries exprs
-
-let is_spj q =
-  (not q.distinct) && q.group_by = [] && q.having = None
-  &&
-  match q.select with
-  | Star -> true
-  | Items items ->
-    List.for_all (fun item -> not (has_aggregates item.expr)) items
-    && Option.fold ~none:true ~some:(fun e -> not (has_aggregates e)) q.where
 
 let expr_columns e =
   let rec go acc = function

@@ -79,15 +79,6 @@ val conj : expr list -> expr option
 val conjuncts : expr -> expr list
 (** Flatten a predicate into its top-level AND-ed conjuncts. *)
 
-val simple_query : select:select_item list -> from:table_ref list ->
-  ?where:expr -> unit -> query
-(** An SPJ query with no grouping, ordering, distinct or limit. *)
-
-val is_spj : query -> bool
-(** True when the query is pure select-project-join: no aggregates, no
-    grouping, no HAVING, no DISTINCT (ORDER BY and LIMIT are
-    tolerated, as the paper's experiments keep ORDER BY). *)
-
 val has_aggregates : expr -> bool
 (** Aggregates of the expression's own scope; subqueries are opaque. *)
 

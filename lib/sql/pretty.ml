@@ -138,5 +138,4 @@ and query_text ~sep q =
 let expr_to_string e = expr_raw e
 let query_to_string q = query_text ~sep:"\n" q
 
-let pp_expr fmt e = Format.pp_print_string fmt (expr_to_string e)
 let pp_query fmt q = Format.pp_print_string fmt (query_to_string q)

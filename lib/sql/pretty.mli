@@ -8,5 +8,4 @@
 val expr_to_string : Ast.expr -> string
 val query_to_string : Ast.query -> string
 
-val pp_expr : Format.formatter -> Ast.expr -> unit
 val pp_query : Format.formatter -> Ast.query -> unit

@@ -32,21 +32,18 @@ let prop_differential =
 
 (* ---- the update differential property ----
 
-   300 random update sequences over rewritable cases: incremental
-   maintenance of the materialized view agrees bit-for-bit (eps 0)
-   with from-scratch re-execution at jobs 1 and 4, and the final
-   database agrees with the oracle.  The first property stays on the
-   1/16 probability grid; the second renormalizes raw weights off the
-   grid, where only folding every group in from-scratch row order
-   keeps exact equality sound. *)
+   300 random update sequences over rewritable cases: after every
+   batch, the rewritten query run from scratch on a session derived
+   with [Clean.derive] agrees with the oracle at jobs 1 and 4.  The
+   first property stays on the 1/16 probability grid; the second
+   renormalizes raw weights off the grid, so every database it checks,
+   the final one included, carries inexact probabilities. *)
 
 let update_differential ~name mode =
   QCheck.Test.make ~count:300 ~name
     (Fuzz.Updategen.scenario_arbitrary ~mode ())
     (fun (case, batches) ->
-      let outcome =
-        Fuzz.Differential.run_updates ~jobs:[ 1; 4 ] ~eps:0.0 case batches
-      in
+      let outcome = Fuzz.Differential.run_updates ~jobs:[ 1; 4 ] case batches in
       if Fuzz.Differential.update_failing outcome then
         QCheck.Test.fail_report (Fuzz.Differential.update_to_string outcome)
       else true)
@@ -54,14 +51,14 @@ let update_differential ~name mode =
 let prop_update_differential =
   update_differential Fuzz.Updategen.Grid
     ~name:
-      "incremental maintenance agrees with from-scratch and the oracle (jobs \
-       1 and 4)"
+      "after every update batch, from-scratch answers agree with the oracle \
+       (jobs 1 and 4)"
 
 let prop_update_differential_off_grid =
   update_differential Fuzz.Updategen.Free
     ~name:
-      "off-grid incremental maintenance agrees with from-scratch at eps 0 \
-       (jobs 1 and 4)"
+      "off-grid: after every update batch, from-scratch answers agree with \
+       the oracle (jobs 1 and 4)"
 
 (* ---- derived sessions ----
 
@@ -352,15 +349,13 @@ let test_corpus_classification () =
 
 (* ---- pinned update edge cases ----
 
-   Deterministic witnesses for the two update shapes most likely to
-   break incremental maintenance, run through the full 4-leg
-   differential at eps 0. *)
+   Deterministic witnesses for two update shapes that move answers
+   between groups, run through the update differential: after each
+   batch, from-scratch answers at jobs 1 and 4 against the oracle. *)
 
 let run_pinned_updates name batches =
   let case = Fuzz.Corpus.load ~dir:corpus_dir ~name in
-  match
-    Fuzz.Differential.run_updates ~jobs:[ 1; 4 ] ~eps:0.0 case batches
-  with
+  match Fuzz.Differential.run_updates ~jobs:[ 1; 4 ] case batches with
   | Fuzz.Differential.U_agree { answers; _ } -> answers
   | outcome ->
     Alcotest.failf "pinned %s: %s" name
@@ -368,7 +363,7 @@ let run_pinned_updates name batches =
 
 (* splitting a cluster of the join root moves a member into a brand
    new answer group; the follow-up insert gives the new cluster a
-   join partner so the group actually surfaces in the view *)
+   join partner so the group actually surfaces in the answers *)
 let test_pin_split_across_answer_groups () =
   let batches =
     [
@@ -396,7 +391,7 @@ let test_pin_split_across_answer_groups () =
 
 (* deleting the only member of t0 cluster 1 removes the cluster; the
    t1 tuple whose foreign key pointed at it dangles, and its answer
-   group must vanish from the maintained view *)
+   group must vanish from the answers *)
 let test_pin_delete_last_tuple_of_cluster () =
   let batches =
     [ [ Delta.Delete { table = "t0"; cluster = Value.Int 1; member = 0 } ] ]
