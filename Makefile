@@ -19,13 +19,14 @@ check:
 	dune runtest
 	$(MAKE) examples
 
-# full evaluation harness (all tables/figures/ablations + bechamel)
+# the paper-reproduction harness: every table/figure/ablation; the
+# timed benchmark is perfbench (perfbench/README.md)
 bench:
 	dune exec bench/main.exe
 
-# CI-sized benchmark pass
+# CI-sized smoke run of the paper-reproduction reports
 quickbench:
-	dune exec bench/main.exe -- --quick --no-bechamel
+	dune exec bench/main.exe -- --quick
 
 fuzz:
 	dune exec bin/conquer_cli.exe -- fuzz \

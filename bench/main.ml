@@ -1,20 +1,17 @@
-(* Benchmark harness: regenerates every table and figure of the
-   paper's evaluation (Section 5) plus the qualitative tables of
+(* Paper-reproduction harness: regenerates every table and figure of
+   the paper's evaluation (Section 5) plus the qualitative tables of
    Section 4, and runs the ablations called out in DESIGN.md.
 
    Usage:
-     main.exe                  run every report, then the bechamel pass
+     main.exe                  run every report
      main.exe --report NAME    run one report (see --list)
-     main.exe --no-bechamel    skip the bechamel statistical pass
      main.exe --quick          smaller data sizes (CI-friendly)
-     main.exe --json FILE      write the machine-readable summary to FILE
      main.exe --list           list report names
 
-   Besides the human-readable tables, every timed measurement is
-   recorded (min/median/max over the runs) and dumped together with a
-   telemetry metrics snapshot as one JSON file, BENCH_<n>.json in the
-   working directory — <n> is the first integer >= 2 whose file does
-   not exist yet, so successive runs never clobber each other. *)
+   The times in its tables are a reading of the paper's trends, not a
+   benchmark: the repository's one performance harness, with
+   correctness gates, noise-aware metrics and a traced per-layer split,
+   is perfbench (python3 perfbench/run.py, see perfbench/README.md). *)
 
 module Value = Dirty.Value
 module Relation = Dirty.Relation
@@ -26,27 +23,9 @@ module Dirty_db = Dirty.Dirty_db
 (* timing helpers                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Measurement is Telemetry.Timing — the same helper the CLI's
-   [profile] subcommand uses.  Every named sample is kept (with its
-   full min/median/max spread) and written to BENCH_<n>.json at the
-   end of the run, tagged with the report it came from. *)
-
-let current_report = ref "startup"
-let samples : (string * string * Telemetry.Timing.stats) list ref = ref []
-
-let record name stats = samples := (!current_report, name, stats) :: !samples
-
-let time_once ?name f =
-  let t, result = Telemetry.Timing.time_once f in
-  Option.iter (fun n -> record n (Telemetry.Timing.singleton t)) name;
-  (t, result)
-
-(* median wall-clock over [runs] executions after one warmup; the
-   spread behind the median lands in BENCH_<n>.json under [name] *)
-let time_runs ?runs ~name f =
-  let stats = Telemetry.Timing.time_runs ?runs f in
-  record name stats;
-  stats.median
+(* median wall-clock over [runs] executions after one warmup, through
+   Telemetry.Timing, the helper the CLI's [profile] subcommand uses *)
+let time_runs ?runs f = (Telemetry.Timing.time_runs ?runs f).median
 
 let ms t = t *. 1000.0
 
@@ -273,19 +252,12 @@ let report_fig7 () =
       let db = tpch_db ~sf ~inconsistency in
       let lineitem = Dirty_db.find_table db "lineitem" in
       let rows = Relation.cardinality lineitem.relation in
-      let t_prop =
-        time_runs
-          ~name:(Printf.sprintf "if%d/propagation" inconsistency)
-          (fun () -> Tpch.Datagen.propagate_all db)
-      in
+      let t_prop = time_runs (fun () -> Tpch.Datagen.propagate_all db) in
       let t_assign =
-        time_runs
-          ~name:(Printf.sprintf "if%d/assign" inconsistency)
-          (fun () -> Prob.Assign.annotate_table lineitem)
+        time_runs (fun () -> Prob.Assign.annotate_table lineitem)
       in
       let t_scan =
         time_runs
-          ~name:(Printf.sprintf "if%d/scan" inconsistency)
           (fun () ->
             Relation.fold (fun acc row -> acc + Array.length row) 0
               lineitem.relation)
@@ -311,16 +283,8 @@ let report_fig8 () =
   let worst = ref (0, 0.0) in
   List.iter
     (fun (q : Tpch.Queries.query) ->
-      let t_orig =
-        time_runs
-          ~name:(Printf.sprintf "q%02d-original" q.qid)
-          (fun () -> Conquer.Clean.original s q.sql)
-      in
-      let t_rew =
-        time_runs
-          ~name:(Printf.sprintf "q%02d-rewritten" q.qid)
-          (fun () -> Conquer.Clean.answers s q.sql)
-      in
+      let t_orig = time_runs (fun () -> Conquer.Clean.original s q.sql) in
+      let t_rew = time_runs (fun () -> Conquer.Clean.answers s q.sql) in
       let ratio = if t_orig > 0.0 then t_rew /. t_orig else 1.0 in
       if ratio > snd !worst then worst := (q.qid, ratio);
       Printf.printf "Q%-4d %12.2fms %12.2fms %8.2f\n" q.qid (ms t_orig)
@@ -345,23 +309,10 @@ let report_fig9 () =
     (fun inconsistency ->
       let db = tpch_db ~sf:(bench_sf ()) ~inconsistency in
       let s = Conquer.Clean.create db in
-      let name suffix = Printf.sprintf "if%d/%s" inconsistency suffix in
-      let t_orig =
-        time_runs ~name:(name "original") (fun () -> Conquer.Clean.original s q3)
-      in
-      let t_rew =
-        time_runs ~name:(name "rewritten") (fun () -> Conquer.Clean.answers s q3)
-      in
-      let t_orig_nob =
-        time_runs
-          ~name:(name "original-no-order-by")
-          (fun () -> Conquer.Clean.original s q3_nob)
-      in
-      let t_rew_nob =
-        time_runs
-          ~name:(name "rewritten-no-order-by")
-          (fun () -> Conquer.Clean.answers s q3_nob)
-      in
+      let t_orig = time_runs (fun () -> Conquer.Clean.original s q3) in
+      let t_rew = time_runs (fun () -> Conquer.Clean.answers s q3) in
+      let t_orig_nob = time_runs (fun () -> Conquer.Clean.original s q3_nob) in
+      let t_rew_nob = time_runs (fun () -> Conquer.Clean.answers s q3_nob) in
       Printf.printf "%-4d %10.2fms %10.2fms %14.2fms %14.2fms\n" inconsistency
         (ms t_orig) (ms t_rew) (ms t_orig_nob) (ms t_rew_nob))
     [ 1; 2; 3; 4; 5 ];
@@ -392,12 +343,8 @@ let report_fig10 () =
     (fun (q : Tpch.Queries.query) ->
       Printf.printf "Q%-4d" q.qid;
       List.iter
-        (fun (sf, _, s) ->
-          let t =
-            time_runs
-              ~name:(Printf.sprintf "q%02d/sf%g" q.qid sf)
-              (fun () -> Conquer.Clean.answers s q.sql)
-          in
+        (fun (_, _, s) ->
+          let t = time_runs (fun () -> Conquer.Clean.answers s q.sql) in
           Printf.printf " %10.1fms" (ms t))
         sessions;
       print_newline ())
@@ -438,17 +385,12 @@ let report_ablation_oracle () =
       let db = make_db clusters in
       let s = Conquer.Clean.create db in
       let candidates = Conquer.Candidates.count db in
-      let t_rew =
-        time_runs
-          ~name:(Printf.sprintf "%d-clusters/rewriting" clusters)
-          (fun () -> Conquer.Clean.answers s sql)
-      in
+      let t_rew = time_runs (fun () -> Conquer.Clean.answers s sql) in
       let t_oracle =
         if candidates <= 70_000.0 then
           Printf.sprintf "%10.2fms"
             (ms
                (time_runs ~runs:1
-                  ~name:(Printf.sprintf "%d-clusters/oracle" clusters)
                   (fun () ->
                     Conquer.Candidates.clean_answers ~max_candidates:100_000 db
                       (Sql.Parser.parse_query sql))))
@@ -536,15 +478,9 @@ let report_ablation_index () =
   List.iter
     (fun qid ->
       let q = Tpch.Queries.find qid in
-      let t_with =
-        time_runs
-          ~name:(Printf.sprintf "q%02d-indexed" qid)
-          (fun () -> Conquer.Clean.answers with_idx q.sql)
-      in
+      let t_with = time_runs (fun () -> Conquer.Clean.answers with_idx q.sql) in
       let t_without =
-        time_runs
-          ~name:(Printf.sprintf "q%02d-no-indexes" qid)
-          (fun () -> Conquer.Clean.answers without_idx q.sql)
+        time_runs (fun () -> Conquer.Clean.answers without_idx q.sql)
       in
       Printf.printf "Q%-4d %14.2fms %14.2fms\n" qid (ms t_with) (ms t_without))
     [ 3; 9; 10 ];
@@ -560,20 +496,20 @@ let report_ext_expected () =
   section "Extension: expected aggregates (the paper's named future work)";
   let db = tpch_db ~sf:(bench_sf ()) ~inconsistency:3 in
   let s = Conquer.Clean.create db in
-  let show key name sql =
-    let t = time_runs ~name:key (fun () -> Conquer.Expected.answers s sql) in
+  let show name sql =
+    let t = time_runs (fun () -> Conquer.Expected.answers s sql) in
     let r = Conquer.Expected.answers s sql in
     Printf.printf "%s (%d groups, %.2f ms):\n" name (Relation.cardinality r)
       (ms t);
     print_string (Relation.to_string ~max_rows:6 r)
   in
-  show "q01-aggregates" "Q1 with its aggregates restored"
+  show "Q1 with its aggregates restored"
     "select l_returnflag, l_linestatus, sum(l_quantity), \
      sum(l_extendedprice), count(*) from lineitem \
      where l_shipdate <= date '1998-09-02' \
      group by l_returnflag, l_linestatus \
      order by l_returnflag, l_linestatus";
-  show "q06-revenue" "Q6 revenue"
+  show "Q6 revenue"
     "select sum(l_extendedprice * l_discount) from lineitem \
      where l_shipdate >= date '1994-01-01' and l_shipdate < date '1995-01-01' \
      and l_discount between 0.05 and 0.07 and l_quantity < 24";
@@ -610,8 +546,7 @@ let report_ext_matcher () =
         }
       in
       let t, predicted =
-        time_once
-          ~name:(Printf.sprintf "sorted-neighborhood-t%.2f-w%d" threshold window)
+        Telemetry.Timing.time_once
           (fun () -> Matcher.Sorted_neighborhood.run config customer.relation)
       in
       let scores = Matcher.Evaluate.pairwise ~truth:customer.clustering predicted in
@@ -629,7 +564,7 @@ let report_ext_matcher () =
   in
   let truth_small = Cluster.of_relation small ~id_attr:"c_custkey" in
   let t, predicted =
-    time_once ~name:"limbo-block" (fun () ->
+    Telemetry.Timing.time_once (fun () ->
         Matcher.Limbo.run
           {
             attrs = [ "c_name"; "c_address"; "c_phone" ];
@@ -661,8 +596,7 @@ let report_ext_sampler () =
   List.iter
     (fun samples ->
       let t, ests =
-        time_once
-          ~name:(Printf.sprintf "%d-samples" samples)
+        Telemetry.Timing.time_once
           (fun () -> Conquer.Sampler.estimates ~seed:17 ~samples s q3)
       in
       match ests with
@@ -680,7 +614,7 @@ let report_ext_sampler () =
      rewritable class, fine for the sampler *)
   let q18 = Tpch.Queries.q18_original_form in
   let t, ests =
-    time_once ~name:"q18-original-form" (fun () ->
+    Telemetry.Timing.time_once (fun () ->
         Conquer.Sampler.estimates ~seed:23 ~samples:200 sb q18.sql)
   in
   Printf.printf
@@ -701,7 +635,7 @@ let report_ext_distribution () =
   let sql = "select l_id from lineitem where l_quantity < 25" in
   Printf.printf "query: %s\n" sql;
   let t, pmf =
-    time_once ~name:"count-pmf" (fun () ->
+    Telemetry.Timing.time_once (fun () ->
         Conquer.Distribution.count_distribution s sql)
   in
   Printf.printf
@@ -722,613 +656,6 @@ let report_ext_distribution () =
   note "beyond the paper: not just the expectation of an aggregate but its";
   note "        full distribution, exact in O(k^2) by dynamic programming";
   note "        (clusters are independent Bernoulli events under Dfn 4)"
-
-(* ------------------------------------------------------------------ *)
-(* report: parallel execution A/B (DESIGN.md §5e)                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Serial vs domain-parallel execution of a hash-join-heavy suite.
-   The sf-scaled TPC-H relations above are too small for the fan-out
-   to amortize, so this report runs on a synthetic database sized so
-   the partition-parallel operators actually engage.  Every query is
-   answered at jobs=1 and jobs=4 over the same engine database; the
-   serial-equivalence guarantee (bit-identical answers) is spot-checked
-   here and tested exhaustively in test/test_parallel.ml.
-
-   Speedup samples are dimensionless ratios; they are recorded through
-   the same stats machinery, so in BENCH_<n>.json their value lands in
-   [median_ms] verbatim (divided back out of the ms conversion). *)
-
-let report_parallel () =
-  section "Parallel execution: jobs=1 vs jobs=4 (hash-join-heavy suite)";
-  let scale = if !quick then 1 else 3 in
-  let nl = 120_000 * scale and nr = 60_000 * scale in
-  let nkeys = 12_000 * scale in
-  let rng = Random.State.make [| 0x5eed |] in
-  let left =
-    Relation.create
-      (Schema.make
-         [ ("k", Value.TInt); ("v", Value.TInt); ("a", Value.TString) ])
-      (List.init nl (fun i ->
-           [|
-             Value.Int (Random.State.int rng nkeys);
-             Value.Int (Random.State.int rng 1000);
-             Value.String (Printf.sprintf "l%d" i);
-           |]))
-  in
-  let right =
-    Relation.create
-      (Schema.make
-         [ ("k", Value.TInt); ("g", Value.TInt); ("b", Value.TString) ])
-      (List.init nr (fun j ->
-           [|
-             Value.Int (Random.State.int rng nkeys);
-             Value.Int (Random.State.int rng 48);
-             Value.String (Printf.sprintf "r%d" j);
-           |]))
-  in
-  let engine = Engine.Database.create () in
-  Engine.Database.add_relation engine ~name:"l" left;
-  Engine.Database.add_relation engine ~name:"r" right;
-  let config jobs = { Engine.Planner.default_config with jobs } in
-  Printf.printf "synthetic database: l=%d rows, r=%d rows, %d distinct keys\n"
-    nl nr nkeys;
-  Printf.printf "recommended domain count on this machine: %d\n"
-    (Domain.recommended_domain_count ());
-  (* spawn the jobs=4 worker domains before any timing: the pool is
-     created lazily, so without this the first jobs=4 sample would be
-     charged the domain-spawn cost and the report would manufacture a
-     "parallel regression" out of a cold pool.  Also pin the process
-     default so an inherited CONQUER_JOBS cannot skew either phase —
-     the configs above pin jobs per query anyway; this covers any code
-     path that falls back to the default. *)
-  Engine.Parallel.warm 4;
-  Engine.Parallel.set_default_jobs 1;
-  let suite =
-    [
-      ("join", "select l.a, r.b from l, r where l.k = r.k");
-      ( "join-agg",
-        "select r.g, count(*), sum(l.v) from l, r where l.k = r.k group by r.g"
-      );
-      ("filter-agg", "select k, count(*), sum(v), avg(v) from l where v > 100 group by k");
-      ("filter-project", "select a from l where v < 500");
-    ]
-  in
-  Printf.printf "%-16s %12s %12s %9s\n" "query" "jobs=1" "jobs=4" "speedup";
-  let totals = ref (0.0, 0.0) in
-  List.iter
-    (fun (name, sql) ->
-      let card cfg =
-        Relation.cardinality (Engine.Database.query ~config:cfg engine sql)
-      in
-      if card (config 1) <> card (config 4) then
-        failwith (Printf.sprintf "parallel answer mismatch on %s" name);
-      (* each phase runs with the process default pinned to its own
-         jobs value, so nothing inherited from the environment leaks
-         into the measurement *)
-      Engine.Parallel.set_default_jobs 1;
-      let t1 =
-        time_runs ~name:(name ^ "/jobs1") (fun () ->
-            Engine.Database.query ~config:(config 1) engine sql)
-      in
-      Engine.Parallel.set_default_jobs 4;
-      let t4 =
-        time_runs ~name:(name ^ "/jobs4") (fun () ->
-            Engine.Database.query ~config:(config 4) engine sql)
-      in
-      Engine.Parallel.set_default_jobs 1;
-      let speedup = if t4 > 0.0 then t1 /. t4 else 1.0 in
-      record (name ^ "/speedup") (Telemetry.Timing.singleton (speedup /. 1000.0));
-      let s1, s4 = !totals in
-      totals := (s1 +. t1, s4 +. t4);
-      Printf.printf "%-16s %10.2fms %10.2fms %8.2fx\n" name (ms t1) (ms t4)
-        speedup)
-    suite;
-  let s1, s4 = !totals in
-  let speedup = if s4 > 0.0 then s1 /. s4 else 1.0 in
-  record "suite/speedup" (Telemetry.Timing.singleton (speedup /. 1000.0));
-  Printf.printf "suite total: %.2fms serial, %.2fms parallel (speedup %.2fx)\n"
-    (ms s1) (ms s4) speedup;
-  note "partition-parallel hash join / filter / aggregate on a shared,";
-  note "        pre-warmed domain pool; answers are bit-identical to serial";
-  note "        execution (group order, row order and float accumulation";
-  note "        included)"
-
-(* ------------------------------------------------------------------ *)
-(* report: serve — the daemon under concurrent load                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Boots an in-process [conquer serve] daemon over a synthetic dirty
-   store, then measures it from the outside through real sockets:
-
-   - a steady phase (clients <= capacity) yields p50/p99 latency and
-     throughput under normal load;
-   - a burst phase (clients > workers + queue) exercises admission
-     control and yields the shed rate.
-
-   Latencies are wall-clock seconds and recorded verbatim; throughput
-   (req/s) and shed rate (fraction) are dimensionless, so like the
-   parallel report's speedups they are recorded divided by 1000 to
-   survive the ms conversion in BENCH_<n>.json. *)
-
-let report_serve () =
-  section "Serve daemon: latency, throughput and shedding over sockets";
-  let n_clusters = if !quick then 200 else 600 in
-  let members = 3 in
-  let rows =
-    List.concat
-      (List.init n_clusters (fun c ->
-           let p = 1.0 /. Float.of_int members in
-           List.init members (fun m ->
-               [|
-                 Value.String (Printf.sprintf "c%d" c);
-                 Value.Int ((c * members) + m);
-                 Value.Float p;
-               |])))
-  in
-  let rel =
-    Relation.create
-      (Schema.make
-         [ ("id", Value.TString); ("val", Value.TInt); ("prob", Value.TFloat) ])
-      rows
-  in
-  let db =
-    Dirty_db.add_table Dirty_db.empty
-      (Dirty_db.make_table ~name:"items" ~id_attr:"id" ~prob_attr:"prob" rel)
-  in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "conquer-bench-serve-%d" (Unix.getpid ()))
-  in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
-  rm_rf dir;
-  Unix.mkdir dir 0o755;
-  Dirty.Store.save dir db;
-  let config =
-    {
-      Server.Serve.default_config with
-      port = 0;
-      concurrency = 4;
-      queue_capacity = 16;
-      cache_capacity = 256;
-    }
-  in
-  let t = Server.Serve.create ~config ~dir () in
-  let port = Server.Serve.port t in
-  let runner = Domain.spawn (fun () -> Server.Serve.run t) in
-  let queries =
-    [|
-      "select id from items";
-      "select id, val from items";
-      "select id from items where val >= 0";
-    |]
-  in
-  let fire sql =
-    try
-      let r =
-        Server.Http.request ~host:"127.0.0.1" ~port ~timeout:30.0 ~body:sql
-          "/query"
-      in
-      Some r.Server.Http.status
-    with _ -> None
-  in
-  (* warm the prepared-query and result caches *)
-  Array.iter (fun q -> ignore (fire q)) queries;
-  let shed_before =
-    Option.value ~default:0 (Telemetry.Metrics.counter_value "serve.shed")
-  in
-  (* steady phase: fewer clients than worker+queue capacity *)
-  let clients = 6 in
-  let per_client = if !quick then 25 else 80 in
-  let started = Unix.gettimeofday () in
-  let client_results =
-    List.init clients (fun c ->
-        Domain.spawn (fun () ->
-            List.init per_client (fun i ->
-                let sql = queries.((c + i) mod Array.length queries) in
-                let t0 = Unix.gettimeofday () in
-                let status = fire sql in
-                (status, Unix.gettimeofday () -. t0))))
-    |> List.concat_map Domain.join
-  in
-  let steady_wall = Unix.gettimeofday () -. started in
-  let ok =
-    List.filter (fun (s, _) -> s = Some 200) client_results
-    |> List.map snd |> Array.of_list
-  in
-  Array.sort compare ok;
-  let n_ok = Array.length ok in
-  if n_ok = 0 then failwith "serve bench: no successful responses";
-  let quantile q = ok.(min (n_ok - 1) (int_of_float (q *. float_of_int n_ok))) in
-  let p50 = quantile 0.50 and p99 = quantile 0.99 in
-  let throughput = float_of_int n_ok /. steady_wall in
-  record "serve/p50" (Telemetry.Timing.singleton p50);
-  record "serve/p99" (Telemetry.Timing.singleton p99);
-  record "serve/throughput" (Telemetry.Timing.singleton (throughput /. 1000.0));
-  Printf.printf
-    "steady phase: %d clients x %d requests — %d ok / %d total\n" clients
-    per_client n_ok (List.length client_results);
-  Printf.printf "  p50 %.2fms   p99 %.2fms   %.0f req/s\n" (ms p50) (ms p99)
-    throughput;
-  (* burst phase: more concurrent clients than workers + queue, all
-     running an uncacheable heavy query under a short deadline, so
-     workers stay busy and admission control must shed the overflow
-     with 503.  Deadline expiry inside a worker still answers 200
-     with partial rows — only true overload sheds. *)
-  let burst_clients = 48 in
-  let burst_each = 4 in
-  let heavy = "select a.val from items a, items b where a.val + b.val >= 0" in
-  let fire_heavy () =
-    try
-      let r =
-        Server.Http.request ~host:"127.0.0.1" ~port ~timeout:30.0 ~body:heavy
-          "/query?mode=original&deadline_ms=250"
-      in
-      Some r.Server.Http.status
-    with _ -> None
-  in
-  let burst =
-    List.init burst_clients (fun _ ->
-        Domain.spawn (fun () -> List.init burst_each (fun _ -> fire_heavy ())))
-    |> List.concat_map Domain.join
-  in
-  let burst_total = List.length burst in
-  let burst_shed = List.length (List.filter (fun s -> s = Some 503) burst) in
-  let shed_rate = float_of_int burst_shed /. float_of_int burst_total in
-  record "serve/shed_rate" (Telemetry.Timing.singleton (shed_rate /. 1000.0));
-  Printf.printf "burst phase: %d clients — shed %d/%d (%.0f%%)\n" burst_clients
-    burst_shed burst_total (100.0 *. shed_rate);
-  let counter name =
-    Option.value ~default:0 (Telemetry.Metrics.counter_value name)
-  in
-  Printf.printf
-    "  counters: requests=%d shed=%d (+%d this run) cache_hits=%d\n"
-    (counter "serve.requests") (counter "serve.shed")
-    (counter "serve.shed" - shed_before)
-    (counter "serve.cache_hits");
-  Server.Serve.shutdown t;
-  let drain = Domain.join runner in
-  Printf.printf "  drain: %s (%d cancelled in flight)\n"
-    (if drain.Server.Serve.drained then "clean" else "forced")
-    drain.Server.Serve.cancelled_inflight;
-  (* trace overhead A/B: the same steady workload against a second
-     daemon with every request traced (sample rate 1.0, slow-query
-     threshold armed, query log on).  The recorded sample is the
-     traced/untraced p50 ratio — dimensionless, so divided by 1000
-     like the other ratios; ~0.001 in BENCH json means parity. *)
-  let traced_config =
-    {
-      config with
-      trace_sample = 1.0;
-      slow_query_ms = Some 500.0;
-      trace_capacity = 64;
-    }
-  in
-  let t2 = Server.Serve.create ~config:traced_config ~dir () in
-  let port2 = Server.Serve.port t2 in
-  let runner2 = Domain.spawn (fun () -> Server.Serve.run t2) in
-  let fire2 sql =
-    try
-      let r =
-        Server.Http.request ~host:"127.0.0.1" ~port:port2 ~timeout:30.0
-          ~body:sql "/query"
-      in
-      Some r.Server.Http.status
-    with _ -> None
-  in
-  Array.iter (fun q -> ignore (fire2 q)) queries;
-  let traced_results =
-    List.init clients (fun c ->
-        Domain.spawn (fun () ->
-            List.init per_client (fun i ->
-                let sql = queries.((c + i) mod Array.length queries) in
-                let t0 = Unix.gettimeofday () in
-                let status = fire2 sql in
-                (status, Unix.gettimeofday () -. t0))))
-    |> List.concat_map Domain.join
-  in
-  let traced_ok =
-    List.filter (fun (s, _) -> s = Some 200) traced_results
-    |> List.map snd |> Array.of_list
-  in
-  Array.sort compare traced_ok;
-  let n_traced = Array.length traced_ok in
-  if n_traced = 0 then failwith "serve bench: no traced responses";
-  let traced_p50 =
-    traced_ok.(min (n_traced - 1) (int_of_float (0.5 *. float_of_int n_traced)))
-  in
-  let overhead = traced_p50 /. p50 in
-  record "serve/trace_overhead" (Telemetry.Timing.singleton (overhead /. 1000.0));
-  Printf.printf
-    "traced phase (sample 1.0): p50 %.2fms vs %.2fms untraced — x%.3f\n"
-    (ms traced_p50) (ms p50) overhead;
-  (* smoke the debug surface while the traced daemon is still up *)
-  let debug target =
-    try
-      (Server.Http.request ~host:"127.0.0.1" ~port:port2 target).Server.Http
-        .status
-    with _ -> 0
-  in
-  Printf.printf
-    "  debug surface: /debug/requests=%d /debug/traces=%d /debug/querylog=%d \
-     /debug/gc=%d /debug/exemplars=%d\n"
-    (debug "/debug/requests") (debug "/debug/traces")
-    (debug "/debug/querylog?n=5") (debug "/debug/gc")
-    (debug "/debug/exemplars");
-  Server.Serve.shutdown t2;
-  ignore (Domain.join runner2);
-  rm_rf dir;
-  note "p50/p99 measured through real sockets, cache warm; shed rate";
-  note "        from a burst of %d clients against %d workers + queue %d"
-    burst_clients config.concurrency config.queue_capacity;
-  note "trace_overhead = traced(sample 1.0) p50 / untraced p50, same load"
-
-(* ------------------------------------------------------------------ *)
-(* report: update — delta commits, crash recovery                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The mutable-store write path end to end: how fast a delta batch
-   commits versus rewriting the whole snapshot, and how long recovery
-   takes after a crash torn mid-commit.
-
-   Throughput (commits/s) is dimensionless, so — like the parallel
-   report's ratios — it is recorded divided by 1000 to survive the ms
-   conversion in BENCH_<n>.json. *)
-
-let report_update () =
-  section "Update path: delta commits, crash recovery";
-  let n_clusters = if !quick then 300 else 1000 in
-  let members = 3 in
-  let rows =
-    List.concat
-      (List.init n_clusters (fun c ->
-           let p = 1.0 /. Float.of_int members in
-           List.init members (fun m ->
-               [|
-                 Value.String (Printf.sprintf "c%d" c);
-                 Value.Int ((c * members) + m);
-                 Value.Float p;
-               |])))
-  in
-  let rel =
-    Relation.create
-      (Schema.make
-         [ ("id", Value.TString); ("val", Value.TInt); ("prob", Value.TFloat) ])
-      rows
-  in
-  let db =
-    Dirty_db.add_table Dirty_db.empty
-      (Dirty_db.make_table ~name:"items" ~id_attr:"id" ~prob_attr:"prob" rel)
-  in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "conquer-bench-update-%d" (Unix.getpid ()))
-  in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
-  rm_rf dir;
-  Unix.mkdir dir 0o755;
-  Dirty.Store.save dir db;
-  Printf.printf "store: %d clusters x %d members, generation %d\n" n_clusters
-    members
-    (Dirty.Store.generation dir);
-  let batch k =
-    [
-      Dirty.Delta.Reassign
-        {
-          table = "items";
-          cluster = Value.String (Printf.sprintf "c%d" (k mod n_clusters));
-          weights = [| 1.0; 2.0; 1.0 |];
-        };
-    ]
-  in
-  (* 1. commit throughput: journalled delta append vs full snapshot *)
-  let n_commits = if !quick then 20 else 60 in
-  let t_delta, () =
-    time_once ~name:"commit/delta-run" (fun () ->
-        for k = 1 to n_commits do
-          ignore (Dirty.Store.commit_delta dir (batch k))
-        done)
-  in
-  let delta_rate = float_of_int n_commits /. t_delta in
-  record "commit/delta-throughput"
-    (Telemetry.Timing.singleton (delta_rate /. 1000.0));
-  Printf.printf
-    "delta commits: %d in %.1fms (%.2fms each, %.0f commits/s), chain %d, \
-     journal %d bytes\n"
-    n_commits (ms t_delta)
-    (ms t_delta /. float_of_int n_commits)
-    delta_rate
-    (Dirty.Store.delta_chain_length dir)
-    (Dirty.Store.journal_bytes dir);
-  let current = Dirty.Store.load dir in
-  let t_snapshot =
-    time_runs ~name:"commit/snapshot" (fun () -> Dirty.Store.save dir current)
-  in
-  Printf.printf
-    "compacting snapshot: %.2fms (one full rewrite = %.1f delta commits)\n"
-    (ms t_snapshot)
-    (t_snapshot /. (t_delta /. float_of_int n_commits));
-  (* 2. recovery time after a crash torn mid-commit *)
-  Fault.Io.reset ~record:true ();
-  ignore (Dirty.Store.commit_delta dir (batch 23));
-  let n_ops = Fault.Io.ops () in
-  Fault.Io.reset ();
-  Fault.Io.arm [ (n_ops / 2, Fault.Io.Crash) ];
-  (match Dirty.Store.commit_delta dir (batch 29) with
-  | (_ : int) -> ()
-  | exception _ -> ());
-  Fault.Io.reset ();
-  let t_recover, swept =
-    time_once ~name:"recover/after-crash" (fun () ->
-        let swept = Dirty.Store.recover dir in
-        ignore (Dirty.Store.load dir);
-        swept)
-  in
-  Printf.printf
-    "recovery after a crash at op %d/%d of a commit: %.2fms (%d debris file(s) \
-     swept)\n"
-    (n_ops / 2) n_ops (ms t_recover) (List.length swept);
-  rm_rf dir;
-  note "delta commits journal one batch (CRC-checked, fsync'd) instead of";
-  note "        rewriting the snapshot; recovery replays the committed chain";
-  note "        and sweeps the torn tail"
-
-(* ------------------------------------------------------------------ *)
-(* bechamel statistical pass                                           *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let sf = if !quick then 0.05 else 0.1 in
-  let db = tpch_db ~sf ~inconsistency:3 in
-  let s = Conquer.Clean.create db in
-  let lineitem = Dirty_db.find_table db "lineitem" in
-  let section4 = section4_customer () in
-  let section4_clusters = Cluster.of_relation section4 ~id_attr:"cluster" in
-  let cora = Tpch.Cora.generate Tpch.Cora.default in
-  let example_db = figure2_db () in
-  let example_session = Conquer.Clean.create example_db in
-  let per_query =
-    List.concat_map
-      (fun (q : Tpch.Queries.query) ->
-        [
-          Test.make
-            ~name:(Printf.sprintf "fig8/q%02d-original" q.qid)
-            (Staged.stage (fun () -> Conquer.Clean.original s q.sql));
-          Test.make
-            ~name:(Printf.sprintf "fig8/q%02d-rewritten" q.qid)
-            (Staged.stage (fun () -> Conquer.Clean.answers s q.sql));
-        ])
-      Tpch.Queries.all
-  in
-  [
-    Test.make ~name:"example/clean-answers"
-      (Staged.stage (fun () ->
-           Conquer.Clean.answers example_session
-             "select o.id, c.id from orders o, customer c \
-              where o.cidfk = c.id and c.balance > 10000"));
-    Test.make ~name:"table1/matrix"
-      (Staged.stage (fun () ->
-           Prob.Matrix.of_relation ~attrs:section4_attrs section4));
-    Test.make ~name:"table2/representatives"
-      (Staged.stage (fun () ->
-           let m = Prob.Matrix.of_relation ~attrs:section4_attrs section4 in
-           Prob.Representative.all m section4_clusters));
-    Test.make ~name:"table3/assign"
-      (Staged.stage (fun () ->
-           Prob.Assign.run ~attrs:section4_attrs section4 section4_clusters));
-    Test.make ~name:"table4/cora-ranking"
-      (Staged.stage (fun () -> Tpch.Cora.ranking cora));
-    Test.make ~name:"fig7/propagation"
-      (Staged.stage (fun () -> Tpch.Datagen.propagate_all db));
-    Test.make ~name:"fig7/assign-lineitem"
-      (Staged.stage (fun () -> Prob.Assign.annotate_table lineitem));
-    Test.make ~name:"fig9/q3-rewritten-if3"
-      (Staged.stage (fun () ->
-           Conquer.Clean.answers s (Tpch.Queries.find 3).sql));
-    Test.make ~name:"fig10/q3-rewritten-base"
-      (Staged.stage (fun () ->
-           Conquer.Clean.answers s Tpch.Queries.q3_no_order_by.sql));
-  ]
-  @ per_query
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  section "Bechamel statistical pass (OLS estimate per run)";
-  let tests = bechamel_tests () in
-  let grouped = Test.make_grouped ~name:"conquer" tests in
-  let quota = if !quick then 0.1 else 0.25 in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second quota) ~kde:None
-      ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        match Analyze.OLS.estimates ols with
-        | Some [ estimate ] -> (name, estimate) :: acc
-        | _ -> acc)
-      results []
-  in
-  List.iter
-    (fun (name, estimate) ->
-      record name (Telemetry.Timing.singleton (estimate /. 1e9));
-      Printf.printf "%-44s %14.0f ns/run (%10.3f ms)\n" name estimate
-        (estimate /. 1e6))
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
-
-(* ------------------------------------------------------------------ *)
-(* BENCH_<n>.json                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The timed reports run with telemetry disabled, precisely so the
-   instrumentation cannot distort the numbers.  Run one fully
-   instrumented query afterwards so the metrics snapshot embedded in
-   the JSON is populated. *)
-let populate_metrics () =
-  Telemetry.Control.with_enabled (fun () ->
-      let s = Conquer.Clean.create (figure2_db ()) in
-      ignore
-        (Conquer.Clean.answers s
-           "select o.id, c.id from orders o, customer c \
-            where o.cidfk = c.id and c.balance > 10000"))
-
-let next_bench_path () =
-  let rec free n =
-    let path = Printf.sprintf "BENCH_%d.json" n in
-    if Sys.file_exists path then free (n + 1) else path
-  in
-  free 2
-
-let write_bench_json ~reports path =
-  let js = Telemetry.Export.json_string in
-  let jf = Telemetry.Export.json_float in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"schema\":\"conquer-bench/1\"";
-  Buffer.add_string buf (Printf.sprintf ",\"generated_at\":%s" (jf (Unix.time ())));
-  Buffer.add_string buf
-    (Printf.sprintf ",\"quick\":%b,\"reports\":[%s]" !quick
-       (String.concat "," (List.map js reports)));
-  Buffer.add_string buf ",\"samples\":[";
-  List.iteri
-    (fun i (report, name, (s : Telemetry.Timing.stats)) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"report\":%s,\"name\":%s,\"runs\":%d,\"min_ms\":%s,\"median_ms\":%s,\"max_ms\":%s}"
-           (js report) (js name) s.runs
-           (jf (ms s.min))
-           (jf (ms s.median))
-           (jf (ms s.max))))
-    (List.rev !samples);
-  Buffer.add_string buf "],\"metrics\":";
-  Buffer.add_string buf (Telemetry.Export.metrics_json ());
-  Buffer.add_string buf "}\n";
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Buffer.output_buffer oc buf);
-  Printf.printf "\nwrote %d sample(s) to %s\n" (List.length !samples) path
 
 (* ------------------------------------------------------------------ *)
 (* driver                                                              *)
@@ -1354,26 +681,15 @@ let reports =
     ("ext-matcher", report_ext_matcher);
     ("ext-distribution", report_ext_distribution);
     ("ext-sampler", report_ext_sampler);
-    ("parallel", report_parallel);
-    ("serve", report_serve);
-    ("update", report_update);
   ]
 
 let () =
   let args = Array.to_list Sys.argv in
   let selected = ref [] in
-  let bechamel = ref true in
-  let json_path = ref None in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest ->
       quick := true;
-      parse rest
-    | "--no-bechamel" :: rest ->
-      bechamel := false;
-      parse rest
-    | "--json" :: path :: rest ->
-      json_path := Some path;
       parse rest
     | "--list" :: _ ->
       List.iter (fun (name, _) -> print_endline name) reports;
@@ -1384,12 +700,9 @@ let () =
         exit 1
       end;
       selected := !selected @ [ name ];
-      bechamel := false;
       parse rest
     | ("--help" | "-h") :: _ ->
-      print_endline
-        "usage: main.exe [--quick] [--no-bechamel] [--report NAME]... \
-         [--json FILE] [--list]";
+      print_endline "usage: main.exe [--quick] [--report NAME]... [--list]";
       exit 0
     | arg :: _ ->
       Printf.eprintf "unknown argument %s\n" arg;
@@ -1403,15 +716,4 @@ let () =
     "ConQuer benchmark harness — reproducing the evaluation of\n\
      \"Clean Answers over Dirty Databases\" (ICDE 2006)%s\n"
     (if !quick then " [quick mode]" else "");
-  List.iter
-    (fun name ->
-      current_report := name;
-      (List.assoc name reports) ())
-    to_run;
-  if !bechamel then begin
-    current_report := "bechamel";
-    run_bechamel ()
-  end;
-  populate_metrics ();
-  let path = match !json_path with Some p -> p | None -> next_bench_path () in
-  write_bench_json ~reports:to_run path
+  List.iter (fun name -> (List.assoc name reports) ()) to_run

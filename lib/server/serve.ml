@@ -230,8 +230,9 @@ let error_body detail =
 
 (* ---- construction ---- *)
 
-(* with no worker or no queue slot the daemon would bind, admit and
-   never answer, so refuse before touching the store or a socket *)
+(* with no worker, no queue slot, no time or no rows to answer in, the
+   daemon would bind, admit and never answer (or answer only 408s and
+   empty partials), so refuse before touching the store or a socket *)
 let check_config (cfg : config) =
   if cfg.concurrency < 1 then
     invalid_arg
@@ -239,7 +240,18 @@ let check_config (cfg : config) =
   if cfg.queue_capacity < 1 then
     invalid_arg
       (Printf.sprintf "queue capacity must be at least 1, got %d"
-         cfg.queue_capacity)
+         cfg.queue_capacity);
+  if not (cfg.default_deadline > 0.0) then
+    invalid_arg
+      (Printf.sprintf "default deadline must be positive, got %gs"
+         cfg.default_deadline);
+  if not (cfg.max_deadline > 0.0) then
+    invalid_arg
+      (Printf.sprintf "max deadline must be positive, got %gs" cfg.max_deadline);
+  match cfg.default_budget_rows with
+  | Some n when n < 1 ->
+    invalid_arg (Printf.sprintf "row budget must be at least 1, got %d" n)
+  | _ -> ()
 
 let create ?(config = default_config) ~dir () =
   check_config config;

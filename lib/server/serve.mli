@@ -126,7 +126,10 @@ val create : ?config:config -> dir:string -> unit -> t
     and [/metrics] endpoint are part of its contract).
     @raise Invalid_argument when [concurrency] or [queue_capacity] is
     below 1 (no worker would ever answer, or every request would be
-    shed); nothing is read or bound then.
+    shed), when [default_deadline] or [max_deadline] is not positive
+    (every request would expire before it ran), or when
+    [default_budget_rows] is below 1 (every answer would be empty);
+    nothing is read or bound then.
     @raise Dirty.Store.Corrupt when no intact snapshot exists (the
     CLI maps this to exit code 4). *)
 

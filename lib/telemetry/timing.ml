@@ -1,7 +1,7 @@
-(* The one timing helper shared by the bench harness and the CLI's
-   [profile] subcommand: wall-clock over repeated runs, summarized as
-   min/median/max (a single median hides the spread that distinguishes
-   a stable measurement from a noisy one). *)
+(* The one timing helper shared by the paper-reproduction harness and
+   the CLI's [profile] subcommand: wall-clock over repeated runs,
+   summarized as min/median/max (a single median hides the spread that
+   distinguishes a stable measurement from a noisy one). *)
 
 type stats = { runs : int; min : float; median : float; max : float }
 
@@ -29,8 +29,6 @@ let time_runs ?(warmup = 1) ?(runs = 3) f =
     ignore (f ())
   done;
   of_samples (List.init (max 1 runs) (fun _ -> fst (time_once f)))
-
-let singleton t = { runs = 1; min = t; median = t; max = t }
 
 let ms t = t *. 1000.0
 

@@ -11,6 +11,14 @@ set -eu
 cli=$1
 store=$2
 out=$3
+
+# --jobs is clamped to the host's domain count, so on one core both
+# runs would be serial and the comparison would prove nothing
+cores=$(nproc)
+if [ "$cores" -lt 2 ]; then
+  echo "fig8_jobs_identical: needs at least 2 cores, this host has $cores" >&2
+  exit 1
+fi
 mkdir -p "$out"
 
 # one query per line, from lib/tpch/queries.ml's `sql` fields (OCaml

@@ -1693,6 +1693,18 @@ let () =
                { base_config with concurrency = 0 });
           Alcotest.test_case "create rejects queue 0" `Quick
             (rejects_config "queue 0" { base_config with queue_capacity = 0 });
+          Alcotest.test_case "create rejects deadline 0" `Quick
+            (rejects_config "deadline 0"
+               { base_config with default_deadline = 0.0 });
+          Alcotest.test_case "create rejects negative deadline" `Quick
+            (rejects_config "deadline -1s"
+               { base_config with default_deadline = -1.0 });
+          Alcotest.test_case "create rejects max deadline 0" `Quick
+            (rejects_config "max deadline 0"
+               { base_config with max_deadline = 0.0 });
+          Alcotest.test_case "create rejects row budget 0" `Quick
+            (rejects_config "budget rows 0"
+               { base_config with default_budget_rows = Some 0 });
         ] );
       ( "tracing",
         [
