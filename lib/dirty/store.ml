@@ -152,14 +152,6 @@ let is_tmp_file fname =
   && String.sub fname 0 7 = ".store-"
   && Filename.check_suffix fname ".tmp"
 
-(* join-spill run files ([Engine.Exec]'s Grace hash join spills
-   [.spill-*.tmp] partition files into the store directory); a crashed
-   query leaves them behind and [recover] owns the sweep *)
-let is_spill_file fname =
-  String.length fname > 11
-  && String.sub fname 0 7 = ".spill-"
-  && Filename.check_suffix fname ".tmp"
-
 (* generations whose journal file exists, newest first *)
 let available_generations dir =
   Sys.readdir dir |> Array.to_list
@@ -579,7 +571,6 @@ let recover dir =
     Array.iter
       (fun f ->
         if is_tmp_file f then remove f "orphaned temp file"
-        else if is_spill_file f then remove f "orphaned join spill"
         else
           match gen_of_file f with
           | Some (_, k) when k > cur ->

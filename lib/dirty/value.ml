@@ -127,6 +127,14 @@ let civil_of_days z =
   let year = if month <= 2 then y + 1 else y in
   (year, month, day)
 
+let is_leap_year y = (y mod 4 = 0 && y mod 100 <> 0) || y mod 400 = 0
+
+let days_in_month ~year ~month =
+  match month with
+  | 2 -> if is_leap_year year then 29 else 28
+  | 4 | 6 | 9 | 11 -> 30
+  | _ -> 31
+
 let date_of_string s =
   let fail () = invalid_arg (Printf.sprintf "Value.date_of_string: %S" s) in
   match String.split_on_char '-' s with
@@ -135,7 +143,9 @@ let date_of_string s =
        let year = int_of_string y
        and month = int_of_string m
        and day = int_of_string d in
-       if month < 1 || month > 12 || day < 1 || day > 31 then fail ()
+       (* an impossible day would otherwise roll into the next month *)
+       if month < 1 || month > 12 || day < 1 || day > days_in_month ~year ~month
+       then fail ()
        else Date (days_of_civil ~year ~month ~day)
      with Failure _ -> fail ())
   | _ -> fail ()

@@ -51,7 +51,7 @@ val to_int : t -> int option
 
 val date_of_string : string -> t
 (** Parse ["YYYY-MM-DD"] into [Date]. @raise Invalid_argument on bad
-    syntax. *)
+    syntax or a day the month does not have (Gregorian leap rule). *)
 
 val string_of_date : int -> string
 

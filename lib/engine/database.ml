@@ -110,21 +110,7 @@ let exec_catalog t : Exec.catalog =
 
 let plan ?config t q = Planner.plan ?config (planner_env t) q
 
-let spill_of_config (config : Planner.config option) =
-  match config with
-  | Some { spill_rows = Some rows; spill_dir; _ } ->
-    Some
-      {
-        Exec.spill_rows = rows;
-        spill_dir =
-          (match spill_dir with
-          | Some dir -> dir
-          | None -> Filename.get_temp_dir_name ());
-      }
-  | _ -> None
-
-let run_plan ?budget ?jobs ?chunked:_ ?spill t p =
-  Exec.run ?budget ?jobs ?spill (exec_catalog t) p
+let run_plan ?budget ?jobs ?chunked:_ t p = Exec.run ?budget ?jobs (exec_catalog t) p
 
 (* the parallelism the caller asked for: an explicit config pins it
    (so jobs=1 vs jobs=4 comparisons are environment-independent);
@@ -187,8 +173,7 @@ let query_ast ?config t q =
   timed_query (fun () ->
       let budget = budget_of_config Budget.Raise config in
       guarded budget (fun () ->
-          run_plan ?budget ~jobs:(effective_jobs config)
-            ?spill:(spill_of_config config) t (plan ?config t q)))
+          run_plan ?budget ~jobs:(effective_jobs config) t (plan ?config t q)))
 
 type stop = { truncated : bool; cancelled : bool }
 
@@ -199,8 +184,7 @@ let query_ast_within ?config ?cancel t q =
       let budget = budget_of_config ?cancel Budget.Truncate config in
       let rel =
         guarded budget (fun () ->
-            run_plan ?budget ~jobs:(effective_jobs config)
-              ?spill:(spill_of_config config) t (plan ?config t q))
+            run_plan ?budget ~jobs:(effective_jobs config) t (plan ?config t q))
       in
       let stop =
         match budget with
@@ -217,14 +201,3 @@ let query ?config t text = query_ast ?config t (Sql.Parser.parse_query text)
 
 let explain ?config t text =
   Plan.to_string (plan ?config t (Sql.Parser.parse_query text))
-
-let query_profiled ?config t text =
-  let p = plan ?config t (Sql.Parser.parse_query text) in
-  let budget = budget_of_config Budget.Raise config in
-  guarded budget (fun () ->
-      Exec.run_profiled ?budget ~jobs:(effective_jobs config)
-        ?spill:(spill_of_config config) (exec_catalog t) p)
-
-let explain_analyze ?config t text =
-  let _, profile = query_profiled ?config t text in
-  Format.asprintf "%a" Exec.pp_profile profile

@@ -48,12 +48,10 @@ val reuse : ?prev:t -> t -> reuse
 
 val plan : ?config:Planner.config -> t -> Sql.Ast.query -> Plan.t
 val run_plan :
-  ?budget:Budget.t -> ?jobs:int -> ?chunked:bool -> ?spill:Exec.spill ->
-  t -> Plan.t -> Dirty.Relation.t
-(** Execute a plan directly.  [spill] enables the Grace hash-join
-    spill — see {!Exec.run}.  [chunked] is ignored: the row
-    interpreter is the only executor.  It is kept only because the
-    benchmark still passes it; ROADMAP item 5 removes it. *)
+  ?budget:Budget.t -> ?jobs:int -> ?chunked:bool -> t -> Plan.t -> Dirty.Relation.t
+(** Execute a plan directly — see {!Exec.run}.  [chunked] is ignored:
+    the row interpreter is the only executor.  It is kept only because
+    the benchmark still passes it; ROADMAP item 3 removes it. *)
 
 val query_ast : ?config:Planner.config -> t -> Sql.Ast.query -> Dirty.Relation.t
 val query : ?config:Planner.config -> t -> string -> Dirty.Relation.t
@@ -94,11 +92,3 @@ val query_ast_within :
 
 val explain : ?config:Planner.config -> t -> string -> string
 (** The plan the query would run, rendered EXPLAIN-style. *)
-
-val query_profiled :
-  ?config:Planner.config -> t -> string -> Dirty.Relation.t * Exec.profile
-(** Execute and return per-operator row counts and timings. *)
-
-val explain_analyze : ?config:Planner.config -> t -> string -> string
-(** Run the query and render the profiled plan (rows and elapsed time
-    per operator, EXPLAIN ANALYZE-style). *)

@@ -826,180 +826,6 @@ let run_hash_join ?budget ~jobs ~keep left right ~left_keys ~right_keys =
     Relation.create out_schema (List.concat (Array.to_list parts))
   end
 
-(* ---- spill-to-disk (Grace) hash join ----
-
-   When a spill configuration is in force and the build side reaches
-   the row threshold, both inputs are hash-partitioned by join key
-   into on-disk run files and the join proceeds partition-at-a-time,
-   bounding the in-memory hash table to roughly [spill_rows] build
-   rows.  All file traffic goes through {!Fault.Io}, so chaos tests
-   can fail or crash any syscall of a spill; a crashed spill leaves
-   [.spill-*.tmp] debris for [Dirty.Store.recover] to sweep.
-
-   Row codec: each row is one [Marshal] frame appended to its
-   partition file; frames are buffered and flushed in large batches to
-   keep the syscall count low.  Output is partition-major (partition
-   ids ascending, probe rows in input order within each) — a
-   bag-identical but differently ordered result from the in-memory
-   join, which is the spill path's one documented divergence. *)
-
-type spill = { spill_rows : int; spill_dir : string }
-
-let m_spills =
-  Telemetry.Metrics.counter "engine.exec.join_spills"
-    ~help:"hash joins that spilled to disk"
-
-let m_spill_bytes =
-  Telemetry.Metrics.counter "engine.exec.join_spill_bytes"
-    ~help:"bytes written to join spill partition files"
-
-let spill_seq = Atomic.make 0
-let spill_flush_bytes = 1 lsl 18
-
-(* a lazily created partition run file: empty partitions never touch
-   the disk, and small ones cost one write *)
-type spill_file = {
-  sf_path : string;
-  mutable sf_writer : Fault.Io.writer option;
-  sf_buf : Buffer.t;
-}
-
-let spill_file path =
-  { sf_path = path; sf_writer = None; sf_buf = Buffer.create 4096 }
-
-let spill_flush sf =
-  if Buffer.length sf.sf_buf > 0 then begin
-    let s = Buffer.contents sf.sf_buf in
-    Buffer.clear sf.sf_buf;
-    let w =
-      match sf.sf_writer with
-      | Some w -> w
-      | None ->
-        let w = Fault.Io.open_out sf.sf_path in
-        sf.sf_writer <- Some w;
-        w
-    in
-    Fault.Io.write w s;
-    Telemetry.Metrics.inc ~n:(String.length s) m_spill_bytes
-  end
-
-let spill_add sf (row : Relation.row) =
-  Buffer.add_string sf.sf_buf (Marshal.to_string row []);
-  if Buffer.length sf.sf_buf >= spill_flush_bytes then spill_flush sf
-
-let spill_close sf =
-  spill_flush sf;
-  match sf.sf_writer with None -> () | Some w -> Fault.Io.close w
-
-let spill_read_rows path =
-  (* a partition whose file was never created holds no rows *)
-  if not (Sys.file_exists path) then []
-  else begin
-    let s = Fault.Io.read_file path in
-    let bytes = Bytes.unsafe_of_string s in
-    let len = String.length s in
-    let torn () =
-      raise
-        (Fault.Io.Io_error
-           { op = Read; path; msg = "torn spill frame"; transient = false })
-    in
-    let rec go ofs acc =
-      if ofs >= len then List.rev acc
-      else if len - ofs < Marshal.header_size then torn ()
-      else begin
-        let sz = Marshal.total_size bytes ofs in
-        if ofs + sz > len then torn ()
-        else begin
-          let (row : Relation.row) = Marshal.from_string s ofs in
-          go (ofs + sz) (row :: acc)
-        end
-      end
-    in
-    go 0 []
-  end
-
-let run_spill_hash_join ?budget ~spill ~keep left right ~left_keys ~right_keys =
-  let ls = Relation.schema left and rs = Relation.schema right in
-  let lf = List.map (compile ls) left_keys
-  and rf = List.map (compile rs) right_keys in
-  let out_schema, emit = join_output keep ls rs in
-  let probe_key fns row =
-    let key = Array.of_list (List.map (fun f -> f row) fns) in
-    if Array.exists Value.is_null key then None else Some key
-  in
-  let nr = Relation.cardinality right in
-  let nparts =
-    min 64 (max 2 ((nr + spill.spill_rows - 1) / max 1 spill.spill_rows))
-  in
-  Telemetry.Metrics.inc m_spills;
-  let seq = Atomic.fetch_and_add spill_seq 1 in
-  let path tag p =
-    Filename.concat spill.spill_dir
-      (Printf.sprintf ".spill-%d-%d-%s%d.tmp" (Unix.getpid ()) seq tag p)
-  in
-  let bfiles = Array.init nparts (fun p -> spill_file (path "b" p)) in
-  let pfiles = Array.init nparts (fun p -> spill_file (path "p" p)) in
-  let all_files = Array.to_list bfiles @ Array.to_list pfiles in
-  let cleanup () =
-    List.iter
-      (fun sf ->
-        (match sf.sf_writer with None -> () | Some w -> Fault.Io.abort w);
-        if Sys.file_exists sf.sf_path then
-          (* best effort: after a simulated crash [remove] is
-             suppressed (a dead process cannot repair the disk) and
-             the debris is [recover]'s to sweep *)
-          try Fault.Io.remove sf.sf_path with _ -> ())
-      all_files
-  in
-  Fun.protect ~finally:cleanup (fun () ->
-      Telemetry.Span.with_ ~name:"exec.spill_join" (fun () ->
-          (* partition both sides to disk in input order *)
-          Relation.iter
-            (fun row ->
-              match probe_key rf row with
-              | Some key -> spill_add bfiles.(key_pid ~nparts key) row
-              | None -> ())
-            right;
-          Array.iter spill_close bfiles;
-          Relation.iter
-            (fun row ->
-              match probe_key lf row with
-              | Some key -> spill_add pfiles.(key_pid ~nparts key) row
-              | None -> ())
-            left;
-          Array.iter spill_close pfiles;
-          (* join one partition at a time; output is partition-major *)
-          let out = ref [] in
-          (try
-             for p = 0 to nparts - 1 do
-               match spill_read_rows bfiles.(p).sf_path with
-               | [] -> ()
-               | brows ->
-                 let table = Ktbl.create (max 16 (List.length brows)) in
-                 List.iter
-                   (fun row ->
-                     match probe_key rf row with
-                     | Some key -> bucket_add table key row
-                     | None -> ())
-                   brows;
-                 List.iter
-                   (fun lrow ->
-                     match probe_key lf lrow with
-                     | None -> ()
-                     | Some key -> (
-                       match Ktbl.find_opt table key with
-                       | None -> ()
-                       | Some b ->
-                         List.iter
-                           (fun rrow ->
-                             tick budget;
-                             out := emit lrow rrow :: !out)
-                           (bucket_rows b)))
-                   (spill_read_rows pfiles.(p).sf_path)
-             done
-           with Budget_stop -> ());
-          emit_result budget out_schema out))
-
 (* Find an equality conjunct of [on] whose sides resolve strictly on
    the two inputs, to drive a hash path for the outer join; the rest
    of [on] is verified per candidate pair. *)
@@ -1096,30 +922,23 @@ let run_left_outer_join ?budget lrel rrel ~on =
 
 (* ---- main interpreter ----
 
-   The interpreter threads a [hook] around every node's evaluation so
-   that {!run_profiled} can record per-operator statistics without a
-   second copy of the evaluation logic.  Budgets, spill, telemetry
-   and profiling only observe or bound node boundaries: every
-   configuration runs the same operators. *)
+   With telemetry on, every node runs under an [exec.<operator>] span
+   carrying its output row and column counts; that span tree is the
+   one per-operator view, read by [conquer profile], [/debug] and the
+   benchmark alike.  Budgets and telemetry only observe or bound node
+   boundaries: every configuration runs the same operators. *)
 
-type ctx = {
-  budget : Budget.t option;
-  jobs : int;
-  hook : Plan.t -> (unit -> Relation.t) -> Relation.t;
-  catalog : catalog;
-  spill : spill option;
-}
+type ctx = { budget : Budget.t option; jobs : int; catalog : catalog }
 
-let rec run_hooked ctx (plan : Plan.t) : Relation.t =
+let rec run_node ctx (plan : Plan.t) : Relation.t =
   (* bail out of deep plans promptly when the clock has run out *)
   (match ctx.budget with None -> () | Some b -> Budget.check_time b);
-  let eval_node () = ctx.hook plan (fun () -> eval ctx (resolve_node ctx plan)) in
   let rel =
-    if not (Telemetry.Control.enabled ()) then eval_node ()
+    if not (Telemetry.Control.enabled ()) then eval ctx (resolve_node ctx plan)
     else
       Telemetry.Span.with_ ~name:("exec." ^ operator_label plan) (fun () ->
           let t0 = Unix.gettimeofday () in
-          let rel = eval_node () in
+          let rel = eval ctx (resolve_node ctx plan) in
           Telemetry.Metrics.observe h_operator_seconds (Unix.gettimeofday () -. t0);
           let n = Relation.cardinality rel in
           Telemetry.Metrics.inc m_operators;
@@ -1139,7 +958,7 @@ let rec run_hooked ctx (plan : Plan.t) : Relation.t =
     else Relation.of_array (Relation.schema rel) (Array.sub (Relation.rows rel) 0 allowed)
 
 and run_child ctx plan =
-  let rel = run_hooked ctx plan in
+  let rel = run_node ctx plan in
   (* Once a Truncate-mode budget has stopped, every node boundary
      above the stop admits 0 rows anyway — so hand parents an empty
      input instead of letting them process (then discard) a large
@@ -1175,7 +994,7 @@ and eval_subquery ctx (q : Sql.Ast.query) : Relation.t =
     try Planner.plan env q
     with Planner.Plan_error msg -> exec_errorf "in subquery: %s" msg
   in
-  run_hooked { ctx with hook = (fun _ f -> f ()) } plan
+  run_node ctx plan
 
 and scalar_of_subquery ctx q =
   let rel = eval_subquery ctx q in
@@ -1269,20 +1088,9 @@ and eval ctx (plan : Plan.t) : Relation.t =
         rel
     in
     Relation.create (infer_schema (List.map snd items) rows) rows
-  | Hash_join { left; right; left_keys; right_keys; keep } -> (
-    match ctx.spill with
-    | Some sp ->
-      (* spill-eligible executions materialize both sides first (the
-         threshold needs the build cardinality); below the threshold
-         the ordinary join runs over them *)
-      let lrel = run_child ctx left and rrel = run_child ctx right in
-      if Relation.cardinality rrel >= sp.spill_rows then
-        run_spill_hash_join ?budget ~spill:sp ~keep lrel rrel ~left_keys
-          ~right_keys
-      else run_hash_join ?budget ~jobs ~keep lrel rrel ~left_keys ~right_keys
-    | None ->
-      run_hash_join ?budget ~jobs ~keep (run_child ctx left)
-        (run_child ctx right) ~left_keys ~right_keys)
+  | Hash_join { left; right; left_keys; right_keys; keep } ->
+    run_hash_join ?budget ~jobs ~keep (run_child ctx left)
+      (run_child ctx right) ~left_keys ~right_keys
   | Left_outer_join { left; right; on } ->
     run_left_outer_join ?budget (run_child ctx left) (run_child ctx right) ~on
   | Index_join { left; table; alias; left_keys; right_attrs; keep } -> (
@@ -1394,59 +1202,8 @@ let run_to_stop budget f =
       f ()
     | _ -> raise e)
 
-let run ?budget ?(jobs = 1) ?spill catalog plan =
-  let ctx = { budget; jobs; hook = (fun _ f -> f ()); catalog; spill } in
+let run ?budget ?(jobs = 1) catalog plan =
+  let ctx = { budget; jobs; catalog } in
   (* evaluation-time type errors surface as engine errors *)
-  try run_to_stop budget (fun () -> run_hooked ctx plan)
+  try run_to_stop budget (fun () -> run_node ctx plan)
   with Expr.Type_error msg -> raise (Exec_error msg)
-
-type profile = {
-  operator : string;
-  out_rows : int;
-  elapsed : float;
-  children : profile list;
-}
-
-let run_profiled ?budget ?(jobs = 1) ?spill catalog plan =
-  (* a stack of children accumulators: the hook pushes a frame before
-     evaluating a node and folds the completed profile into the
-     parent's frame afterwards *)
-  let stack = ref [ [] ] in
-  let hook node f =
-    stack := [] :: !stack;
-    let t0 = Unix.gettimeofday () in
-    let rel = f () in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    (match !stack with
-    | children :: parent :: rest ->
-      let p =
-        {
-          operator = operator_label node;
-          out_rows = Relation.cardinality rel;
-          elapsed;
-          children = List.rev children;
-        }
-      in
-      stack := (p :: parent) :: rest
-    | _ -> assert false);
-    rel
-  in
-  let ctx = { budget; jobs; hook; catalog; spill } in
-  let rel =
-    try
-      run_to_stop budget (fun () ->
-          stack := [ [] ];
-          run_hooked ctx plan)
-    with Expr.Type_error msg -> raise (Exec_error msg)
-  in
-  match !stack with
-  | [ [ root ] ] -> (rel, root)
-  | _ -> raise (Exec_error "run_profiled: unbalanced profile stack")
-
-let rec pp_profile_indent fmt indent p =
-  Format.fprintf fmt "%s%s  rows=%d  time=%.3fms@\n"
-    (String.make indent ' ')
-    p.operator p.out_rows (p.elapsed *. 1000.0);
-  List.iter (pp_profile_indent fmt (indent + 2)) p.children
-
-let pp_profile fmt p = pp_profile_indent fmt 0 p

@@ -14,20 +14,9 @@ type catalog = {
 
 exception Exec_error of string
 
-type spill = { spill_rows : int; spill_dir : string }
-(** Grace-spill configuration for hash joins: when the build side of a
-    join holds at least [spill_rows] rows, both sides are hash-
-    partitioned into [.spill-*.tmp] run files under [spill_dir]
-    (through {!Fault.Io}, so chaos tests can fail or crash any
-    syscall) and joined partition-at-a-time, bounding the in-memory
-    hash table.  Spilled join output is partition-major — bag-
-    identical to the in-memory join, but row order differs.  A
-    crashed spill leaves debris that [Dirty.Store.recover] sweeps. *)
-
 val run :
   ?budget:Budget.t ->
   ?jobs:int ->
-  ?spill:spill ->
   catalog ->
   Plan.t ->
   Dirty.Relation.t
@@ -39,36 +28,13 @@ val run :
     merge, no float reassociation) before restoring first-occurrence
     group order.  Per-row budget-charged operators fall back to serial
     whenever [budget] is given, so [Truncate] prefixes stay
-    well-defined.  Budgets, spill, telemetry and {!run_profiled} only
-    bound or observe node boundaries; every configuration runs the
-    same operators.
-
-    [spill] (default off) enables the Grace hash-join spill; joins
-    below the threshold are unaffected.
+    well-defined.  Budgets and telemetry only bound or observe node
+    boundaries; every configuration runs the same operators.  With
+    telemetry on, each node runs under an [exec.<operator>] span whose
+    [rows_out] and [cols_out] attributes give its output shape — the
+    per-operator view that [conquer profile] prints.
     @raise Exec_error on semantic errors (unknown table, unbound or
     ambiguous column, type errors).
     @raise Budget.Exceeded when a [Raise]-mode budget runs out; with a
     [Truncate]-mode budget the result is the partial output produced
-    within the budget (consult {!Budget.truncated}).
-    @raise Fault.Io.Io_error when a spill file operation fails (a torn
-    spill frame surfaces as a non-transient read error). *)
-
-(** Per-operator execution statistics (EXPLAIN ANALYZE). *)
-type profile = {
-  operator : string;  (** short operator label, e.g. ["HashJoin"] *)
-  out_rows : int;  (** rows the operator produced *)
-  elapsed : float;  (** seconds, inclusive of children *)
-  children : profile list;
-}
-
-val run_profiled :
-  ?budget:Budget.t ->
-  ?jobs:int ->
-  ?spill:spill ->
-  catalog ->
-  Plan.t ->
-  Dirty.Relation.t * profile
-(** Like {!run} but also returns the per-node statistics tree;
-    profiled results are bit-identical to {!run}'s. *)
-
-val pp_profile : Format.formatter -> profile -> unit
+    within the budget (consult {!Budget.truncated}). *)

@@ -7,8 +7,6 @@ type config = {
   max_elapsed : float option;
   jobs : int;
   chunked : bool;
-  spill_rows : int option;
-  spill_dir : string option;
 }
 
 let default_config =
@@ -19,8 +17,6 @@ let default_config =
     max_elapsed = None;
     jobs = 1;
     chunked = true;
-    spill_rows = None;
-    spill_dir = None;
   }
 
 type env = {

@@ -32,20 +32,8 @@ type config = {
           for any value — see {!Exec.run}. *)
   chunked : bool;
       (** ignored: the row interpreter is the only executor.  Kept
-          only because the benchmark still reads it; ROADMAP item 5
+          only because the benchmark still reads it; ROADMAP item 3
           removes it. *)
-  spill_rows : int option;
-      (** Grace-spill threshold for hash joins: when the build side of
-          a join has at least this many rows, both sides are hash-
-          partitioned to disk (through {!Fault.Io}, so chaos tests can
-          crash the spill) and joined partition-at-a-time.  [None]
-          (the default) keeps joins fully in memory.  Spilled join
-          output is partition-major — bag-identical to the in-memory
-          join, but row order differs; passed through to {!Exec.run},
-          the planner itself does not read it. *)
-  spill_dir : string option;
-      (** directory for spill partition files ([.spill-*.tmp]);
-          [None] falls back to the system temporary directory. *)
 }
 
 val default_config : config

@@ -265,163 +265,6 @@ let test_crash_every_op_compaction () =
             "compaction fault at op %d: recover broke the loadable state" k)
   done
 
-(* ---- join-spill chaos (ROADMAP item 5 satellite) ----
-
-   The Grace hash-join spill writes [.spill-*.tmp] partition files
-   through [Fault.Io], so every fault the store crash matrix uses
-   applies to it too.  The invariants: a faulted spill fails the query
-   cleanly (an exception the callers map to exit 4 / HTTP 500 — never
-   a wrong answer), the store directory the spill shares stays exactly
-   as committed, and [Store.recover] sweeps crash debris idempotently.
-   Non-crash faults (Enospc, torn writes) must leave no debris at all:
-   the spill's own cleanup still runs. *)
-
-let spill_engine () =
-  let engine = Engine.Database.create () in
-  let schema = Schema.make [ ("k", Value.TInt); ("v", Value.TInt) ] in
-  let rel n off =
-    Relation.create schema
-      (List.init n (fun i -> [| v_i (i mod 11); v_i (i + off) |]))
-  in
-  Engine.Database.add_relation engine ~name:"a" (rel 40 0);
-  Engine.Database.add_relation engine ~name:"b" (rel 40 100);
-  engine
-
-let spill_query =
-  Sql.Parser.parse_query "select a.v, b.v from a, b where a.k = b.k"
-
-(* spill after 5 build rows, partitions living inside the store dir *)
-let spill_config dir =
-  {
-    Engine.Planner.default_config with
-    spill_rows = Some 5;
-    spill_dir = Some dir;
-  }
-
-let rendered_rows rel =
-  Relation.rows rel |> Array.to_list
-  |> List.map (fun row -> Array.to_list (Array.map Value.to_string row))
-  |> List.sort compare
-
-let no_spill_debris dir =
-  Array.for_all
-    (fun f -> not (String.length f >= 7 && String.sub f 0 7 = ".spill-"))
-    (Sys.readdir dir)
-
-let count_spill_ops () =
-  Testutil.with_temp_dir (fun dir ->
-      let engine = spill_engine () in
-      Fault.Io.reset ~record:true ();
-      ignore (Engine.Database.query_ast ~config:(spill_config dir) engine
-                spill_query);
-      let n = Fault.Io.ops () in
-      Fault.Io.reset ();
-      n)
-
-let test_spill_join_agrees () =
-  Testutil.with_temp_dir (fun dir ->
-      Store.save dir fixed_old;
-      let engine = spill_engine () in
-      let plain = Engine.Database.query_ast engine spill_query in
-      let spilled =
-        Engine.Database.query_ast ~config:(spill_config dir) engine
-          spill_query
-      in
-      Alcotest.(check (list (list string)))
-        "spilled join = in-memory join (bag)"
-        (rendered_rows plain) (rendered_rows spilled);
-      Alcotest.(check bool) "clean spill leaves no debris" true
-        (no_spill_debris dir))
-
-(* crash at every syscall of a spilled join sharing the store dir *)
-let test_spill_crash_every_op () =
-  let n = count_spill_ops () in
-  Alcotest.(check bool) "spill has a meaningful trace" true (n > 5);
-  let aborted = ref 0 in
-  for k = 0 to n - 1 do
-    Testutil.with_temp_dir (fun dir ->
-        Fault.Io.reset ();
-        Store.save dir fixed_old;
-        let engine = spill_engine () in
-        let plain = Engine.Database.query_ast engine spill_query in
-        Fault.Io.arm [ (k, Fault.Io.Crash) ];
-        (match
-           Engine.Database.query_ast ~config:(spill_config dir) engine
-             spill_query
-         with
-        | rel ->
-          (* late crash points land inside the best-effort cleanup,
-             after the answer is complete — it must still be right *)
-          if rendered_rows rel <> rendered_rows plain then
-            Alcotest.failf "crash at op %d: wrong answer" k
-        | exception _ -> incr aborted);
-        Fault.Io.reset ();
-        (* the store is untouched by the dead spill *)
-        let loaded = Store.load dir in
-        if not (db_equal loaded fixed_old) then
-          Alcotest.failf "spill crash at op %d: store changed" k;
-        if not (cluster_sums_ok loaded) then
-          Alcotest.failf "spill crash at op %d: cluster sums broken" k;
-        (* recover sweeps the debris, idempotently *)
-        ignore (Store.recover dir);
-        if not (no_spill_debris dir) then
-          Alcotest.failf "spill crash at op %d: recover left debris" k;
-        if Store.recover dir <> [] then
-          Alcotest.failf "spill crash at op %d: recover not idempotent" k;
-        if not (db_equal (Store.load dir) fixed_old) then
-          Alcotest.failf "spill crash at op %d: recover changed the store" k;
-        (* and the healed directory runs the same query to completion *)
-        let after =
-          Engine.Database.query_ast ~config:(spill_config dir) engine
-            spill_query
-        in
-        if rendered_rows after <> rendered_rows plain then
-          Alcotest.failf "spill crash at op %d: rerun diverged" k)
-  done;
-  Alcotest.(check bool) "crashes mid-spill abort the query" true (!aborted > 0)
-
-(* non-crash faults: the process lives on, so the spill's own cleanup
-   must remove every partition file and the query must fail with the
-   I/O error, not a wrong answer *)
-let test_spill_enospc_and_torn_writes () =
-  let check_fault name arm =
-    Testutil.with_temp_dir (fun dir ->
-        Fault.Io.reset ();
-        Store.save dir fixed_old;
-        let engine = spill_engine () in
-        arm ();
-        (match
-           Engine.Database.query_ast ~config:(spill_config dir) engine
-             spill_query
-         with
-        | _ -> Alcotest.failf "%s: spilled query succeeded" name
-        | exception Fault.Io.Io_error _ -> ()
-        | exception e ->
-          Alcotest.failf "%s: unexpected exception %s" name
-            (Printexc.to_string e));
-        Fault.Io.reset ();
-        Alcotest.(check bool) (name ^ ": no debris") true
-          (no_spill_debris dir);
-        if not (db_equal (Store.load dir) fixed_old) then
-          Alcotest.failf "%s: store changed" name;
-        if Store.recover dir <> [] then
-          Alcotest.failf "%s: recover found debris it should not" name)
-  in
-  (* the disk filling up under several different partition writes *)
-  List.iter
-    (fun nth ->
-      check_fault
-        (Printf.sprintf "enospc at write %d" nth)
-        (fun () -> Fault.Io.arm_nth_write nth Fault.Io.Enospc))
-    [ 0; 3; 7 ];
-  (* a torn partition write surfaces as a torn-frame read error *)
-  List.iter
-    (fun nth ->
-      check_fault
-        (Printf.sprintf "torn write %d" nth)
-        (fun () -> Fault.Io.arm_nth_write nth (Fault.Io.Torn_write 3)))
-    [ 0; 2; 5 ]
-
 (* random databases, random grid batches, random crash points *)
 let delta_chaos_case_gen =
   let* db = db_gen in
@@ -783,15 +626,6 @@ let () =
           qcheck prop_crash_delta_commit_atomic;
           Alcotest.test_case "randomized fault schedules over delta commits"
             `Quick test_randomized_schedule_delta;
-        ] );
-      ( "join-spill",
-        [
-          Alcotest.test_case "spilled join agrees, no debris" `Quick
-            test_spill_join_agrees;
-          Alcotest.test_case "crash at every op of a spilled join" `Quick
-            test_spill_crash_every_op;
-          Alcotest.test_case "enospc and torn partition writes" `Quick
-            test_spill_enospc_and_torn_writes;
         ] );
       ( "retry",
         [

@@ -62,6 +62,11 @@ let test_value_parse () =
   Alcotest.(check bool) "NULL is null" true (Value.is_null (Value.parse "NULL"));
   Alcotest.(check bool) "bool" true (Value.equal (Value.parse "true") (Value.Bool true))
 
+let accepts s =
+  match Value.date_of_string s with
+  | _ -> true
+  | exception Invalid_argument _ -> false
+
 let test_value_dates () =
   let d = Value.date_of_string "1995-03-15" in
   (match d with
@@ -72,13 +77,45 @@ let test_value_dates () =
     (Value.equal (Value.date_of_string "1970-01-01") (Value.Date 0));
   Alcotest.(check bool) "day after epoch" true
     (Value.equal (Value.date_of_string "1970-01-02") (Value.Date 1));
-  Alcotest.(check bool) "leap year" true
+  Alcotest.(check bool) "2000-02-29 (leap year divisible by 400)" true
     (Value.equal (Value.date_of_string "2000-02-29") (Value.Date 11016));
   Alcotest.(check bool) "parse picks up dates" true
     (Value.equal (Value.parse "1995-03-15") (Value.date_of_string "1995-03-15"));
   (match Value.date_of_string "1995-13-01" with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "bad month accepted")
+  | _ -> Alcotest.fail "bad month accepted");
+  (* a day the month does not have is rejected, not rolled over *)
+  Alcotest.(check bool) "2020-02-29 (leap year)" true (accepts "2020-02-29");
+  Alcotest.(check bool) "2021-02-29 (common year)" false (accepts "2021-02-29");
+  Alcotest.(check bool) "1900-02-29 (divisible by 100 only)" false
+    (accepts "1900-02-29");
+  Alcotest.(check bool) "2021-02-30" false (accepts "2021-02-30");
+  Alcotest.(check bool) "2021-04-31" false (accepts "2021-04-31");
+  Alcotest.(check bool) "2021-12-31" true (accepts "2021-12-31");
+  (* a CSV cell holding an impossible date stays a string *)
+  Alcotest.(check bool) "parse keeps it a string" true
+    (Value.equal (Value.parse "2021-02-30") (v_s "2021-02-30"))
+
+(* the Gregorian calendar, written out independently of [Value] *)
+let real_date y m d =
+  let leap = (y mod 4 = 0 && y mod 100 <> 0) || y mod 400 = 0 in
+  let days = [| 31; (if leap then 29 else 28); 31; 30; 31; 30; 31; 31; 30; 31; 30; 31 |] in
+  d <= days.(m - 1)
+
+let prop_date_accepted_iff_real =
+  QCheck.Test.make ~count:2000
+    ~name:"a date is accepted iff it is real, and round-trips"
+    QCheck.(triple (int_range 1 9999) (int_range 1 12) (int_range 1 31))
+    (fun (y, m, d) ->
+      let s = Printf.sprintf "%04d-%02d-%02d" y m d in
+      match Value.date_of_string s with
+      | Value.Date days ->
+        real_date y m d
+        && (Value.string_of_date days = s
+           || QCheck.Test.fail_reportf "%s reads back as %s" s
+                (Value.string_of_date days))
+      | _ -> QCheck.Test.fail_reportf "%s parsed to a non-date" s
+      | exception Invalid_argument _ -> not (real_date y m d))
 
 let test_value_date_ordering () =
   Alcotest.(check bool) "dates ordered" true
@@ -413,6 +450,7 @@ let () =
           Alcotest.test_case "hash consistency" `Quick test_value_hash_consistent;
           Alcotest.test_case "parse" `Quick test_value_parse;
           Alcotest.test_case "dates" `Quick test_value_dates;
+          QCheck_alcotest.to_alcotest ~long:false prop_date_accepted_iff_real;
           Alcotest.test_case "date ordering" `Quick test_value_date_ordering;
           Alcotest.test_case "sql literals" `Quick test_value_sql_literals;
         ] );

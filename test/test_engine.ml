@@ -630,15 +630,15 @@ let test_prune_ambiguous_column () =
     Alcotest.(check string) "the error as before" "ambiguous column name" msg
 
 (* Over generated cases, original and (when rewritable) rewritten, the
-   pruned plan answers bitwise as the same plan with pruning stripped:
-   at jobs 1 and 4, and with every hash join spilled to disk. *)
+   pruned plan answers bitwise as the same plan with pruning stripped,
+   at jobs 1 and 4. *)
 
 (* pruned hash joins and index joins seen by the property *)
 let pruned_hash = ref 0 and pruned_index = ref 0
 
 let prop_prune_invisible =
   QCheck.Test.make ~count:200
-    ~name:"pruned joins answer bitwise as unpruned (jobs 1, 4, spill)"
+    ~name:"pruned joins answer bitwise as unpruned (jobs 1, 4)"
     (Fuzz.Case.arbitrary ())
     (fun (case : Fuzz.Case.t) ->
       let session = Conquer.Clean.create case.db in
@@ -656,9 +656,8 @@ let prop_prune_invisible =
           index = (fun table attr -> Engine.Database.index engine ~table ~attr);
         }
       in
-      Testutil.with_temp_dir @@ fun spill_dir ->
-      let run ~jobs ?spill plan =
-        match Engine.Exec.run ~jobs ?spill catalog plan with
+      let run ~jobs plan =
+        match Engine.Exec.run ~jobs catalog plan with
         | rel -> Ok rel
         | exception Engine.Exec.Exec_error msg -> Error msg
       in
@@ -674,23 +673,17 @@ let prop_prune_invisible =
                 | _, None -> ())
               (joins plan);
             List.for_all
-              (fun (label, jobs, spill) ->
-                let pruned = run ~jobs ?spill plan
-                and unpruned = run ~jobs ?spill (strip_keeps plan) in
+              (fun jobs ->
+                let pruned = run ~jobs plan
+                and unpruned = run ~jobs (strip_keeps plan) in
                 match pruned, unpruned with
                 | Ok a, Ok b when Testutil.rows_bits_equal a b -> true
                 | Error a, Error b when a = b -> true
                 | _ ->
                   QCheck.Test.fail_reportf
-                    "%s: pruned differs from unpruned on\n%s" label
+                    "jobs=%d: pruned differs from unpruned on\n%s" jobs
                     (Engine.Plan.to_string plan))
-              [
-                ("jobs=1", 1, None);
-                ("jobs=4", 4, None);
-                ( "spill",
-                  1,
-                  Some { Engine.Exec.spill_rows = 1; spill_dir } );
-              ])
+              [ 1; 4 ])
         queries)
 
 let test_prune_invisible () =
@@ -807,96 +800,99 @@ let test_selectivity () =
     (sel "dept = 10 and salary > 100" < sel "dept = 10");
   Alcotest.(check bool) "range default" true (sel "salary > 100" > 0.0)
 
-(* ---- profiling ---- *)
+(* ---- profiling ----
 
-let test_run_profiled () =
+   [conquer profile] prints the [exec.*] span tree that a query builds
+   under {!Telemetry.Span.collecting}: one span per plan operator, with
+   its output row count as the [rows_out] attribute.  These tests read
+   that tree as an EXPLAIN ANALYZE. *)
+
+let join_sql = "select e.name, d.dname from emp e, dept d where e.dept = d.did"
+
+(* the answer and the single root span of one instrumented run *)
+let profiled engine sql =
+  match Telemetry.Span.collecting (fun () -> Engine.Database.query engine sql) with
+  | rel, [ root ] -> (rel, root)
+  | _, roots -> Alcotest.failf "expected one root span, got %d" (List.length roots)
+
+(* the [exec.*] spans of a tree, in pre-order *)
+let exec_spans root =
+  List.rev
+    (Telemetry.Span.fold_preorder
+       (fun acc ~depth:_ (s : Telemetry.Span.t) ->
+         if String.starts_with ~prefix:"exec." s.name then s :: acc else acc)
+       [] root)
+
+let rows_out (s : Telemetry.Span.t) =
+  match List.assoc_opt "rows_out" s.attrs with
+  | Some n -> int_of_string n
+  | None -> Alcotest.failf "%s carries no rows_out" s.name
+
+let test_exec_span_tree () =
   let engine = db () in
-  let sql = "select e.name, d.dname from emp e, dept d where e.dept = d.did" in
-  let rel, profile = Engine.Database.query_profiled engine sql in
+  let rel, root = profiled engine join_sql in
   Alcotest.(check int) "result rows" 4 (Relation.cardinality rel);
-  Alcotest.(check string) "root operator" "Project" profile.Engine.Exec.operator;
-  Alcotest.(check int) "root row count" 4 profile.Engine.Exec.out_rows;
-  (* the join and its two scans appear beneath the projection *)
-  let rec operators (p : Engine.Exec.profile) =
-    p.operator :: List.concat_map operators p.children
-  in
-  let ops = operators profile in
+  Alcotest.(check string) "root span" "engine.query" root.name;
+  let names = List.map (fun (s : Telemetry.Span.t) -> s.name) (exec_spans root) in
+  Alcotest.(check string) "top operator" "exec.Project" (List.hd names);
   Alcotest.(check bool) "has a join" true
     (List.exists
-       (fun o ->
-         o = "HashJoin" || String.length o >= 9 && String.sub o 0 9 = "IndexJoin")
-       ops);
+       (fun n ->
+         n = "exec.HashJoin" || String.starts_with ~prefix:"exec.IndexJoin" n)
+       names);
   Alcotest.(check bool) "scans both tables" true
-    (List.mem "Scan emp" ops && List.mem "Scan dept" ops);
-  (* timings are nonnegative and the root dominates its children *)
-  let rec check_times (p : Engine.Exec.profile) =
-    Alcotest.(check bool) "time nonneg" true (p.elapsed >= 0.0);
-    List.iter check_times p.children
-  in
-  check_times profile
+    (List.mem "exec.Scan emp" names && List.mem "exec.Scan dept" names)
 
-let test_explain_analyze_text () =
-  let engine = db () in
-  let text =
-    Engine.Database.explain_analyze engine "select name from emp where salary > 150"
-  in
-  let contains needle =
-    let n = String.length needle and h = String.length text in
-    let rec go i = i + n <= h && (String.sub text i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "mentions rows" true (contains "rows=");
-  Alcotest.(check bool) "mentions the scan" true (contains "Scan emp")
+let test_span_tree_text () =
+  let _, root = profiled (db ()) "select name from emp where salary > 150" in
+  let text = Telemetry.Export.span_to_string root in
+  Alcotest.(check bool) "mentions rows" true (Testutil.contains text "rows_out=");
+  Alcotest.(check bool) "mentions the scan" true
+    (Testutil.contains text "exec.Scan emp")
 
-let test_explain_analyze_row_counts () =
+let test_span_row_counts () =
   (* per-operator row counts are the actual cardinalities, not
-     estimates: the scans see whole tables, the filter and everything
-     above it see the surviving rows *)
-  let engine = db () in
-  let sql = "select e.name, d.dname from emp e, dept d where e.dept = d.did" in
-  let _, profile = Engine.Database.query_profiled engine sql in
-  let rec find op (p : Engine.Exec.profile) =
-    if p.operator = op then Some p
-    else List.find_map (find op) p.children
+     estimates: the scans see whole tables, the join and everything
+     above it see the matching rows *)
+  let _, root = profiled (db ()) join_sql in
+  let expected =
+    [
+      ("exec.Project", 4); ("exec.HashJoin", 4); ("exec.Scan emp", 5);
+      ("exec.Scan dept", 3);
+    ]
   in
-  let rows op =
-    match find op profile with
-    | Some p -> p.out_rows
-    | None -> Alcotest.failf "no %s operator in the profile" op
-  in
-  Alcotest.(check int) "projection emits the join result" 4 (rows "Project");
-  Alcotest.(check int) "emp scanned in full" 5 (rows "Scan emp");
-  Alcotest.(check int) "dept scanned in full" 3 (rows "Scan dept");
-  let text = Engine.Database.explain_analyze engine sql in
-  let contains needle =
-    let n = String.length needle and h = String.length text in
-    let rec go i = i + n <= h && (String.sub text i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "rendered counts match" true (contains "rows=4");
-  Alcotest.(check bool) "scan counts rendered" true (contains "rows=5")
+  let spans = exec_spans root in
+  List.iter
+    (fun (s : Telemetry.Span.t) ->
+      match List.assoc_opt s.name expected with
+      | Some n -> Alcotest.(check int) (s.name ^ " rows_out") n (rows_out s)
+      | None -> Alcotest.failf "unexpected operator span %s" s.name)
+    spans;
+  Alcotest.(check int) "one span per operator" (List.length expected)
+    (List.length spans);
+  let text = Telemetry.Export.span_to_string root in
+  Alcotest.(check bool) "rendered counts match" true
+    (Testutil.contains text "rows_out=4");
+  Alcotest.(check bool) "scan counts rendered" true
+    (Testutil.contains text "rows_out=5")
 
 let test_operator_times_monotone () =
-  (* operator times are inclusive of their inputs, so they must be
-     monotone along every root-to-leaf path; and across plans, a scan
-     over many rows must not be cheaper than one over a handful *)
-  let engine = db () in
-  let _, profile =
-    Engine.Database.query_profiled engine
-      "select e.name, d.dname from emp e, dept d where e.dept = d.did"
-  in
-  let rec check_parent_covers (p : Engine.Exec.profile) =
+  (* span times are inclusive of their children, so they must be
+     monotone along every root-to-leaf path; and across plans, an
+     operator over many rows must not be cheaper than over a handful *)
+  let _, root = profiled (db ()) join_sql in
+  let rec check_parent_covers (p : Telemetry.Span.t) =
     List.iter
-      (fun (child : Engine.Exec.profile) ->
+      (fun (child : Telemetry.Span.t) ->
         Alcotest.(check bool)
-          (Printf.sprintf "%s covers %s" p.operator child.operator)
+          (Printf.sprintf "%s covers %s" p.name child.name)
           true
           (p.elapsed +. 1e-9 >= child.elapsed);
         check_parent_covers child)
       p.children
   in
-  check_parent_covers profile;
-  let scan_time n =
+  check_parent_covers root;
+  let project_time n =
     let engine = Engine.Database.create () in
     let rel =
       Relation.create
@@ -907,16 +903,15 @@ let test_operator_times_monotone () =
     (* median of repeated profiled runs smooths scheduler noise *)
     let samples =
       List.init 5 (fun _ ->
-          let _, p = Engine.Database.query_profiled engine "select v from t" in
-          let rec total (p : Engine.Exec.profile) =
-            List.fold_left (fun acc c -> acc +. total c) p.elapsed p.children
-          in
-          total p)
+          let _, root = profiled engine "select v from t" in
+          match exec_spans root with
+          | top :: _ -> top.elapsed
+          | [] -> Alcotest.fail "no operator span")
     in
     (Telemetry.Timing.of_samples samples).median
   in
   Alcotest.(check bool) "times grow with row counts" true
-    (scan_time 50_000 >= scan_time 50)
+    (project_time 50_000 >= project_time 50)
 
 (* ---- indexes ---- *)
 
@@ -1029,10 +1024,11 @@ let () =
         ] );
       ( "profiling",
         [
-          Alcotest.test_case "run_profiled" `Quick test_run_profiled;
-          Alcotest.test_case "explain analyze" `Quick test_explain_analyze_text;
+          Alcotest.test_case "exec spans form the plan tree" `Quick
+            test_exec_span_tree;
+          Alcotest.test_case "explain analyze" `Quick test_span_tree_text;
           Alcotest.test_case "explain analyze row counts" `Quick
-            test_explain_analyze_row_counts;
+            test_span_row_counts;
           Alcotest.test_case "operator times monotone" `Quick
             test_operator_times_monotone;
         ] );

@@ -142,8 +142,8 @@ let test_derived_session_property () =
 
    Telemetry and profiling only watch node boundaries.  Over rewritten
    generated queries, at jobs 1 and 4, answers with telemetry on, and
-   from the profiled executor, are bitwise those of a plain run with
-   telemetry off, row order included. *)
+   under the span collector that [conquer profile] runs, are bitwise
+   those of a plain run with telemetry off, row order included. *)
 
 let prop_observation_invisible =
   QCheck.Test.make ~count:150
@@ -162,7 +162,7 @@ let prop_observation_invisible =
         }
       in
       let plain jobs () = Engine.Exec.run ~jobs catalog plan in
-      let profiled jobs () = fst (Engine.Exec.run_profiled ~jobs catalog plan) in
+      let profiled jobs () = fst (Telemetry.Span.collecting (plain jobs)) in
       let expected = Telemetry.Control.with_disabled (plain 1) in
       List.for_all
         (fun (label, answers) ->
@@ -177,7 +177,7 @@ let prop_observation_invisible =
                ( Printf.sprintf "jobs=%d, telemetry on" jobs,
                  Telemetry.Control.with_enabled (plain jobs) );
                ( Printf.sprintf "jobs=%d, profiled" jobs,
-                 Telemetry.Control.with_disabled (profiled jobs) );
+                 profiled jobs () );
              ])
            [ 1; 4 ]))
 

@@ -110,9 +110,12 @@ let test_parse_predicates () =
   | _ -> Alcotest.fail "not"
 
 let test_parse_dates () =
-  match parse_e "d < date '1995-03-15'" with
+  (match parse_e "d < date '1995-03-15'" with
   | Binop (Lt, _, Lit (Dirty.Value.Date _)) -> ()
-  | _ -> Alcotest.fail "date literal"
+  | _ -> Alcotest.fail "date literal");
+  match parse_e "d < date '2021-02-30'" with
+  | exception Sql.Parser.Error _ -> ()
+  | _ -> Alcotest.fail "impossible date literal accepted"
 
 let test_parse_aggregates () =
   let q = parse "select id, count(*), sum(a * b) from t group by id having count(*) > 2" in
