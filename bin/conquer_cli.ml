@@ -27,8 +27,10 @@
    '--trace FILE' anywhere enables telemetry and appends every completed
    root span as a JSON line to FILE; '--metrics FILE' enables telemetry
    and writes a Prometheus-style metrics snapshot to FILE at exit.
-   '--jobs N' anywhere runs partition-parallel operators on up to N
-   domains (same results, defaults to CONQUER_JOBS or 1).
+   '--jobs N' anywhere runs the partition-parallel Filter and Project
+   on up to N domains (same results, defaults to CONQUER_JOBS or 1);
+   joins stream their rows into their consumer and run serially, as
+   does Aggregate.
    '--retries N' / '--io-backoff-ms N' anywhere tune the retry policy
    for transient I/O failures when saving or loading a database. *)
 

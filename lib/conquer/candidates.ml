@@ -70,22 +70,6 @@ let candidate_relations db selection =
         Relation.create schema (List.map (Relation.get t.relation) rows) ))
     (Dirty_db.tables db)
 
-module Row_key = struct
-  type t = Value.t array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec loop i =
-      i >= Array.length a || (Value.equal a.(i) b.(i) && loop (i + 1))
-    in
-    loop 0
-
-  let hash a = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 a
-end
-
-module Rtbl = Hashtbl.Make (Row_key)
-
 type evaluator = (string * Relation.t) list -> Relation.t
 
 (* One engine database and one plan serve every candidate; only the
@@ -112,14 +96,14 @@ let fold_answers ?max_candidates db eval f init =
     init
 
 let clean_answers_with ?max_candidates eval db =
-  let answers = Rtbl.create 64 in
+  let answers = Relation.Row_tbl.create 64 in
   let schema =
     fold_answers ?max_candidates db eval
       (fun schema result prob ->
         Relation.iter
           (fun row ->
-            let p = Option.value ~default:0.0 (Rtbl.find_opt answers row) in
-            Rtbl.replace answers row (p +. prob))
+            let p = Option.value ~default:0.0 (Relation.Row_tbl.find_opt answers row) in
+            Relation.Row_tbl.replace answers row (p +. prob))
           result;
         match schema with None -> Some (Relation.schema result) | s -> s)
       None
@@ -130,7 +114,7 @@ let clean_answers_with ?max_candidates eval db =
       (Schema.make [ (Rewrite.prob_column, Value.TFloat) ])
   in
   let rows =
-    Rtbl.fold
+    Relation.Row_tbl.fold
       (fun row prob acc -> Array.append row [| Value.Float prob |] :: acc)
       answers []
   in

@@ -38,8 +38,8 @@ val answers : ?config:Engine.Planner.config -> session -> string -> Dirty.Relati
 (** Clean answers via RewriteClean executed on the engine.
 
     Parallelism rides along in [config]: set its [jobs] field to run
-    the rewritten query's operators partition-parallel (answers are
-    bit-identical for any value); with no [config] the process-wide
+    the rewritten query's filters and projections partition-parallel
+    (answers are bit-identical for any value); with no [config] the process-wide
     default ([--jobs] / [CONQUER_JOBS]) applies.  The same holds for
     every query entry point below.
     @raise Rewrite.Not_rewritable when the query is outside the

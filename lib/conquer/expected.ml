@@ -117,22 +117,6 @@ let answers ?config session sql =
 
 (* ---- the oracle ---- *)
 
-module Key = struct
-  type t = Value.t array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec loop i =
-      i >= Array.length a || (Value.equal a.(i) b.(i) && loop (i + 1))
-    in
-    loop 0
-
-  let hash a = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 a
-end
-
-module Ktbl = Hashtbl.Make (Key)
-
 let answers_oracle ?max_candidates session sql =
   let q = Sql.Parser.parse_query sql in
   let db = Clean.dirty_db session in
@@ -153,7 +137,7 @@ let answers_oracle ?max_candidates session sql =
     (Dirty_db.tables db);
   let plan = Engine.Database.plan engine q in
   let schema_full = Relation.schema (Engine.Database.run_plan engine plan) in
-  let expectations = Ktbl.create 64 in
+  let expectations = Relation.Row_tbl.create 64 in
   let group_of row =
     Array.of_list
       (List.filteri (fun j _ -> not is_agg.(j)) (Array.to_list row))
@@ -168,11 +152,11 @@ let answers_oracle ?max_candidates session sql =
         (fun row ->
           let key = group_of row in
           let acc =
-            match Ktbl.find_opt expectations key with
+            match Relation.Row_tbl.find_opt expectations key with
             | Some acc -> acc
             | None ->
               let acc = Array.make (Array.length row) 0.0 in
-              Ktbl.add expectations key acc;
+              Relation.Row_tbl.add expectations key acc;
               acc
           in
           Array.iteri
@@ -185,7 +169,7 @@ let answers_oracle ?max_candidates session sql =
         result)
     ();
   let rows =
-    Ktbl.fold
+    Relation.Row_tbl.fold
       (fun key acc out ->
         let row = Array.make (Array.length is_agg) Value.Null in
         let gi = ref 0 in

@@ -9,20 +9,6 @@ let tuple_universe db =
 
 let world_count db = Float.pow 2.0 (float_of_int (List.length (tuple_universe db)))
 
-module Rtbl = Hashtbl.Make (struct
-  type t = Value.t array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec loop i =
-      i >= Array.length a || (Value.equal a.(i) b.(i) && loop (i + 1))
-    in
-    loop 0
-
-  let hash a = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 a
-end)
-
 let answers ?(max_worlds = 1_000_000) db query =
   let universe = Array.of_list (tuple_universe db) in
   let n = Array.length universe in
@@ -37,7 +23,7 @@ let answers ?(max_worlds = 1_000_000) db query =
       Engine.Database.add_relation engine ~name:t.name t.relation)
     tables;
   let plan = Engine.Database.plan engine query in
-  let answers = Rtbl.create 64 in
+  let answers = Relation.Row_tbl.create 64 in
   let schema_ref = ref None in
   for mask = 0 to (1 lsl n) - 1 do
     (* world probability: product over present tuples of p, absent of 1-p *)
@@ -63,8 +49,8 @@ let answers ?(max_worlds = 1_000_000) db query =
       if !schema_ref = None then schema_ref := Some (Relation.schema result);
       Relation.iter
         (fun row ->
-          let p = Option.value ~default:0.0 (Rtbl.find_opt answers row) in
-          Rtbl.replace answers row (p +. !prob))
+          let p = Option.value ~default:0.0 (Relation.Row_tbl.find_opt answers row) in
+          Relation.Row_tbl.replace answers row (p +. !prob))
         result
     end
   done;
@@ -82,7 +68,7 @@ let answers ?(max_worlds = 1_000_000) db query =
     Schema.append schema (Schema.make [ (Rewrite.prob_column, Value.TFloat) ])
   in
   let rows =
-    Rtbl.fold
+    Relation.Row_tbl.fold
       (fun row prob acc -> Array.append row [| Value.Float prob |] :: acc)
       answers []
   in

@@ -63,30 +63,14 @@ let mismatch_to_string m =
       (String.concat ", " (Array.to_list (Array.map cell row)))
       (prob m.oracle_prob) (prob m.actual_prob)
 
-module Row_key = struct
-  type t = Value.t array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec loop i =
-      i >= Array.length a || (Value.equal a.(i) b.(i) && loop (i + 1))
-    in
-    loop 0
-
-  let hash a = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 a
-end
-
-module Rtbl = Hashtbl.Make (Row_key)
-
 let prob_map rel =
-  let tbl = Rtbl.create 64 in
+  let tbl = Relation.Row_tbl.create 64 in
   Relation.iter
     (fun row ->
       let n = Array.length row in
       let key = Array.sub row 0 (n - 1) in
       match Value.to_float row.(n - 1) with
-      | Some p -> Rtbl.replace tbl key p
+      | Some p -> Relation.Row_tbl.replace tbl key p
       | None -> ())
     rel;
   tbl
@@ -113,9 +97,9 @@ let compare_answers ?(eps = 1e-9) ~oracle candidate =
     let got = prob_map candidate in
     let first_error = ref None in
     let record m = if !first_error = None then first_error := Some m in
-    Rtbl.iter
+    Relation.Row_tbl.iter
       (fun key p ->
-        match Rtbl.find_opt got key with
+        match Relation.Row_tbl.find_opt got key with
         | Some q when Float.abs (p -. q) <= eps -> ()
         | Some q ->
           record
@@ -134,9 +118,9 @@ let compare_answers ?(eps = 1e-9) ~oracle candidate =
               actual_prob = None;
             })
       expected;
-    Rtbl.iter
+    Relation.Row_tbl.iter
       (fun key q ->
-        if not (Rtbl.mem expected key) then
+        if not (Relation.Row_tbl.mem expected key) then
           record
             {
               detail = "spurious answer in candidate";

@@ -15,20 +15,6 @@ type explanation = {
   contributions : contribution list;
 }
 
-module Rtbl = Hashtbl.Make (struct
-  type t = Value.t array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec loop i =
-      i >= Array.length a || (Value.equal a.(i) b.(i) && loop (i + 1))
-    in
-    loop 0
-
-  let hash a = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 a
-end)
-
 let explain ?config session sql =
   let q = Sql.Parser.parse_query sql in
   let env = Clean.env session in
@@ -73,7 +59,7 @@ let explain ?config session sql =
     }
   in
   let rel = Engine.Database.query_ast ?config (Clean.engine session) ungrouped in
-  let grouped = Rtbl.create 64 in
+  let grouped = Relation.Row_tbl.create 64 in
   let order = ref [] in
   Relation.iter
     (fun row ->
@@ -95,10 +81,10 @@ let explain ?config session sql =
         List.fold_left (fun acc w -> acc *. w.w_probability) 1.0 witnesses
       in
       let c = { witnesses; mass; count = 1 } in
-      match Rtbl.find_opt grouped answer with
-      | Some cs -> Rtbl.replace grouped answer (c :: cs)
+      match Relation.Row_tbl.find_opt grouped answer with
+      | Some cs -> Relation.Row_tbl.replace grouped answer (c :: cs)
       | None ->
-        Rtbl.replace grouped answer [ c ];
+        Relation.Row_tbl.replace grouped answer [ c ];
         order := answer :: !order)
     rel;
   (* merge contributions whose witness signatures coincide *)
@@ -126,7 +112,7 @@ let explain ?config session sql =
       let contributions =
         List.sort
           (fun a b -> Float.compare b.mass a.mass)
-          (merge (Rtbl.find grouped answer))
+          (merge (Relation.Row_tbl.find grouped answer))
       in
       {
         answer;

@@ -32,20 +32,6 @@ let sample_candidate rng db =
       (t.name, Relation.create (Relation.schema t.relation) rows))
     (Dirty_db.tables db)
 
-module Rtbl = Hashtbl.Make (struct
-  type t = Value.t array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec loop i =
-      i >= Array.length a || (Value.equal a.(i) b.(i) && loop (i + 1))
-    in
-    loop 0
-
-  let hash a = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 a
-end)
-
 let estimates ?(seed = 0x5eed) ~samples session sql =
   if samples < 1 then invalid_arg "Sampler.estimates: samples < 1";
   let db = Clean.dirty_db session in
@@ -57,7 +43,7 @@ let estimates ?(seed = 0x5eed) ~samples session sql =
       Engine.Database.add_relation engine ~name:t.name t.relation)
     (Dirty_db.tables db);
   let plan = Engine.Database.plan engine q in
-  let counts = Rtbl.create 64 in
+  let counts = Relation.Row_tbl.create 64 in
   for _ = 1 to samples do
     List.iter
       (fun (name, rel) -> Engine.Database.add_relation engine ~name rel)
@@ -65,12 +51,12 @@ let estimates ?(seed = 0x5eed) ~samples session sql =
     let result = Relation.distinct (Engine.Database.run_plan engine plan) in
     Relation.iter
       (fun row ->
-        Rtbl.replace counts row
-          (1 + Option.value ~default:0 (Rtbl.find_opt counts row)))
+        Relation.Row_tbl.replace counts row
+          (1 + Option.value ~default:0 (Relation.Row_tbl.find_opt counts row)))
       result
   done;
   let n = float_of_int samples in
-  Rtbl.fold
+  Relation.Row_tbl.fold
     (fun row occurrences acc ->
       let p = float_of_int occurrences /. n in
       {

@@ -41,6 +41,12 @@ val value : t -> row -> string -> Value.t
 
 val project : t -> string list -> t
 val sort_by : (row -> row -> int) -> t -> t
+module Row_tbl : Hashtbl.S with type key = row
+(** Hash tables keyed by whole rows: two rows are the same key when
+    they have the same arity and {!Value.equal} cells, and a row hashes
+    as [fold (acc * 31 + Value.hash v) 7].  The one row-keyed table
+    for every module that groups rows. *)
+
 val distinct : t -> t
 (** Set-semantics copy: removes duplicate rows (first occurrence order
     preserved). *)

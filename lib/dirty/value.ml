@@ -135,30 +135,29 @@ let days_in_month ~year ~month =
   | 4 | 6 | 9 | 11 -> 30
   | _ -> 31
 
+(* [YYYY-MM-DD] in ASCII digits, and nothing else: [int_of_string]
+   alone would also take [_] separators, [0x]/[0o]/[0b] prefixes, a
+   sign and short parts *)
+let is_digit c = c >= '0' && c <= '9'
+
+let looks_like_date s =
+  String.length s = 10 && s.[4] = '-' && s.[7] = '-'
+  && is_digit s.[0] && is_digit s.[1] && is_digit s.[2] && is_digit s.[3]
+  && is_digit s.[5] && is_digit s.[6] && is_digit s.[8] && is_digit s.[9]
+
 let date_of_string s =
   let fail () = invalid_arg (Printf.sprintf "Value.date_of_string: %S" s) in
-  match String.split_on_char '-' s with
-  | [ y; m; d ] ->
-    (try
-       let year = int_of_string y
-       and month = int_of_string m
-       and day = int_of_string d in
-       (* an impossible day would otherwise roll into the next month *)
-       if month < 1 || month > 12 || day < 1 || day > days_in_month ~year ~month
-       then fail ()
-       else Date (days_of_civil ~year ~month ~day)
-     with Failure _ -> fail ())
+  if not (looks_like_date s) then fail ();
+  match List.map int_of_string (String.split_on_char '-' s) with
+  | [ year; month; day ] ->
+    (* an impossible day would otherwise roll into the next month *)
+    if month < 1 || month > 12 || day < 1 || day > days_in_month ~year ~month then fail ()
+    else Date (days_of_civil ~year ~month ~day)
   | _ -> fail ()
 
 let string_of_date d =
   let year, month, day = civil_of_days d in
   Printf.sprintf "%04d-%02d-%02d" year month day
-
-let looks_like_date s =
-  String.length s = 10 && s.[4] = '-' && s.[7] = '-'
-  &&
-  let digits = [ 0; 1; 2; 3; 5; 6; 8; 9 ] in
-  List.for_all (fun i -> s.[i] >= '0' && s.[i] <= '9') digits
 
 let parse s =
   let s' = String.trim s in

@@ -50,8 +50,10 @@ val to_int : t -> int option
 (** {1 Date support} *)
 
 val date_of_string : string -> t
-(** Parse ["YYYY-MM-DD"] into [Date]. @raise Invalid_argument on bad
-    syntax or a day the month does not have (Gregorian leap rule). *)
+(** Parse ["YYYY-MM-DD"], written in ASCII digits only, into [Date].
+    @raise Invalid_argument on any other syntax (signs, [_], [0x]
+    prefixes, short parts) or a day the month does not have
+    (Gregorian leap rule). *)
 
 val string_of_date : int -> string
 

@@ -28,9 +28,9 @@
 
     A budget is domain-safe: its accounting is mutex-guarded, so
     charges from parallel operator partitions are serialized and the
-    admitted total never exceeds the limit.  (The executor additionally
-    runs per-row-charged operators serially when a budget is in force,
-    keeping [Truncate] prefixes identical to a serial run.) *)
+    admitted total never exceeds the limit.  (The operators that charge
+    per row, the joins, always run serially, so [Truncate] prefixes are
+    the same at any [jobs] count.) *)
 
 type limits = {
   max_rows : int option;  (** total rows produced across all operators *)

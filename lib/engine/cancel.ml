@@ -3,8 +3,8 @@
    A token is a single atomic flag threaded through the executor's
    checkpoints: budget charges, operator boundaries, and the parallel
    pool's chunk-claim loop all poll it, so a long-running query — in
-   particular a partition-parallel join spread over several domains —
-   can be interrupted at the next checkpoint rather than only between
+   particular a partitioned filter spread over several domains — can
+   be interrupted at the next checkpoint rather than only between
    queries.  Checking costs one atomic load, cheap enough for per-row
    paths.
 

@@ -60,9 +60,9 @@ val query : ?config:Planner.config -> t -> string -> Dirty.Relation.t
     and exceeding [max_elapsed] raises {!Cancel.Cancelled} — a
     wall-clock watchdog trips the budget's cancellation token, so even
     a query stuck inside a parallel operator is interrupted at its
-    next checkpoint.  The config's [jobs] field selects
-    partition-parallel execution; with no config the process-wide
-    default ([--jobs] / [CONQUER_JOBS]) applies.
+    next checkpoint.  The config's [jobs] field sets the domains of the
+    partition-parallel Filter and Project; with no config the
+    process-wide default ([--jobs] / [CONQUER_JOBS]) applies.
     @raise Sql.Parser.Error, Planner.Plan_error, Exec.Exec_error,
     Budget.Exceeded or Cancel.Cancelled. *)
 

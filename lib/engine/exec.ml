@@ -21,7 +21,7 @@ let m_operators =
 
 let m_rows_out =
   Telemetry.Metrics.counter "engine.exec.rows_out"
-    ~help:"rows materialized by plan operators (intermediates included)"
+    ~help:"rows produced by plan operators (intermediates and streamed joins included)"
 
 let m_budget_ticks =
   Telemetry.Metrics.counter "engine.exec.budget_ticks"
@@ -47,11 +47,11 @@ let operator_label (plan : Plan.t) =
 
 (* ---- budget accounting ----
 
-   Operators charge the budget per materialized row.  In [Raise] mode
-   {!Budget.admit} raises {!Budget.Exceeded} itself; in [Truncate]
-   mode it stops admitting rows, and the local [Budget_stop] exception
-   unwinds the operator's emit loop so it finishes with the partial
-   output produced so far. *)
+   Operators charge the budget per row.  In [Raise] mode {!Budget.admit}
+   raises {!Budget.Exceeded} itself; in [Truncate] mode it stops
+   admitting rows, and the local [Budget_stop] exception unwinds the
+   emit loop, so the operator (for a streamed join, the node consuming
+   the stream) finishes with the rows produced so far. *)
 
 exception Budget_stop
 
@@ -198,28 +198,16 @@ let aggregate_output ~group_by ~items ~having ~aggs finished_rows =
     Relation.create (infer_schema out_names out_rows) out_rows
   end
 
-module Key = struct
-  type t = Value.t array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec loop i = i >= Array.length a || (Value.equal a.(i) b.(i) && loop (i + 1)) in
-    loop 0
-
-  let hash a = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 a
-end
-
-module Ktbl = Hashtbl.Make (Key)
-
 (* ---- partition-parallel helpers ----
 
-   Operators with enough rows split their input into contiguous
-   chunks, evaluate the chunks on the domain pool, and concatenate the
-   per-chunk results in chunk order — so the output row order (and
-   hence every downstream result) is bit-identical to a serial run.
-   Small inputs stay serial: below [Parallel.min_rows_per_chunk] per
-   requested job the handoff costs more than it saves. *)
+   Filter and Project, given enough rows, split their input into
+   contiguous chunks, evaluate the chunks on the domain pool, and
+   concatenate the per-chunk results in chunk order — so the output
+   row order (and hence every downstream result) is bit-identical to a
+   serial run.  Small inputs stay serial: below
+   [Parallel.min_rows_per_chunk] per requested job the handoff costs
+   more than it saves.  Joins and aggregates always run serially:
+   they stream, so there is no input array to partition. *)
 
 let use_parallel ~jobs n = jobs > 1 && n >= jobs * !Parallel.min_rows_per_chunk
 
@@ -233,9 +221,6 @@ let chunk_ranges ~jobs n =
       let lo = (i * base) + min i extra in
       let len = base + if i < extra then 1 else 0 in
       (lo, len))
-
-(* positive partition id for a group/join key *)
-let key_pid ~nparts key = Key.hash key land max_int mod nparts
 
 (* cancellation token forwarded to parallel regions, which abort with
    [Cancel.Cancelled] once it trips.  In [Raise] budget mode that is
@@ -302,9 +287,9 @@ let run_map_rows ?cancel ~jobs f rel =
 
 (* ---- the grouping kernel ----
 
-   One hash-aggregate for every GROUP BY, serial or partitioned.  Its
-   per-row work allocates nothing beyond what the key and argument
-   expressions themselves return:
+   One hash-aggregate for every GROUP BY.  It takes its input row by
+   row, in order, from a stream.  Its per-row work allocates nothing
+   beyond what the key and argument expressions themselves return:
    - an open-addressing table of two int arrays (full hash, group id),
      linear probing, grown by doubling at half load; it sizes with the
      number of groups, not rows;
@@ -315,29 +300,6 @@ let run_map_rows ?cancel ~jobs f rel =
      MIN/MAX) that grow with the group count.
    Group ids are dense and in first-occurrence order, so the output
    rows are built once, in that order. *)
-
-(* A finalizer for 63-bit ints: every input bit reaches the low bits
-   the slot mask uses and the high bits the partition id uses. *)
-let mix x =
-  let x = (x lxor (x lsr 32)) * 0x2545F4914F6CDD1D in
-  let x = (x lxor (x lsr 29)) * 0x1CE4E5B9AE5F1 in
-  x lxor (x lsr 32)
-
-(* A hash that allocates nothing and agrees with [Value.equal]: an
-   integral float in the int range hashes as that int, so [Int 2] and
-   [Float 2.0] (and [Float (-0.0)] and [Int 0]) meet; every NaN hashes
-   alike.  [Value.hash] would box [float_of_int i] for every int. *)
-let hash_value (v : Value.t) =
-  match v with
-  | Null -> 0x3A4F
-  | Bool b -> if b then 0x1B3 else 0x2C1
-  | Int i -> mix i
-  | Float f ->
-    if Float.is_integer f && f >= -0x1p62 && f < 0x1p62 then mix (int_of_float f)
-    else if Float.is_nan f then 0x7FF8
-    else mix (Int64.to_int (Int64.bits_of_float f))
-  | String s -> mix (Hashtbl.hash s)
-  | Date d -> mix (d lxor 0x5BD1E995)
 
 (* per-group accumulators; [sum_state] is 0 before the first non-NULL
    value, 1 while the sum is exact in ints, 2 once a non-int value
@@ -463,12 +425,12 @@ let finish acc g : Value.t =
 
 type groups = {
   arity : int;  (** key columns *)
+  mutable cap : int;  (** groups the arrays below have room for *)
   mutable mask : int;  (** slot count - 1 *)
   mutable slot_hash : int array;
   mutable slot_gid : int array;  (** -1 = empty slot *)
   mutable count : int;  (** groups so far; ids are [0 .. count - 1] *)
   mutable keys : Value.t array;  (** [arity] values per group *)
-  mutable first : int array;  (** each group's first row index *)
   accs : acc array;
 }
 
@@ -476,12 +438,12 @@ let new_groups arity funs =
   let cap = 16 in
   {
     arity;
+    cap;
     mask = (2 * cap) - 1;
     slot_hash = Array.make (2 * cap) 0;
     slot_gid = Array.make (2 * cap) (-1);
     count = 0;
     keys = Array.make (arity * cap) Value.Null;
-    first = Array.make cap 0;
     accs = Array.map (fun f -> new_acc f cap) funs;
   }
 
@@ -491,9 +453,9 @@ let rec free_slot slot_gid mask i =
 (* double the group capacity and the slot table (kept at most half
    full), re-placing every group by its stored hash *)
 let grow g =
-  let cap = 2 * Array.length g.first in
+  let cap = 2 * g.cap in
+  g.cap <- cap;
   g.keys <- grow_values g.keys (g.arity * cap);
-  g.first <- grow_ints g.first cap;
   Array.iter (fun acc -> grow_acc acc cap) g.accs;
   let nslots = 2 * cap in
   let mask = nslots - 1 in
@@ -520,31 +482,30 @@ let rec same_key keys kofs src sofs j arity =
   (a == b || Value.equal a b) && same_key keys kofs src sofs (j + 1) arity
 
 (* open group [gid = g.count] for the key at [src.(sofs)] in slot [i] *)
-let insert g i src sofs h row =
+let insert g i src sofs h =
   let gid = g.count in
   g.count <- gid + 1;
   g.slot_hash.(i) <- h;
   g.slot_gid.(i) <- gid;
   Array.blit src sofs g.keys (gid * g.arity) g.arity;
-  g.first.(gid) <- row;
   gid
 
 (* the group of the key [src.(sofs) .. src.(sofs + arity - 1)] with
-   hash [h], opened (key copied, first row [row]) when it is new;
-   top-level and tail-recursive, so a lookup allocates nothing *)
-let rec find_or_add g src sofs h row i =
+   hash [h], opened (key copied) when it is new; top-level and
+   tail-recursive, so a lookup allocates nothing *)
+let rec find_or_add g src sofs h i =
   let gid = g.slot_gid.(i) in
   if gid < 0 then
-    if g.count < Array.length g.first then insert g i src sofs h row
+    if g.count < g.cap then insert g i src sofs h
     else begin
       grow g;
-      insert g (free_slot g.slot_gid g.mask (h land g.mask)) src sofs h row
+      insert g (free_slot g.slot_gid g.mask (h land g.mask)) src sofs h
     end
   else if g.slot_hash.(i) = h && same_key g.keys (gid * g.arity) src sofs 0 g.arity
   then gid
-  else find_or_add g src sofs h row ((i + 1) land g.mask)
+  else find_or_add g src sofs h ((i + 1) land g.mask)
 
-let group_of g src sofs h row = find_or_add g src sofs h row (h land g.mask)
+let group_of g src sofs h = find_or_add g src sofs h (h land g.mask)
 
 (* the output row of group [gid]: its key, then each aggregate *)
 let group_row g gid =
@@ -562,9 +523,9 @@ let key_hash key_fns scratch row =
   for j = 0 to Array.length key_fns - 1 do
     let v = key_fns.(j) row in
     scratch.(j) <- v;
-    h := (!h * 0x9E3779B1) + hash_value v
+    h := (!h * 0x9E3779B1) + Index.hash_value v
   done;
-  mix !h
+  Index.mix !h
 
 let feed_row g gid args row =
   for a = 0 to Array.length args - 1 do
@@ -573,125 +534,97 @@ let feed_row g gid args row =
     | Expr_arg f -> feed g.accs.(a) gid (f row)
   done
 
-let group_serial ~key_fns ~funs ~args rows =
-  let arity = Array.length key_fns in
-  let g = new_groups arity funs in
-  let scratch = Array.make arity Value.Null in
-  for i = 0 to Array.length rows - 1 do
-    let row = rows.(i) in
-    feed_row g (group_of g scratch 0 (key_hash key_fns scratch row) i) args row
-  done;
+(* ---- streams ----
+
+   Hash and index joins do not build their output: each pushes its
+   rows, in order, into its consumer as it produces them.  The
+   consumer is a [sink]: called once with the stream's schema, before
+   any row, it returns the function that takes the rows.  A join reads
+   its probe (left) input as a stream too, so a chain of joins runs as
+   one loop over the chain's leftmost materialized input, and an
+   Aggregate on top groups the rows as the joins produce them.  Every
+   other node materializes its output, which is drained into a stream
+   where a join or an Aggregate reads it.  A join whose whole output is
+   needed (the plan root, a hash join's build side, or the input of
+   any node other than a join or an Aggregate) collects its stream
+   into one growable array. *)
+
+type sink = Schema.t -> Relation.row -> unit
+
+let streams (plan : Plan.t) =
+  match plan with
+  | Hash_join _ | Index_join _ -> true
+  | Scan _ | Filter _ | Project _ | Left_outer_join _ | Cross _ | Aggregate _ | Sort _
+  | Distinct _ | Limit _ ->
+    false
+
+(* Push a materialized relation into [sink].  This is the loop that
+   drives a stream, so a Truncate stop raised by any join above ends
+   the whole stream here, and every consumer keeps what it received. *)
+let drain rel (sink : sink) =
+  let push = sink (Relation.schema rel) in
+  try Relation.iter push rel with Budget_stop -> ()
+
+(* The rows of the stream [produce], kept in one growable array.  A
+   cancelled execution's partial rows are discarded at every node
+   boundary above anyway, so it answers none. *)
+let collect budget (produce : sink -> unit) =
+  let schema = ref None and rows = ref [||] and n = ref 0 in
+  produce (fun s ->
+      schema := Some s;
+      fun row ->
+        if !n = Array.length !rows then begin
+          let grown = Array.make (max 64 (2 * !n)) [||] in
+          Array.blit !rows 0 grown 0 !n;
+          rows := grown
+        end;
+        !rows.(!n) <- row;
+        incr n);
+  let schema = Option.get !schema in
+  match budget with
+  | Some b when Budget.cancelled b -> Relation.of_array schema [||]
+  | _ -> Relation.of_array schema (Array.sub !rows 0 !n)
+
+(* Group the stream [produce] as it arrives: each row is hashed and
+   folded into its group, and never kept. *)
+let run_aggregate (produce : sink -> unit) ~group_by ~items ~having =
+  let aggs = collect_aggs (List.map fst items @ Option.to_list having) in
+  let agg_fun (e : Sql.Ast.expr) =
+    match e with Agg (f, _) -> f | _ -> assert false
+  in
+  let g = new_groups (List.length group_by) (Array.of_list (List.map agg_fun aggs)) in
+  produce (fun schema ->
+      let key_fns = Array.of_list (List.map (compile schema) group_by) in
+      let args =
+        Array.of_list
+          (List.map
+             (fun (e : Sql.Ast.expr) ->
+               match e with
+               | Agg (_, None) -> Star_arg
+               | Agg (_, Some arg) -> Expr_arg (compile schema arg)
+               | _ -> assert false)
+             aggs)
+      in
+      let scratch = Array.make g.arity Value.Null in
+      fun row ->
+        feed_row g (group_of g scratch 0 (key_hash key_fns scratch row)) args row);
   (* SQL semantics: an ungrouped aggregate over an empty input yields
      a single row of initial aggregate values *)
-  if arity = 0 && g.count = 0 then ignore (group_of g scratch 0 (mix 0) 0);
-  List.init g.count (group_row g)
-
-(* Parallel grouping partitions GROUPS (by key hash), not rows.  Row
-   chunks hash every row's key in parallel; then each partition runs
-   the kernel over the rows of its groups in original row order,
-   evaluating their keys and arguments itself, so per-group
-   accumulation (float order included) is exactly the serial one.
-   Partitions' groups are merged by first-occurrence row index, which
-   recovers the serial group order: the whole operator is
-   bit-identical to serial.  Keys are evaluated twice (to hash, then
-   to group), which costs less than keeping every row's keys and
-   argument values in shared arrays: those boxed values would all be
-   promoted out of the minor heap. *)
-let group_partitioned ?cancel ~jobs ~key_fns ~funs ~args rows =
-  let n = Array.length rows and arity = Array.length key_fns in
-  let hashes = Array.make n 0 in
-  let ranges = chunk_ranges ~jobs n in
-  Parallel.run ?cancel ~jobs (Array.length ranges) (fun ci ->
-      let lo, len = ranges.(ci) in
-      let scratch = Array.make arity Value.Null in
-      for i = lo to lo + len - 1 do
-        hashes.(i) <- key_hash key_fns scratch rows.(i)
-      done);
-  (* row indices bucketed by partition, ascending within each *)
-  let nparts = min jobs Parallel.max_jobs in
-  let pid i = (hashes.(i) lsr 32) mod nparts in
-  let starts = Array.make (nparts + 1) 0 in
-  for i = 0 to n - 1 do
-    let p = pid i in
-    starts.(p + 1) <- starts.(p + 1) + 1
-  done;
-  for p = 1 to nparts do
-    starts.(p) <- starts.(p) + starts.(p - 1)
-  done;
-  let order = Array.make n 0 and fill = Array.sub starts 0 nparts in
-  for i = 0 to n - 1 do
-    let p = pid i in
-    order.(fill.(p)) <- i;
-    fill.(p) <- fill.(p) + 1
-  done;
-  let parts =
-    Parallel.init ?cancel ~jobs nparts (fun p ->
-        let g = new_groups arity funs in
-        let scratch = Array.make arity Value.Null in
-        for k = starts.(p) to starts.(p + 1) - 1 do
-          let i = order.(k) in
-          let row = rows.(i) in
-          for j = 0 to arity - 1 do
-            scratch.(j) <- key_fns.(j) row
-          done;
-          feed_row g (group_of g scratch 0 hashes.(i) i) args row
-        done;
-        g)
-  in
-  (* merge by first-occurrence row index *)
-  let total = Array.fold_left (fun acc g -> acc + g.count) 0 parts in
-  let out = Array.make total [||] and next = Array.make nparts 0 in
-  for k = 0 to total - 1 do
-    let best = ref (-1) in
-    for p = 0 to nparts - 1 do
-      if next.(p) < parts.(p).count
-         && (!best < 0
-            || parts.(p).first.(next.(p)) < parts.(!best).first.(next.(!best)))
-      then best := p
-    done;
-    out.(k) <- group_row parts.(!best) next.(!best);
-    next.(!best) <- next.(!best) + 1
-  done;
-  Array.to_list out
-
-let run_aggregate ?cancel ~jobs input ~group_by ~items ~having =
-  let in_schema = Relation.schema input in
-  let key_fns = Array.of_list (List.map (compile in_schema) group_by) in
-  let aggs = collect_aggs (List.map fst items @ Option.to_list having) in
-  let funs, args =
-    Array.split
-      (Array.of_list
-         (List.map
-            (fun e ->
-              match (e : Sql.Ast.expr) with
-              | Agg (f, None) -> (f, Star_arg)
-              | Agg (f, Some arg) -> (f, Expr_arg (compile in_schema arg))
-              | _ -> assert false)
-            aggs))
-  in
-  let rows = Relation.rows input in
-  (* ungrouped aggregates have a single group and stay serial *)
-  let finished_rows =
-    if Array.length key_fns > 0 && use_parallel ~jobs (Array.length rows) then
-      group_partitioned ?cancel ~jobs ~key_fns ~funs ~args rows
-    else group_serial ~key_fns ~funs ~args rows
-  in
-  aggregate_output ~group_by ~items ~having ~aggs finished_rows
+  if g.arity = 0 && g.count = 0 then ignore (group_of g [||] 0 (Index.mix 0));
+  aggregate_output ~group_by ~items ~having ~aggs (List.init g.count (group_row g))
 
 (* ---- joins ---- *)
 
 (* A build-side bucket.  Rows are consed during the build (so they sit
-   in reverse scan order) and reversed in place exactly once — lazily
-   at the bucket's first probe hit in the serial path, eagerly after
-   the partition build in the parallel path (probes there run on other
-   domains and must not mutate).  Either way we never rebuild the
-   whole table just to fix bucket order. *)
+   in reverse scan order) and reversed in place exactly once, at the
+   bucket's first probe hit, so the table is never rebuilt just to fix
+   bucket order. *)
 type bucket = { mutable b_rows : Relation.row list; mutable b_ordered : bool }
 
 let bucket_add table key row =
-  match Ktbl.find_opt table key with
+  match Relation.Row_tbl.find_opt table key with
   | Some b -> b.b_rows <- row :: b.b_rows
-  | None -> Ktbl.add table key { b_rows = [ row ]; b_ordered = false }
+  | None -> Relation.Row_tbl.add table key { b_rows = [ row ]; b_ordered = false }
 
 let bucket_rows b =
   if not b.b_ordered then begin
@@ -699,6 +632,11 @@ let bucket_rows b =
     b.b_ordered <- true
   end;
   b.b_rows
+
+(* a hash-join key; [None] when a part is NULL, which matches nothing *)
+let join_key fns row =
+  let key = Array.of_list (List.map (fun f -> f row) fns) in
+  if Array.exists Value.is_null key then None else Some key
 
 (* A join's output: the schema of [ls @ rs] narrowed to [keep] (see
    {!Plan.t}), and the function building one output row from a left
@@ -728,103 +666,6 @@ let join_output keep ls rs =
       out
     in
     (Schema.project full names, gather)
-
-let run_hash_join ?budget ~jobs ~keep left right ~left_keys ~right_keys =
-  let ls = Relation.schema left and rs = Relation.schema right in
-  let lf = List.map (compile ls) left_keys and rf = List.map (compile rs) right_keys in
-  let out_schema, emit = join_output keep ls rs in
-  let lrows = Relation.rows left and rrows = Relation.rows right in
-  let nl = Array.length lrows and nr = Array.length rrows in
-  let probe_key fns row =
-    let key = Array.of_list (List.map (fun f -> f row) fns) in
-    if Array.exists Value.is_null key then None else Some key
-  in
-  (* With a budget in force the join stays serial: rows are charged as
-     they are emitted, and a parallel emit would make the Truncate
-     prefix depend on scheduling. *)
-  if Option.is_some budget || not (use_parallel ~jobs (nl + nr)) then begin
-    let table = Ktbl.create (max 16 nr) in
-    Array.iter
-      (fun row ->
-        match probe_key rf row with
-        | Some key -> bucket_add table key row
-        | None -> ())
-      rrows;
-    let out = ref [] in
-    (try
-       Array.iter
-         (fun lrow ->
-           match probe_key lf lrow with
-           | None -> ()
-           | Some key -> (
-             match Ktbl.find_opt table key with
-             | None -> ()
-             | Some b ->
-               List.iter
-                 (fun rrow ->
-                   tick budget;
-                   out := emit lrow rrow :: !out)
-                 (bucket_rows b)))
-         lrows
-     with Budget_stop -> ());
-    emit_result budget out_schema out
-  end
-  else begin
-    (* radix-partitioned build: extract build keys in parallel, build
-       one sub-table per key partition in parallel (each partition
-       scans the key array, touching only its own rows), then probe
-       left chunks in parallel against the read-only tables.  Chunk
-       outputs concatenate in order, so the result is bit-identical to
-       the serial join. *)
-    let nparts = min jobs Parallel.max_jobs in
-    let rkeys = Array.make nr None in
-    let rpids = Array.make nr 0 in
-    let branges = chunk_ranges ~jobs nr in
-    Parallel.run ~jobs (Array.length branges) (fun ci ->
-        let lo, len = branges.(ci) in
-        for i = lo to lo + len - 1 do
-          match probe_key rf rrows.(i) with
-          | Some key ->
-            rkeys.(i) <- Some key;
-            rpids.(i) <- key_pid ~nparts key
-          | None -> ()
-        done);
-    let tables =
-      Parallel.init ~jobs nparts (fun p ->
-          let table = Ktbl.create (max 16 (nr / nparts)) in
-          for i = 0 to nr - 1 do
-            match rkeys.(i) with
-            | Some key when rpids.(i) = p -> bucket_add table key rrows.(i)
-            | _ -> ()
-          done;
-          Ktbl.iter
-            (fun _ b ->
-              b.b_rows <- List.rev b.b_rows;
-              b.b_ordered <- true)
-            table;
-          table)
-    in
-    let pranges = chunk_ranges ~jobs nl in
-    let parts =
-      Parallel.init ~jobs (Array.length pranges) (fun ci ->
-          let lo, len = pranges.(ci) in
-          let acc = ref [] in
-          for i = lo to lo + len - 1 do
-            let lrow = lrows.(i) in
-            match probe_key lf lrow with
-            | None -> ()
-            | Some key -> (
-              match Ktbl.find_opt tables.(key_pid ~nparts key) key with
-              | None -> ()
-              | Some b ->
-                List.iter
-                  (fun rrow -> acc := emit lrow rrow :: !acc)
-                  b.b_rows)
-          done;
-          List.rev !acc)
-    in
-    Relation.create out_schema (List.concat (Array.to_list parts))
-  end
 
 (* Find an equality conjunct of [on] whose sides resolve strictly on
    the two inputs, to drive a hash path for the outer join; the rest
@@ -859,10 +700,10 @@ let run_left_outer_join ?budget lrel rrel ~on =
      match split_outer_condition ls rs on with
   | Some ((lkey, rkey), residual) ->
     let lf = compile ls lkey and rf = compile rs rkey in
-    let table = Ktbl.create (max 16 (Relation.cardinality rrel)) in
+    let table = Relation.Row_tbl.create (max 16 (Relation.cardinality rrel)) in
     let add_bucket key row =
-      let existing = Option.value ~default:[] (Ktbl.find_opt table key) in
-      Ktbl.replace table key (row :: existing)
+      let existing = Option.value ~default:[] (Relation.Row_tbl.find_opt table key) in
+      Relation.Row_tbl.replace table key (row :: existing)
     in
     Relation.iter
       (fun rrow ->
@@ -884,7 +725,7 @@ let run_left_outer_join ?budget lrel rrel ~on =
               (fun combined -> residual_pred combined)
               (List.rev_map
                  (fun rrow -> Array.append lrow rrow)
-                 (Option.value ~default:[] (Ktbl.find_opt table key)))
+                 (Option.value ~default:[] (Relation.Row_tbl.find_opt table key)))
         in
         match matches with
         | [] ->
@@ -925,37 +766,53 @@ let run_left_outer_join ?budget lrel rrel ~on =
    With telemetry on, every node runs under an [exec.<operator>] span
    carrying its output row and column counts; that span tree is the
    one per-operator view, read by [conquer profile], [/debug] and the
-   benchmark alike.  Budgets and telemetry only observe or bound node
-   boundaries: every configuration runs the same operators. *)
+   benchmark alike.  A streamed join's span sits where the join sits
+   in the plan, opens when its stream starts and closes when the
+   stream ends, so its time also covers the per-row work of the
+   operators above it, up to the node that consumes the stream.
+   Budgets and telemetry only observe or bound the operators: every
+   configuration runs the same ones. *)
 
 type ctx = { budget : Budget.t option; jobs : int; catalog : catalog }
 
+(* bail out of deep plans promptly when the clock has run out *)
+let check_time ctx = match ctx.budget with None -> () | Some b -> Budget.check_time b
+
+(* [f ()] under [plan]'s span, whose [rows_out]/[cols_out] are [shape]
+   of the result *)
+let observed plan shape f =
+  if not (Telemetry.Control.enabled ()) then f ()
+  else
+    Telemetry.Span.with_ ~name:("exec." ^ operator_label plan) (fun () ->
+        let t0 = Unix.gettimeofday () in
+        let r = f () in
+        Telemetry.Metrics.observe h_operator_seconds (Unix.gettimeofday () -. t0);
+        let rows, cols = shape r in
+        Telemetry.Metrics.inc m_operators;
+        Telemetry.Metrics.inc ~n:rows m_rows_out;
+        Telemetry.Span.add_attr "rows_out" (string_of_int rows);
+        Telemetry.Span.add_attr "cols_out" (string_of_int cols);
+        r)
+
+let relation_shape rel = (Relation.cardinality rel, Schema.arity (Relation.schema rel))
+
 let rec run_node ctx (plan : Plan.t) : Relation.t =
-  (* bail out of deep plans promptly when the clock has run out *)
-  (match ctx.budget with None -> () | Some b -> Budget.check_time b);
-  let rel =
-    if not (Telemetry.Control.enabled ()) then eval ctx (resolve_node ctx plan)
-    else
-      Telemetry.Span.with_ ~name:("exec." ^ operator_label plan) (fun () ->
-          let t0 = Unix.gettimeofday () in
-          let rel = eval ctx (resolve_node ctx plan) in
-          Telemetry.Metrics.observe h_operator_seconds (Unix.gettimeofday () -. t0);
-          let n = Relation.cardinality rel in
-          Telemetry.Metrics.inc m_operators;
-          Telemetry.Metrics.inc ~n m_rows_out;
-          Telemetry.Span.add_attr "rows_out" (string_of_int n);
-          Telemetry.Span.add_attr "cols_out"
-            (string_of_int (Schema.arity (Relation.schema rel)));
-          rel)
-  in
-  match ctx.budget with
-  | None -> rel
-  | Some _ when per_row_charged plan -> rel
-  | Some b ->
-    let n = Relation.cardinality rel in
-    let allowed = Budget.admit b n in
-    if allowed >= n then rel
-    else Relation.of_array (Relation.schema rel) (Array.sub (Relation.rows rel) 0 allowed)
+  (* a join opens its span and charges its rows itself, as its stream
+     runs *)
+  if streams plan then eval ctx plan
+  else begin
+    check_time ctx;
+    let rel = observed plan relation_shape (fun () -> eval ctx (resolve_node ctx plan)) in
+    match ctx.budget with
+    | None -> rel
+    | Some _ when per_row_charged plan -> rel
+    | Some b ->
+      let n = Relation.cardinality rel in
+      let allowed = Budget.admit b n in
+      if allowed >= n then rel
+      else
+        Relation.of_array (Relation.schema rel) (Array.sub (Relation.rows rel) 0 allowed)
+  end
 
 and run_child ctx plan =
   let rel = run_node ctx plan in
@@ -968,6 +825,124 @@ and run_child ctx plan =
   match ctx.budget with
   | Some b when Budget.exhausted b -> Relation.of_array (Relation.schema rel) [||]
   | _ -> rel
+
+(* [plan]'s rows as a stream: a join streams; any other node is
+   evaluated now and drained once the stream starts *)
+and source ctx (plan : Plan.t) : sink -> unit =
+  if streams plan then join ctx plan else drain (run_child ctx plan)
+
+(* A streamed join under its span: the span counts the rows it
+   pushes into [sink] *)
+and join ctx (plan : Plan.t) (sink : sink) =
+  check_time ctx;
+  let rows = ref 0 and cols = ref 0 in
+  let counted schema =
+    cols := Schema.arity schema;
+    let push = sink schema in
+    fun row ->
+      incr rows;
+      push row
+  in
+  observed plan
+    (fun () -> (!rows, !cols))
+    (fun () ->
+      match resolve_node ctx plan with
+      | Hash_join { left; right; left_keys; right_keys; keep } ->
+        hash_join ctx ~left ~right ~left_keys ~right_keys ~keep counted
+      | Index_join { left; table; alias; left_keys; right_attrs; keep } ->
+        index_join ctx ~left ~table ~alias ~left_keys ~right_attrs ~keep counted
+      | _ -> invalid_arg "Exec.join: not a streamed join")
+
+(* Build a table on the right input, then stream the left input
+   through it.  The build side must be complete before the first probe,
+   so its spans precede the probe side's. *)
+and hash_join ctx ~left ~right ~left_keys ~right_keys ~keep sink =
+  let rrel = run_child ctx right in
+  let rs = Relation.schema rrel in
+  let rf = List.map (compile rs) right_keys in
+  let table = Relation.Row_tbl.create (max 16 (Relation.cardinality rrel)) in
+  Relation.iter
+    (fun row ->
+      match join_key rf row with Some key -> bucket_add table key row | None -> ())
+    rrel;
+  source ctx left (fun ls ->
+      let lf = List.map (compile ls) left_keys in
+      let out_schema, emit = join_output keep ls rs in
+      let push = sink out_schema in
+      fun lrow ->
+        match join_key lf lrow with
+        | None -> ()
+        | Some key -> (
+          match Relation.Row_tbl.find_opt table key with
+          | None -> ()
+          | Some b ->
+            List.iter
+              (fun rrow ->
+                tick ctx.budget;
+                push (emit lrow rrow))
+              (bucket_rows b)))
+
+(* Probe the base table's persistent index on its first key attribute
+   with each left row; the remaining key attributes are checked on
+   each match. *)
+and index_join ctx ~left ~table ~alias ~left_keys ~right_attrs ~keep sink =
+  let base =
+    try ctx.catalog.relation table
+    with Not_found -> exec_errorf "unknown table %s" table
+  in
+  match right_attrs with
+  | [] -> exec_errorf "index join with no key attributes"
+  | first_attr :: other_attrs ->
+    let index =
+      match ctx.catalog.index table first_attr with
+      | None -> exec_errorf "no index on %s.%s" table first_attr
+      | Some index -> index
+    in
+    let brows = Relation.rows base in
+    let other_idx =
+      Array.of_list (List.map (Schema.index_of (Relation.schema base)) other_attrs)
+    in
+    let nrest = Array.length other_idx in
+    (* the current left row's values for the remaining key attributes,
+       evaluated once per left row with matches *)
+    let rest_vals = Array.make nrest Value.Null in
+    let rec residual_ok rrow j =
+      j >= nrest
+      || Value.equal rest_vals.(j) rrow.(other_idx.(j)) && residual_ok rrow (j + 1)
+    in
+    source ctx left (fun ls ->
+        let first_f, rest_f =
+          match List.map (compile ls) left_keys with
+          | [] -> exec_errorf "index join with no probe keys"
+          | f :: fs -> (f, Array.of_list fs)
+        in
+        (* fill [rest_vals]; false when one is NULL, which equals
+           nothing, as in a hash join *)
+        let rec rest_known lrow j =
+          j >= nrest
+          ||
+          let v = rest_f.(j) lrow in
+          rest_vals.(j) <- v;
+          (not (Value.is_null v)) && rest_known lrow (j + 1)
+        in
+        let out_schema, emit =
+          join_output keep ls (Schema.rename ~prefix:alias (Relation.schema base))
+        in
+        let push = sink out_schema in
+        fun lrow ->
+          let probe = first_f lrow in
+          if not (Value.is_null probe) then begin
+            let k = Index.find index probe in
+            if k >= 0 && rest_known lrow 0 then begin
+              for p = Index.offset index k to Index.offset index (k + 1) - 1 do
+                let rrow = brows.(Index.row_id index p) in
+                if residual_ok rrow 0 then begin
+                  tick ctx.budget;
+                  push (emit lrow rrow)
+                end
+              done
+            end
+          end)
 
 (* ---- uncorrelated subqueries ----
 
@@ -1088,67 +1063,9 @@ and eval ctx (plan : Plan.t) : Relation.t =
         rel
     in
     Relation.create (infer_schema (List.map snd items) rows) rows
-  | Hash_join { left; right; left_keys; right_keys; keep } ->
-    run_hash_join ?budget ~jobs ~keep (run_child ctx left)
-      (run_child ctx right) ~left_keys ~right_keys
+  | Hash_join _ | Index_join _ -> collect budget (join ctx plan)
   | Left_outer_join { left; right; on } ->
     run_left_outer_join ?budget (run_child ctx left) (run_child ctx right) ~on
-  | Index_join { left; table; alias; left_keys; right_attrs; keep } -> (
-    let base =
-      try ctx.catalog.relation table
-      with Not_found -> exec_errorf "unknown table %s" table
-    in
-    match right_attrs with
-    | [] -> exec_errorf "index join with no key attributes"
-    | first_attr :: other_attrs -> (
-      match ctx.catalog.index table first_attr with
-      | None -> exec_errorf "no index on %s.%s" table first_attr
-      | Some index ->
-        let lrel = run_child ctx left in
-        let ls = Relation.schema lrel in
-        let first_f, rest_f =
-          match List.map (compile ls) left_keys with
-          | [] -> exec_errorf "index join with no probe keys"
-          | f :: fs -> (f, Array.of_list fs)
-        in
-        let other_idx =
-          Array.of_list
-            (List.map (Schema.index_of (Relation.schema base)) other_attrs)
-        in
-        let nrest = Array.length other_idx in
-        let out_schema, emit =
-          join_output keep ls
-            (Schema.rename ~prefix:alias (Relation.schema base))
-        in
-        let out = ref [] in
-        (try
-           Relation.iter
-             (fun lrow ->
-               let probe = first_f lrow in
-               if not (Value.is_null probe) then
-                 match Index.lookup index probe with
-                 | [] -> ()
-                 | matches ->
-                   (* residual equalities on the remaining key attrs:
-                      their probe values once per left row, and no
-                      allocation per match *)
-                   let rest_vals = Array.map (fun f -> f lrow) rest_f in
-                   let rec residual_ok rrow j =
-                     j >= nrest
-                     || Value.equal rest_vals.(j) rrow.(other_idx.(j))
-                        && residual_ok rrow (j + 1)
-                   in
-                   List.iter
-                     (fun i ->
-                       let rrow = Relation.get base i in
-                       if residual_ok rrow 0 then begin
-                         tick budget;
-                         out := emit lrow rrow :: !out
-                       end)
-                     matches)
-             lrel
-         with Budget_stop -> ());
-        emit_result budget out_schema out))
   | Cross (a, b) ->
     let ra = run_child ctx a and rb = run_child ctx b in
     let schema = Schema.append (Relation.schema ra) (Relation.schema rb) in
@@ -1165,7 +1082,7 @@ and eval ctx (plan : Plan.t) : Relation.t =
      with Budget_stop -> ());
     emit_result budget schema out
   | Aggregate { input; group_by; items; having } ->
-    run_aggregate ?cancel ~jobs (run_child ctx input) ~group_by ~items ~having
+    run_aggregate (source ctx input) ~group_by ~items ~having
   | Sort { input; keys } ->
     let rel = run_child ctx input in
     let schema = Relation.schema rel in

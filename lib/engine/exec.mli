@@ -1,8 +1,12 @@
 (** Plan evaluation.
 
-    Operators are materialized: each node produces a full
-    {!Dirty.Relation.t}.  Joins are hash-based; aggregation is
-    hash-grouped. *)
+    Hash and index joins stream: each pushes its output rows into its
+    consumer as it produces them, so a chain of joins under an
+    Aggregate is grouped row by row and never materialized.  Every
+    other node, and a join whose whole output is needed (the plan
+    root, a hash join's build side, the input of any other node),
+    produces a full {!Dirty.Relation.t}.  Joins are hash-based;
+    aggregation is hash-grouped. *)
 
 type catalog = {
   relation : string -> Dirty.Relation.t;
@@ -20,19 +24,19 @@ val run :
   catalog ->
   Plan.t ->
   Dirty.Relation.t
-(** [jobs] (default [1]) caps the domains used for partition-parallel
-    operators (hash join, filter, project, aggregate).  Results are
-    bit-identical to a serial run for any [jobs]: row ranges are
-    concatenated in input order, and aggregation partitions groups by
-    key hash, feeding every group in global row order (no partial
-    merge, no float reassociation) before restoring first-occurrence
-    group order.  Per-row budget-charged operators fall back to serial
-    whenever [budget] is given, so [Truncate] prefixes stay
-    well-defined.  Budgets and telemetry only bound or observe node
-    boundaries; every configuration runs the same operators.  With
-    telemetry on, each node runs under an [exec.<operator>] span whose
-    [rows_out] and [cols_out] attributes give its output shape — the
-    per-operator view that [conquer profile] prints.
+(** [jobs] (default [1]) caps the domains used by the
+    partition-parallel Filter and Project.  Results are bit-identical
+    to a serial run for any [jobs]: row ranges are concatenated in
+    input order.  Joins and aggregates always run serially, so a
+    [Truncate] prefix is the same at any [jobs].  Budgets and telemetry
+    only bound or observe the operators; every configuration runs the
+    same ones.  With telemetry on, each node runs under an
+    [exec.<operator>] span whose [rows_out] and [cols_out] attributes
+    give its output shape — the per-operator view that
+    [conquer profile] prints.  A streamed join's span sits at the
+    join's place in the plan tree; its time also covers the per-row
+    work of the operators above it, up to the node consuming the
+    stream.
     @raise Exec_error on semantic errors (unknown table, unbound or
     ambiguous column, type errors).
     @raise Budget.Exceeded when a [Raise]-mode budget runs out; with a

@@ -2,20 +2,16 @@
     execution.
 
     The pool is created lazily on the first parallel region and grows
-    (never shrinks) to the largest [jobs] ever requested, capped at
-    {!max_jobs}.  Work is distributed by chunk stealing over a shared
-    atomic index, and the {e caller participates}: a parallel region
-    makes progress even when every worker is busy, so nested regions
-    cannot deadlock.
+    (never shrinks) to the largest [jobs] ever requested, capped at the
+    domain count the runtime recommends (at least 1).  Work is
+    distributed by chunk stealing over a shared atomic index, and the
+    {e caller participates}: a parallel region makes progress even when
+    every worker is busy, so nested regions cannot deadlock.
 
     Telemetry spans opened inside tasks are confined to the executing
     domain ([Telemetry.Span] keeps per-domain stacks) and merged back
     into the caller's span in task-index order, so traces of parallel
     runs are deterministic. *)
-
-val max_jobs : int
-(** Hard cap on pool size (the domain count recommended by the
-    runtime, at least 1). *)
 
 val default_jobs : unit -> int
 (** The jobs count used when no explicit configuration is given: the
@@ -23,13 +19,13 @@ val default_jobs : unit -> int
     [CONQUER_JOBS] environment variable if parseable, else [1]. *)
 
 val set_default_jobs : int -> unit
-(** Set the process-wide default (clamped to [1 .. max_jobs]); used by
-    the CLI's [--jobs] flag. *)
+(** Set the process-wide default (clamped to between 1 and the
+    recommended domain count); used by the CLI's [--jobs] flag. *)
 
 val warm : int -> unit
 (** [warm jobs] pre-spawns the worker domains a [jobs]-wide region
-    would use (clamped to {!max_jobs}), so the first parallel region
-    does not pay domain-creation cost.  Benchmarks call this before
+    would use (clamped to the recommended domain count), so the first
+    parallel region does not pay domain-creation cost.  Benchmarks call this before
     sampling; otherwise the lazily-created pool charges its spawn time
     to whichever run happens first. *)
 

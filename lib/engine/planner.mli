@@ -27,7 +27,8 @@ type config = {
       (** execution budget: wall-clock seconds; [None] is
           unlimited. *)
   jobs : int;
-      (** domains used for partition-parallel operators; [1] (the
+      (** domains used for the partition-parallel Filter and Project
+          (joins and aggregates always run serially); [1] (the
           default) keeps execution serial.  Results are bit-identical
           for any value — see {!Exec.run}. *)
   chunked : bool;

@@ -92,6 +92,16 @@ let test_value_dates () =
   Alcotest.(check bool) "2021-02-30" false (accepts "2021-02-30");
   Alcotest.(check bool) "2021-04-31" false (accepts "2021-04-31");
   Alcotest.(check bool) "2021-12-31" true (accepts "2021-12-31");
+  (* only YYYY-MM-DD in ASCII digits: no int_of_string syntax in a part *)
+  List.iter
+    (fun s -> Alcotest.(check bool) s false (accepts s))
+    [
+      "1_995-03-01"; "1995-0_3-01"; "1995-03-0_1"; "1_995-0x3-0_1";
+      "0x7CB-03-01"; "1995-0x3-01"; "1995-03-0x1"; "1995-0o3-01";
+      "1995-0b1-01"; "+1995-03-01"; "1995-+3-01"; "1995-03-+1";
+      "-1995-03-01"; "1995--3-01"; "1995-3-01"; "1995-03-1"; "995-03-01";
+      "1995-3-1"; "01995-03-01"; " 1995-03-01"; "1995-03-01 ";
+    ];
   (* a CSV cell holding an impossible date stays a string *)
   Alcotest.(check bool) "parse keeps it a string" true
     (Value.equal (Value.parse "2021-02-30") (v_s "2021-02-30"))
@@ -102,20 +112,42 @@ let real_date y m d =
   let days = [| 31; (if leap then 29 else 28); 31; 30; 31; 30; 31; 31; 30; 31; 30; 31 |] in
   d <= days.(m - 1)
 
+(* how a part of a date string is spelled: as printed (0), or with one
+   piece of int_of_string syntax that the parser must refuse *)
+let spell part = function
+  | 1 -> String.sub part 0 1 ^ "_" ^ String.sub part 1 (String.length part - 1)
+  | 2 -> "0x" ^ part
+  | 3 -> "0o" ^ part
+  | 4 -> "0b" ^ part
+  | 5 -> "+" ^ part
+  | 6 -> "-" ^ part
+  | 7 -> String.sub part 1 (String.length part - 1)
+  | _ -> part
+
 let prop_date_accepted_iff_real =
   QCheck.Test.make ~count:2000
-    ~name:"a date is accepted iff it is real, and round-trips"
-    QCheck.(triple (int_range 1 9999) (int_range 1 12) (int_range 1 31))
-    (fun (y, m, d) ->
-      let s = Printf.sprintf "%04d-%02d-%02d" y m d in
+    ~name:
+      "a date is accepted iff it is real, and spelled YYYY-MM-DD in digits; \
+       it round-trips"
+    QCheck.(
+      quad (int_range 0 9999) (int_range 1 12) (int_range 1 31)
+        (pair (int_range (-7) 7) (int_range 0 2)))
+    (fun (y, m, d, (how, which)) ->
+      let parts =
+        [| Printf.sprintf "%04d" y; Printf.sprintf "%02d" m; Printf.sprintf "%02d" d |]
+      in
+      parts.(which) <- spell parts.(which) how;
+      let s = String.concat "-" (Array.to_list parts) in
+      let well_formed = how <= 0 in
       match Value.date_of_string s with
       | Value.Date days ->
-        real_date y m d
+        well_formed
+        && real_date y m d
         && (Value.string_of_date days = s
            || QCheck.Test.fail_reportf "%s reads back as %s" s
                 (Value.string_of_date days))
       | _ -> QCheck.Test.fail_reportf "%s parsed to a non-date" s
-      | exception Invalid_argument _ -> not (real_date y m d))
+      | exception Invalid_argument _ -> not (well_formed && real_date y m d))
 
 let test_value_date_ordering () =
   Alcotest.(check bool) "dates ordered" true

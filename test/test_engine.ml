@@ -913,6 +913,310 @@ let test_operator_times_monotone () =
   Alcotest.(check bool) "times grow with row counts" true
     (project_time 50_000 >= project_time 50)
 
+(* ---- streamed joins ----
+
+   Hash and index joins push their rows into their consumer instead of
+   building a relation, and an Aggregate above groups them as they
+   arrive.  These tests build join chains as plans, so that the mix of
+   index and hash joins is chosen, and check the answers against a
+   nested-loop join over association lists written here. *)
+
+let chain_cols = [ "k"; "a"; "b"; "v" ]
+let tname i = Printf.sprintf "t%d" i
+let qcol i n : Sql.Ast.expr = Col { table = Some (tname i); name = n }
+
+(* join step [i] adds table [i] on [t<j>.a = t<i>.k], and also
+   [t<j>.b = t<i>.b] when [two_keys]; [drop_k] narrows [t<i>.k] out of
+   the join's output *)
+type step = { j : int; two_keys : bool; use_index : bool; drop_k : bool }
+
+type top = Rows | Grouped | Ungrouped
+
+type chain = { tables : Value.t array list array; steps : step list; top : top }
+
+let chain_gen =
+  let open QCheck.Gen in
+  (* keys include NULL and [Float 1.0], which equals [Int 1] *)
+  let key =
+    frequency [ (1, return Value.Null); (1, return (v_f 1.0)); (8, map v_i (int_range 0 3)) ]
+  in
+  let value =
+    frequency
+      [
+        (1, return Value.Null);
+        (6, map (fun i -> v_f (0.1 *. float_of_int i)) (int_range (-3) 9));
+      ]
+  in
+  let row = map (fun (k, a, b, v) -> [| k; a; b; v |]) (quad key key key value) in
+  let* n = int_range 3 4 in
+  let* tables = array_repeat n (list_size (int_range 0 9) row) in
+  let* steps =
+    flatten_l
+      (List.init (n - 1) (fun i ->
+           let i = i + 1 in
+           map
+             (fun (j, two_keys, use_index, drop_k) -> { j; two_keys; use_index; drop_k })
+             (quad (int_range 0 (i - 1)) bool bool bool)))
+  in
+  let* top = oneofl [ Rows; Grouped; Ungrouped ] in
+  return { tables; steps; top }
+
+let print_chain c =
+  let table i rows =
+    Printf.sprintf "%s: %s" (tname i)
+      (String.concat " "
+         (List.map
+            (fun r ->
+              "(" ^ String.concat "," (Array.to_list (Array.map Value.to_string r)) ^ ")")
+            rows))
+  in
+  String.concat "\n"
+    (Array.to_list (Array.mapi table c.tables)
+    @ List.mapi
+        (fun i s ->
+          Printf.sprintf "step %d: t%d.a = t%d.k%s %s%s" (i + 1) s.j (i + 1)
+            (if s.two_keys then " and b" else "")
+            (if s.use_index then "index" else "hash")
+            (if s.drop_k then " drop k" else ""))
+        c.steps
+    @ [ (match c.top with Rows -> "rows" | Grouped -> "grouped" | Ungrouped -> "ungrouped") ])
+
+let chain_engine c =
+  let engine = Engine.Database.create () in
+  let schema =
+    Schema.make [ ("k", Value.TInt); ("a", Value.TInt); ("b", Value.TInt); ("v", Value.TFloat) ]
+  in
+  Array.iteri
+    (fun i rows ->
+      Engine.Database.add_relation engine ~name:(tname i) (Relation.create schema rows);
+      Engine.Database.create_index engine ~table:(tname i) ~attr:"k")
+    c.tables;
+  engine
+
+let chain_plan c : Engine.Plan.t =
+  let scan i : Engine.Plan.t = Scan { table = tname i; alias = tname i } in
+  let names i = List.map (fun n -> tname i ^ "." ^ n) chain_cols in
+  let joined, _ =
+    List.fold_left
+      (fun ((plan : Engine.Plan.t), kept) (i, s) ->
+        let right = List.filter (fun n -> not (s.drop_k && n = tname i ^ ".k")) (names i) in
+        let keep = if s.drop_k then Some (kept @ right) else None in
+        let left_keys = qcol s.j "a" :: (if s.two_keys then [ qcol s.j "b" ] else []) in
+        let right_attrs = "k" :: (if s.two_keys then [ "b" ] else []) in
+        let node : Engine.Plan.t =
+          if s.use_index then
+            Index_join
+              { left = plan; table = tname i; alias = tname i; left_keys; right_attrs; keep }
+          else
+            Hash_join
+              {
+                left = plan;
+                right = scan i;
+                left_keys;
+                right_keys = List.map (qcol i) right_attrs;
+                keep;
+              }
+        in
+        (node, kept @ right))
+      (scan 0, names 0)
+      (List.mapi (fun i s -> (i + 1, s)) c.steps)
+  in
+  let items group_by : (Sql.Ast.expr * string) list =
+    List.map (fun e -> (e, "g")) group_by
+    @ [ (Sql.Ast.Agg (Sum, Some (qcol 0 "v")), "s"); (Sql.Ast.Agg (Count, None), "c") ]
+  in
+  match c.top with
+  | Rows -> joined
+  | Grouped ->
+    let group_by = [ qcol 0 "a" ] in
+    Aggregate { input = joined; group_by; items = items group_by; having = None }
+  | Ungrouped -> Aggregate { input = joined; group_by = []; items = items []; having = None }
+
+(* the reference: rows are association lists from qualified names,
+   joined by nested loops in left-row, then right-row, order *)
+let chain_reference c =
+  let assoc i r = List.map2 (fun n v -> (tname i ^ "." ^ n, v)) chain_cols (Array.to_list r) in
+  let eq l r ln rn =
+    let x = List.assoc ln l and y = List.assoc rn r in
+    (not (Value.is_null x)) && (not (Value.is_null y)) && Value.equal x y
+  in
+  let joined =
+    List.fold_left
+      (fun acc (i, s) ->
+        let tj n = tname s.j ^ "." ^ n and ti n = tname i ^ "." ^ n in
+        List.concat_map
+          (fun l ->
+            List.filter_map
+              (fun r ->
+                if eq l r (tj "a") (ti "k") && ((not s.two_keys) || eq l r (tj "b") (ti "b"))
+                then Some (l @ if s.drop_k then List.remove_assoc (ti "k") r else r)
+                else None)
+              (List.map (assoc i) c.tables.(i)))
+          acc)
+      (List.map (assoc 0) c.tables.(0))
+      (List.mapi (fun i s -> (i + 1, s)) c.steps)
+  in
+  let row l = Array.of_list (List.map snd l) in
+  (* SUM of t0.v and the row count per group, groups in first-occurrence order *)
+  let aggregate ~ungrouped key rows =
+    let groups = ref [] in
+    List.iter
+      (fun l ->
+        let k = key l in
+        if not (List.exists (fun (k', _) -> Value.equal k k') !groups) then
+          groups := (k, ref []) :: !groups;
+        let _, members = List.find (fun (k', _) -> Value.equal k k') !groups in
+        members := l :: !members)
+      rows;
+    (* an ungrouped aggregate over no rows still answers one row *)
+    if ungrouped && !groups = [] then groups := [ (Value.Null, ref []) ];
+    List.rev_map
+      (fun (k, members) ->
+        let vs =
+          List.filter_map
+            (fun l -> match List.assoc "t0.v" l with Value.Null -> None | v -> Some v)
+            (List.rev !members)
+        in
+        let sum =
+          match vs with
+          | [] -> Value.Null
+          | _ -> v_f (List.fold_left (fun acc v -> acc +. Option.get (Value.to_float v)) 0.0 vs)
+        in
+        (k, sum, v_i (List.length !members)))
+      !groups
+  in
+  match c.top with
+  | Rows -> List.map row joined
+  | Grouped ->
+    List.map
+      (fun (k, s, n) -> [| k; s; n |])
+      (aggregate ~ungrouped:false (fun l -> List.assoc "t0.a" l) joined)
+  | Ungrouped ->
+    List.map (fun (_, s, n) -> [| s; n |]) (aggregate ~ungrouped:true (fun _ -> Value.Null) joined)
+
+let run_chain ?budget ~jobs c =
+  Engine.Database.run_plan ?budget ~jobs (chain_engine c) (chain_plan c)
+
+let prop_streamed_joins =
+  QCheck.Test.make ~count:300
+    ~name:"streamed index/hash join chains equal a nested-loop reference, bitwise"
+    (QCheck.make ~print:print_chain chain_gen)
+    (fun c ->
+      let expected = chain_reference c in
+      List.for_all
+        (fun jobs ->
+          let got = Array.to_list (Relation.rows (run_chain ~jobs c)) in
+          List.length got = List.length expected
+          && List.for_all2
+               (fun g e ->
+                 Array.length g = Array.length e && Array.for_all2 Testutil.cell_bits_equal g e)
+               got expected
+          || QCheck.Test.fail_reportf "jobs %d: %d rows, reference %d rows" jobs
+               (List.length got) (List.length expected))
+        [ 1; 4 ])
+
+(* a fixed three-join chain with enough rows that budgets cut it at
+   every operator: t0 (hash t1) (index t2) (index t3) *)
+let budget_chain () =
+  let rows n f = List.init n (fun r -> f r) in
+  let row k a b v = [| v_i k; v_i a; v_i b; v_f v |] in
+  {
+    tables =
+      [|
+        rows 12 (fun r -> row r (r mod 4) (r mod 2) (float_of_int r));
+        rows 8 (fun r -> row (r mod 4) (r mod 3) 0 0.5);
+        rows 6 (fun r -> row (r mod 3) r 1 0.25);
+        rows 10 (fun r -> row (r mod 5) 0 0 1.0);
+      |];
+    steps =
+      [
+        { j = 0; two_keys = false; use_index = false; drop_k = false };
+        { j = 1; two_keys = false; use_index = true; drop_k = true };
+        { j = 2; two_keys = false; use_index = true; drop_k = false };
+      ];
+    top = Rows;
+  }
+
+let test_streamed_budget_prefixes () =
+  List.iter
+    (fun top ->
+      let c = { (budget_chain ()) with top } in
+      let full = run_chain ~jobs:1 c in
+      let unlimited = Engine.Budget.create Engine.Budget.no_limits in
+      ignore (run_chain ~budget:unlimited ~jobs:1 c);
+      let needed = Engine.Budget.produced unlimited in
+      Alcotest.(check bool) "the chain produces rows" true (Relation.cardinality full > 0);
+      for max_rows = 0 to needed + 1 do
+        let limits = { Engine.Budget.max_rows = Some max_rows; max_elapsed = None } in
+        let truncated jobs =
+          let budget = Engine.Budget.create ~mode:Truncate limits in
+          let rel = run_chain ~budget ~jobs c in
+          (rel, Engine.Budget.truncated budget)
+        in
+        let rel1, stopped1 = truncated 1 and rel4, stopped4 = truncated 4 in
+        let msg = Printf.sprintf "max_rows %d" max_rows in
+        Alcotest.(check bool) (msg ^ ": jobs 1 = jobs 4") true
+          (Testutil.rows_bits_equal rel1 rel4);
+        Alcotest.(check bool) (msg ^ ": stops alike") stopped1 stopped4;
+        Alcotest.(check bool) (msg ^ ": stops iff over budget") (max_rows < needed) stopped1;
+        let n = Relation.cardinality rel1 in
+        Alcotest.(check bool) (msg ^ ": a prefix of the full answer") true
+          (n <= Relation.cardinality full
+          && Testutil.rows_bits_equal rel1
+               (Relation.of_array (Relation.schema full)
+                  (Array.sub (Relation.rows full) 0 n)));
+        let raise_budget = Engine.Budget.create ~mode:Raise limits in
+        match run_chain ~budget:raise_budget ~jobs:1 c with
+        | rel ->
+          Alcotest.(check bool) (msg ^ ": Raise completes only within budget") true
+            (max_rows >= needed && Testutil.rows_bits_equal rel full)
+        | exception Engine.Budget.Exceeded _ ->
+          Alcotest.(check bool) (msg ^ ": Raise raises only over budget") true
+            (max_rows < needed)
+      done)
+    [ Rows; Grouped ]
+
+(* Aggregate over IndexJoin over HashJoin: the span tree is the plan
+   tree, with the build side under its hash join, and every span counts
+   exactly the rows its operator produced *)
+let test_streamed_spans () =
+  let c =
+    {
+      (budget_chain ()) with
+      steps =
+        [
+          { j = 0; two_keys = false; use_index = false; drop_k = false };
+          { j = 1; two_keys = false; use_index = true; drop_k = false };
+        ];
+      top = Grouped;
+    }
+  in
+  let c = { c with tables = Array.sub c.tables 0 3 } in
+  let engine = chain_engine c in
+  let rel, roots =
+    Telemetry.Span.collecting (fun () ->
+        Engine.Database.run_plan ~jobs:1 engine (chain_plan c))
+  in
+  let hash_rows =
+    List.length
+      (chain_reference
+         { steps = [ List.hd c.steps ]; tables = Array.sub c.tables 0 2; top = Rows })
+  in
+  let index_rows = List.length (chain_reference { c with top = Rows }) in
+  let rec shape (s : Telemetry.Span.t) =
+    Printf.sprintf "%s[%d](%s)" s.name (rows_out s)
+      (String.concat "," (List.map shape s.children))
+  in
+  let expected =
+    Printf.sprintf
+      "exec.Aggregate[%d](exec.IndexJoin t2[%d](exec.HashJoin[%d](exec.Scan t1[8](),exec.Scan \
+       t0[12]())))"
+      (Relation.cardinality rel) index_rows hash_rows
+  in
+  match roots with
+  | [ root ] -> Alcotest.(check string) "span tree" expected (shape root)
+  | _ -> Alcotest.failf "expected one root span, got %d" (List.length roots)
+
 (* ---- indexes ---- *)
 
 let test_index_lookup () =
@@ -927,6 +1231,35 @@ let test_index_lookup () =
   Alcotest.(check (list int)) "bucket" [ 0; 2 ] (Engine.Index.lookup idx (v_i 1));
   Alcotest.(check (list int)) "missing" [] (Engine.Index.lookup idx (v_i 99));
   Alcotest.(check int) "distinct keys" 2 (Engine.Index.distinct_keys idx)
+
+(* the flat index against a scan: every value's row ids, in row order,
+   over enough distinct keys to grow the table several times *)
+let prop_index_lookup =
+  QCheck.Test.make ~count:200 ~name:"Index.lookup equals a scan, in row order"
+    QCheck.(
+      list_of_size Gen.(int_range 0 400)
+        (oneof
+           [
+             map v_i (int_range 0 150);
+             map (fun i -> v_f (float_of_int i)) (int_range 0 20);
+             map v_s (string_of_size Gen.(int_range 0 2));
+             always Value.Null;
+           ]))
+    (fun values ->
+      let rel =
+        Relation.create
+          (Schema.make [ ("k", Value.TInt) ])
+          (List.map (fun v -> [| v |]) values)
+      in
+      let idx = Engine.Index.build rel "k" in
+      let scan v =
+        List.concat (List.mapi (fun i w -> if Value.equal v w then [ i ] else []) values)
+      in
+      let probes = values @ [ v_i 999; v_s "zzz"; v_f 0.5 ] in
+      let distinct = List.sort_uniq Value.compare values in
+      Engine.Index.distinct_keys idx = List.length distinct
+      && Engine.Index.cardinality idx = List.length values
+      && List.for_all (fun v -> Engine.Index.lookup idx v = scan v) probes)
 
 let () =
   Alcotest.run "engine"
@@ -1032,5 +1365,16 @@ let () =
           Alcotest.test_case "operator times monotone" `Quick
             test_operator_times_monotone;
         ] );
-      ("index", [ Alcotest.test_case "lookup" `Quick test_index_lookup ]);
+      ( "streamed joins",
+        [
+          QCheck_alcotest.to_alcotest prop_streamed_joins;
+          Alcotest.test_case "budget prefixes at jobs 1 and 4" `Quick
+            test_streamed_budget_prefixes;
+          Alcotest.test_case "span tree and row counts" `Quick test_streamed_spans;
+        ] );
+      ( "index",
+        [
+          Alcotest.test_case "lookup" `Quick test_index_lookup;
+          QCheck_alcotest.to_alcotest prop_index_lookup;
+        ] );
     ]

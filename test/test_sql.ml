@@ -113,9 +113,13 @@ let test_parse_dates () =
   (match parse_e "d < date '1995-03-15'" with
   | Binop (Lt, _, Lit (Dirty.Value.Date _)) -> ()
   | _ -> Alcotest.fail "date literal");
-  match parse_e "d < date '2021-02-30'" with
+  (match parse_e "d < date '2021-02-30'" with
   | exception Sql.Parser.Error _ -> ()
-  | _ -> Alcotest.fail "impossible date literal accepted"
+  | _ -> Alcotest.fail "impossible date literal accepted");
+  (* int_of_string syntax inside a part is not a date *)
+  match parse_e "d >= date '1_995-0x3-0_1'" with
+  | exception Sql.Parser.Error _ -> ()
+  | _ -> Alcotest.fail "date literal with _ and 0x accepted"
 
 let test_parse_aggregates () =
   let q = parse "select id, count(*), sum(a * b) from t group by id having count(*) > 2" in
