@@ -10,7 +10,8 @@ exception Parse_error of { path : string; line : int; msg : string }
     input did not come from a file). *)
 
 val parse_line : ?sep:char -> string -> string list
-(** Parse a single physical line (no embedded newlines). *)
+(** Parse a single physical line (no embedded newlines): the fields of
+    {!parse_rows}' one row, [[""]] for the empty line. *)
 
 val parse_rows : ?sep:char -> string -> string list list
 (** Parse a whole CSV document.  Quoting is honoured {e across} line

@@ -12,6 +12,14 @@ let of_array schema rows =
   { schema; rows }
 
 let create schema rows = of_array schema (Array.of_list rows)
+
+let with_schema schema t =
+  if Schema.arity schema <> Schema.arity t.schema then
+    invalid_arg
+      (Printf.sprintf "Relation.with_schema: arity %d does not match arity %d"
+         (Schema.arity schema) (Schema.arity t.schema));
+  { schema; rows = t.rows }
+
 let schema t = t.schema
 let cardinality t = Array.length t.rows
 let rows t = t.rows

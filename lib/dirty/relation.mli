@@ -11,6 +11,12 @@ val create : Schema.t -> row list -> t
 (** @raise Invalid_argument if a row's arity differs from the schema's. *)
 
 val of_array : Schema.t -> row array -> t
+
+val with_schema : Schema.t -> t -> t
+(** The same rows under another schema of the same arity (a rename):
+    one arity check, not one per row.
+    @raise Invalid_argument if the arities differ. *)
+
 val schema : t -> Schema.t
 val cardinality : t -> int
 val rows : t -> row array

@@ -159,7 +159,9 @@ let string_of_date d =
   let year, month, day = civil_of_days d in
   Printf.sprintf "%04d-%02d-%02d" year month day
 
-let parse s =
+(* The general rules, for every spelling the direct path below does
+   not classify itself. *)
+let parse_general s =
   let s' = String.trim s in
   if s' = "" || String.uppercase_ascii s' = "NULL" then Null
   else
@@ -175,6 +177,109 @@ let parse s =
           | "true" -> Bool true
           | "false" -> Bool false
           | _ -> String s)
+
+(* The bytes [s.[pos] .. s.[pos + len - 1]], without a copy when that
+   is all of [s]. *)
+let sub s pos len = if pos = 0 && len = String.length s then s else String.sub s pos len
+
+let is_letter c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+let is_space c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
+let digit s i = Char.code s.[i] - 48
+
+(* 10^0 .. 10^22, each exact in a double *)
+let powers_of_ten =
+  [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12;
+     1e13; 1e14; 1e15; 1e16; 1e17; 1e18; 1e19; 1e20; 1e21; 1e22 |]
+
+(* [-?D+], [-?D+.D+] or [DDDD-DD-DD]; anything else is [parse_general]'s.
+   An int of at most 18 digits cannot overflow.  A decimal whose digits
+   form an integer m <= 2^53 with at most 22 after the point is
+   m / 10^frac: both operands are exact doubles and the division rounds
+   once, so it is the correctly rounded value [float_of_string] gives
+   (Clinger's fast path).  A longer decimal goes to [float_of_string]
+   directly, which accepts it: no int parse is tried first. *)
+let parse_number s pos len =
+  let stop = pos + len in
+  let neg = s.[pos] = '-' in
+  let start = if neg then pos + 1 else pos in
+  let i = ref start and m = ref 0 in
+  while !i < stop && is_digit s.[!i] && !i - start < 18 do
+    m := (10 * !m) + digit s !i;
+    incr i
+  done;
+  let int_digits = !i - start in
+  if !i = stop then Int (if neg then - !m else !m)
+  else if
+    (not neg) && len = 10 && int_digits = 4 && s.[pos + 4] = '-' && s.[pos + 7] = '-'
+    && is_digit s.[pos + 5] && is_digit s.[pos + 6] && is_digit s.[pos + 8]
+    && is_digit s.[pos + 9]
+  then begin
+    let month = (10 * digit s (pos + 5)) + digit s (pos + 6) in
+    let day = (10 * digit s (pos + 8)) + digit s (pos + 9) in
+    if month < 1 || month > 12 || day < 1 || day > days_in_month ~year:!m ~month then
+      String (sub s pos len)
+    else Date (days_of_civil ~year:!m ~month ~day)
+  end
+  else if !i + 1 < stop && s.[!i] = '.' then begin
+    let point = !i in
+    incr i;
+    while !i < stop && is_digit s.[!i] do
+      incr i
+    done;
+    if !i < stop then parse_general (sub s pos len)
+    else begin
+      let frac = stop - point - 1 in
+      if int_digits + frac <= 18 && frac <= 22 then begin
+        for k = point + 1 to stop - 1 do
+          m := (10 * !m) + digit s k
+        done;
+        if !m <= 0x20000000000000 then begin
+          let f = float_of_int !m /. powers_of_ten.(frac) in
+          Float (if neg then -.f else f)
+        end
+        else Float (float_of_string (sub s pos len))
+      end
+      else Float (float_of_string (sub s pos len))
+    end
+  end
+  else parse_general (sub s pos len)
+
+let rec has_char s i stop c1 c2 =
+  i < stop && (s.[i] = c1 || s.[i] = c2 || has_char s (i + 1) stop c1 c2)
+
+(* the cell against the lowercase [word], ignoring ASCII case *)
+let word_is s pos len word =
+  len = String.length word
+  &&
+  let rec go k = k >= len || (Char.lowercase_ascii s.[pos + k] = word.[k] && go (k + 1)) in
+  go 0
+
+(* A letter-initial cell that [String.trim] leaves alone.  It is never
+   an int, and it is a float only as [strtod]'s inf/infinity/nan
+   (any case, [nan(...)] included) once [float_of_string] has dropped
+   its underscores: those spellings, and any i/n-word with a [_] or
+   [(], go to [parse_general]. *)
+let parse_word s pos len =
+  let c = Char.lowercase_ascii s.[pos] in
+  if
+    (c = 'i' || c = 'n')
+    && (word_is s pos len "nan" || word_is s pos len "inf" || word_is s pos len "infinity"
+       || has_char s pos (pos + len) '_' '(')
+  then parse_general (sub s pos len)
+  else if word_is s pos len "null" then Null
+  else if word_is s pos len "true" then Bool true
+  else if word_is s pos len "false" then Bool false
+  else String (sub s pos len)
+
+let parse_sub s pos len =
+  if len = 0 then Null
+  else
+    let c = s.[pos] in
+    if is_digit c || (c = '-' && len > 1 && is_digit s.[pos + 1]) then parse_number s pos len
+    else if is_letter c && not (is_space s.[pos + len - 1]) then parse_word s pos len
+    else parse_general (sub s pos len)
+
+let parse s = parse_sub s 0 (String.length s)
 
 let to_string = function
   | Null -> "NULL"

@@ -62,7 +62,15 @@ val string_of_date : int -> string
 val parse : string -> t
 (** Best-effort parse used by the CSV loader: integers, then floats,
     then dates, then booleans, empty string as [Null], anything else
-    as [String]. *)
+    as [String].  Plain decimal ints and decimals, [YYYY-MM-DD] dates
+    and letter-initial words are classified directly, without an
+    exception or a trimmed copy; every other spelling goes through the
+    general rules ([String.trim], [int_of_string], [float_of_string]),
+    which give the same value for those. *)
+
+val parse_sub : string -> int -> int -> t
+(** [parse_sub s pos len] is [parse (String.sub s pos len)], copying
+    only what a [String] value or the general rules need. *)
 
 val to_string : t -> string
 (** Display form ([Null] prints as ["NULL"], dates as

@@ -80,15 +80,22 @@ let emit_result budget out_schema out =
   | _ -> Relation.create out_schema (List.rev !out)
 
 let infer_column_ty rows j =
-  let rec go = function
-    | [] -> Value.TString
-    | row :: rest -> (
-      match Value.type_of row.(j) with Some ty -> ty | None -> go rest)
+  let rec go i =
+    if i >= Array.length rows then Value.TString
+    else match Value.type_of rows.(i).(j) with Some ty -> ty | None -> go (i + 1)
   in
-  go rows
+  go 0
 
 let infer_schema names rows =
   Schema.make (List.mapi (fun j name -> (name, infer_column_ty rows j)) names)
+
+(* the output row of the compiled items [fns] over [row] *)
+let project_row fns row =
+  let out = Array.make (Array.length fns) Value.Null in
+  for c = 0 to Array.length fns - 1 do
+    out.(c) <- fns.(c) row
+  done;
+  out
 
 let compile schema e =
   try Expr.compile schema e with
@@ -173,14 +180,14 @@ let aggregate_output ~group_by ~items ~having ~aggs finished_rows =
          (List.init (List.length items) Fun.id)
   in
   if is_passthrough then
-    Relation.create (infer_schema (List.map snd items) finished_rows) finished_rows
+    Relation.of_array (infer_schema (List.map snd items) finished_rows) finished_rows
   else begin
     let inter_names =
       List.mapi (fun i _ -> Printf.sprintf "#g%d" i) group_by
       @ List.mapi (fun i _ -> Printf.sprintf "#a%d" i) aggs
     in
     let inter_schema = infer_schema inter_names finished_rows in
-    let inter = Relation.create inter_schema finished_rows in
+    let inter = Relation.of_array inter_schema finished_rows in
     let inter =
       match having with
       | None -> inter
@@ -189,13 +196,11 @@ let aggregate_output ~group_by ~items ~having ~aggs finished_rows =
         Relation.filter (predicate inter_schema h') inter
     in
     let out_names = List.map snd items in
-    let out_fns = List.map (fun (e, _) -> compile inter_schema e) rewritten_items in
-    let out_rows =
-      List.map
-        (fun row -> Array.of_list (List.map (fun f -> f row) out_fns))
-        (Relation.row_list inter)
+    let out_fns =
+      Array.of_list (List.map (fun (e, _) -> compile inter_schema e) rewritten_items)
     in
-    Relation.create (infer_schema out_names out_rows) out_rows
+    let out_rows = Array.map (project_row out_fns) (Relation.rows inter) in
+    Relation.of_array (infer_schema out_names out_rows) out_rows
   end
 
 (* ---- partition-parallel helpers ----
@@ -269,20 +274,21 @@ let run_filter ?cancel ~jobs pred rel =
     Relation.create (Relation.schema rel) (List.concat (Array.to_list parts))
   end
 
-(* parallel row mapping (Project) over row ranges; order-preserving *)
+(* parallel row mapping (Project) over row ranges: each chunk fills
+   its own range of the one output array, so row order is kept *)
 let run_map_rows ?cancel ~jobs f rel =
   let rows = Relation.rows rel in
   let n = Array.length rows in
-  if not (use_parallel ~jobs n) then
-    List.map (polled cancel f) (Array.to_list rows)
+  if not (use_parallel ~jobs n) then Array.map (polled cancel f) rows
   else begin
+    let out = Array.make n [||] in
     let ranges = chunk_ranges ~jobs n in
-    let parts =
-      Parallel.init ?cancel ~jobs (Array.length ranges) (fun ci ->
-          let lo, len = ranges.(ci) in
-          List.init len (fun i -> f rows.(lo + i)))
-    in
-    List.concat (Array.to_list parts)
+    Parallel.run ?cancel ~jobs (Array.length ranges) (fun ci ->
+        let lo, len = ranges.(ci) in
+        for i = lo to lo + len - 1 do
+          out.(i) <- f rows.(i)
+        done);
+    out
   end
 
 (* ---- the grouping kernel ----
@@ -611,7 +617,7 @@ let run_aggregate (produce : sink -> unit) ~group_by ~items ~having =
   (* SQL semantics: an ungrouped aggregate over an empty input yields
      a single row of initial aggregate values *)
   if g.arity = 0 && g.count = 0 then ignore (group_of g [||] 0 (Index.mix 0));
-  aggregate_output ~group_by ~items ~having ~aggs (List.init g.count (group_row g))
+  aggregate_output ~group_by ~items ~having ~aggs (Array.init g.count (group_row g))
 
 (* ---- joins ---- *)
 
@@ -1048,21 +1054,16 @@ and eval ctx (plan : Plan.t) : Relation.t =
       try ctx.catalog.relation table
       with Not_found -> exec_errorf "unknown table %s" table
     in
-    let schema = Schema.rename ~prefix:alias (Relation.schema rel) in
-    Relation.of_array schema (Relation.rows rel)
+    Relation.with_schema (Schema.rename ~prefix:alias (Relation.schema rel)) rel
   | Filter { input; pred } ->
     let rel = run_child ctx input in
     run_filter ?cancel ~jobs (predicate (Relation.schema rel) pred) rel
   | Project { input; items } ->
     let rel = run_child ctx input in
     let schema = Relation.schema rel in
-    let fns = List.map (fun (e, _) -> compile schema e) items in
-    let rows =
-      run_map_rows ?cancel ~jobs
-        (fun row -> Array.of_list (List.map (fun f -> f row) fns))
-        rel
-    in
-    Relation.create (infer_schema (List.map snd items) rows) rows
+    let fns = Array.of_list (List.map (fun (e, _) -> compile schema e) items) in
+    let rows = run_map_rows ?cancel ~jobs (project_row fns) rel in
+    Relation.of_array (infer_schema (List.map snd items) rows) rows
   | Hash_join _ | Index_join _ -> collect budget (join ctx plan)
   | Left_outer_join { left; right; on } ->
     run_left_outer_join ?budget (run_child ctx left) (run_child ctx right) ~on

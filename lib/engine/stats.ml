@@ -12,27 +12,119 @@ type column_stats = {
 
 let histogram_buckets = 32
 
-let build_histogram values =
-  (* equi-depth over the numeric image; [values] are non-null *)
-  let numeric =
-    Array.of_seq
-      (Seq.filter_map Value.to_float (Array.to_seq values))
+(* Sorting the numeric image in place, without a comparator closure or
+   a boxed float.  Off NaN, [<] agrees with [Float.compare] ([-0.] and
+   [0.] tie under both, so either may come first). *)
+
+let swap a i j =
+  let x = Float.Array.get a i in
+  Float.Array.set a i (Float.Array.get a j);
+  Float.Array.set a j x
+
+(* heapsort of [a.(lo) .. a.(hi - 1)] *)
+let heapsort a lo hi =
+  let len = hi - lo in
+  let rec sift i len =
+    let l = (2 * i) + 1 in
+    if l < len then begin
+      let c =
+        if l + 1 < len && Float.Array.get a (lo + l) < Float.Array.get a (lo + l + 1)
+        then l + 1
+        else l
+      in
+      if Float.Array.get a (lo + i) < Float.Array.get a (lo + c) then begin
+        swap a (lo + i) (lo + c);
+        sift c len
+      end
+    end
   in
-  let n = Array.length numeric in
+  for i = (len / 2) - 1 downto 0 do
+    sift i len
+  done;
+  for last = len - 1 downto 1 do
+    swap a lo (lo + last);
+    sift 0 last
+  done
+
+let insertion_sort a lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = Float.Array.get a i in
+    let j = ref i in
+    while !j > lo && x < Float.Array.get a (!j - 1) do
+      Float.Array.set a !j (Float.Array.get a (!j - 1));
+      decr j
+    done;
+    Float.Array.set a !j x
+  done
+
+(* Put the value of sorted rank [p] at [a.(p)] for every [p] in
+   [positions] (ascending), within [a.(lo) .. a.(hi - 1)]: an introsort
+   that only descends into parts holding such a rank.  Quicksort
+   around a median-of-three pivot with a three-way partition (columns
+   repeat values a lot), insertion sort for short parts, and heapsort
+   once [depth] partitions deep, which bounds the worst case by
+   n log n. *)
+let rec select a positions lo hi depth =
+  if Array.exists (fun p -> p >= lo && p < hi) positions then
+    if hi - lo <= 16 then insertion_sort a lo hi
+    else if depth = 0 then heapsort a lo hi
+    else begin
+      let x = Float.Array.get a lo
+      and y = Float.Array.get a ((lo + hi) / 2)
+      and z = Float.Array.get a (hi - 1) in
+      let pivot =
+        if x < y then if y < z then y else if x < z then z else x
+        else if x < z then x
+        else if y < z then z
+        else y
+      in
+      (* a.(lo .. lt-1) < pivot = a.(lt .. i-1), a.(gt+1 .. hi-1) > pivot *)
+      let lt = ref lo and i = ref lo and gt = ref (hi - 1) in
+      while !i <= !gt do
+        let v = Float.Array.get a !i in
+        if v < pivot then begin
+          swap a !lt !i;
+          incr lt;
+          incr i
+        end
+        else if v > pivot then begin
+          swap a !i !gt;
+          decr gt
+        end
+        else incr i
+      done;
+      select a positions lo !lt (depth - 1);
+      select a positions (!gt + 1) hi (depth - 1)
+    end
+
+(* Equi-depth over the numeric image [numeric.(0 .. n - 1)].  Bucket
+   [i]'s bound is the value of sorted rank [(i + 1) * depth - 1]
+   (rounded) under [Float.compare]: the NaNs lead, so they are moved to
+   the front, and only the ranks the bounds read are put in place. *)
+let build_histogram numeric n =
   if n < 2 then None
   else begin
-    Array.sort Float.compare numeric;
     let buckets = min histogram_buckets n in
     let depth = float_of_int n /. float_of_int buckets in
-    let bounds =
+    let positions =
       Array.init buckets (fun i ->
-          let pos =
-            min (n - 1)
-              (int_of_float (Float.round (float_of_int (i + 1) *. depth)) - 1)
-          in
-          numeric.(max 0 pos))
+          max 0
+            (min (n - 1)
+               (int_of_float (Float.round (float_of_int (i + 1) *. depth)) - 1)))
     in
-    Some { bounds; depth }
+    let nans = ref 0 in
+    for i = 0 to n - 1 do
+      if Float.is_nan (Float.Array.get numeric i) then begin
+        swap numeric i !nans;
+        incr nans
+      end
+    done;
+    let log2 = ref 0 in
+    while 1 lsl !log2 < n do
+      incr log2
+    done;
+    select numeric positions !nans n (2 * !log2);
+    Some { bounds = Array.map (Float.Array.get numeric) positions; depth }
   end
 
 let range_fraction hist ?lo ?hi () =
@@ -75,37 +167,80 @@ let range_fraction hist ?lo ?hi () =
 
 type t = { rows : int; columns : (string * column_stats) list }
 
-module Vtbl = Hashtbl.Make (struct
-  type t = Value.t
+(* A column is analyzed in one pass over the rows that allocates
+   nothing per cell.  Distinct values are counted in an open-addressing
+   table of row numbers (linear probing, at most half full) under
+   [Index.hash_value] and [Value.equal], so [Int 2] and [Float 2.0]
+   count once; the numeric image is collected into a [Float.Array] for
+   the histogram.  Both are scratch sized by the row count, made once
+   per table and reused for each of its columns. *)
+type scratch = {
+  slots : int array;  (** a row number, or -1 for an empty slot *)
+  hashes : int array;  (** the [hash_value] of each slot's cell *)
+  numeric : Float.Array.t;
+}
 
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
-let analyze_column rel name =
-  let values = Relation.column rel name in
-  let seen = Vtbl.create 64 in
-  let nulls = ref 0 in
-  let mn = ref None and mx = ref None in
-  Array.iter
-    (fun v ->
-      if Value.is_null v then incr nulls
-      else begin
-        Vtbl.replace seen v ();
-        (match !mn with
-        | None -> mn := Some v
-        | Some m -> if Value.compare v m < 0 then mn := Some v);
-        match !mx with
-        | None -> mx := Some v
-        | Some m -> if Value.compare v m > 0 then mx := Some v
-      end)
-    values;
+let scratch rows =
+  let cap = ref 16 in
+  while !cap < 2 * rows do
+    cap := 2 * !cap
+  done;
   {
-    distinct = Vtbl.length seen;
+    slots = Array.make !cap (-1);
+    hashes = Array.make !cap 0;
+    numeric = Float.Array.create rows;
+  }
+
+let analyze_column sc rows j =
+  let { slots; hashes; numeric } = sc in
+  let mask = Array.length slots - 1 in
+  Array.fill slots 0 (Array.length slots) (-1);
+  let distinct = ref 0 and nulls = ref 0 and n_numeric = ref 0 in
+  let mn = ref Value.Null and mx = ref Value.Null in
+  let add_numeric f =
+    Float.Array.set numeric !n_numeric f;
+    incr n_numeric
+  in
+  for r = 0 to Array.length rows - 1 do
+    let v : Value.t = rows.(r).(j) in
+    match v with
+    | Null -> incr nulls
+    | Bool _ | Int _ | Float _ | String _ | Date _ -> (
+      let h = Index.hash_value v in
+      let i = ref (h land mask) in
+      while
+        slots.(!i) >= 0
+        && not (hashes.(!i) = h && Value.equal rows.(slots.(!i)).(j) v)
+      do
+        i := (!i + 1) land mask
+      done;
+      if slots.(!i) < 0 then begin
+        slots.(!i) <- r;
+        hashes.(!i) <- h;
+        incr distinct
+      end;
+      (* the first non-null cell, then any strictly smaller (larger) *)
+      if Value.is_null !mn then begin
+        mn := v;
+        mx := v
+      end
+      else begin
+        if Value.compare v !mn < 0 then mn := v;
+        if Value.compare v !mx > 0 then mx := v
+      end;
+      match v with
+      | Int i | Date i -> add_numeric (float_of_int i)
+      | Float f -> add_numeric f
+      | Bool b -> add_numeric (if b then 1.0 else 0.0)
+      | Null | String _ -> ())
+  done;
+  let some v = if Value.is_null v then None else Some v in
+  {
+    distinct = !distinct;
     nulls = !nulls;
-    min = !mn;
-    max = !mx;
-    histogram = build_histogram values;
+    min = some !mn;
+    max = some !mx;
+    histogram = build_histogram numeric !n_numeric;
   }
 
 let m_columns_analyzed =
@@ -129,16 +264,18 @@ let analyze ?prev rel =
     | Some (prel, pstats) when Relation.shares_column prel rel name -> column pstats name
     | _ -> None
   in
+  let rows = Relation.rows rel in
+  let sc = lazy (scratch (Array.length rows)) in
   let columns =
-    List.map
-      (fun n ->
+    List.mapi
+      (fun j n ->
         match carried n with
         | Some cs ->
           Telemetry.Metrics.inc m_columns_reused;
           (n, cs)
         | None ->
           Telemetry.Metrics.inc m_columns_analyzed;
-          (n, analyze_column rel n))
+          (n, analyze_column (Lazy.force sc) rows j))
       (Schema.names (Relation.schema rel))
   in
   { rows = Relation.cardinality rel; columns }

@@ -20,9 +20,9 @@ let table =
 let update crc s =
   let table = Lazy.force table in
   let c = ref (crc lxor 0xFFFFFFFF) in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
+  for i = 0 to String.length s - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
 
 let string s = update 0 s
