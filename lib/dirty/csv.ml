@@ -120,16 +120,22 @@ let parse_line ?sep line =
 let needs_quoting sep s =
   String.exists (fun c -> c = sep || c = '"' || c = '\n' || c = '\r') s
 
+(* a field as [render_line] writes it, appended to [buf] *)
+let add_rendered_field sep buf s =
+  if not (needs_quoting sep s) then Buffer.add_string buf s
+  else begin
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c -> if c = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+  end
+
 let render_field sep s =
   if not (needs_quoting sep s) then s
   else begin
     let buf = Buffer.create (String.length s + 2) in
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        if c = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"';
+    add_rendered_field sep buf s;
     Buffer.contents buf
   end
 
@@ -139,6 +145,20 @@ let render_line ?(sep = ',') fields =
      blank line (blank lines are skipped on read): quote it *)
   | [ "" ] -> "\"\""
   | _ -> String.concat (String.make 1 sep) (List.map (render_field sep) fields)
+
+let add_exact_row buf row =
+  match row with
+  | [| Value.String "" |] -> Buffer.add_string buf "\"\"" (* as [render_line] *)
+  | _ ->
+    Array.iteri
+      (fun j v ->
+        if j > 0 then Buffer.add_char buf ',';
+        match v with
+        (* the text of any other value is letters, digits, '.', '-'
+           and '+', which never need quoting *)
+        | Value.String s -> add_rendered_field ',' buf s
+        | v -> Value.add_exact_string buf v)
+      row
 
 (* whole-file reads go through the fault-injection shim so the chaos
    harness can exercise short reads and crashes on the load path too *)

@@ -24,6 +24,11 @@ val render_line : ?sep:char -> string list -> string
     single field is the empty string renders as [""] (quoted) so it is
     not mistaken for a blank line on read. *)
 
+val add_exact_row : Buffer.t -> Value.t array -> unit
+(** Appends [render_line (List.map Value.to_exact_string row)] (no line
+    terminator) without building the fields or the line: the store's
+    table-file form of a row. *)
+
 val read_file : ?sep:char -> string -> string list list
 (** Reads go through {!Fault.Io}, so fault-injection schedules cover
     the load path. *)

@@ -110,8 +110,15 @@ let with_probabilities table probs =
         row')
       table.relation
   in
-  make_table ~name:table.name ~id_attr:table.id_attr ~prob_attr:table.prob_attr
-    relation
+  (* the identifier column and the row order are unchanged, so the
+     clustering [make_table] would derive is the table's own *)
+  (match
+     table_violations ~name:table.name ~id_attr:table.id_attr ~prob_attr:table.prob_attr
+       relation table.clustering
+   with
+  | [] -> ()
+  | problem :: _ -> raise (Invalid problem));
+  { table with relation }
 
 let table_validate table =
   table_violations ~name:table.name ~id_attr:table.id_attr

@@ -123,8 +123,7 @@ let table_content (t : Dirty_db.table) =
   Buffer.add_char buf '\n';
   Relation.iter
     (fun row ->
-      let fields = Array.to_list (Array.map Value.to_exact_string row) in
-      Buffer.add_string buf (Csv.render_line fields);
+      Csv.add_exact_row buf row;
       Buffer.add_char buf '\n')
     t.relation;
   Buffer.contents buf

@@ -155,9 +155,26 @@ let date_of_string s =
     else Date (days_of_civil ~year ~month ~day)
   | _ -> fail ()
 
+let digit_char n = Char.unsafe_chr (48 + n)
+
 let string_of_date d =
   let year, month, day = civil_of_days d in
-  Printf.sprintf "%04d-%02d-%02d" year month day
+  if year < 0 || year > 9999 then Printf.sprintf "%04d-%02d-%02d" year month day
+  else begin
+    let b = Bytes.create 10 in
+    let put i n = Bytes.unsafe_set b i (digit_char n) in
+    put 0 (year / 1000);
+    put 1 (year / 100 mod 10);
+    put 2 (year / 10 mod 10);
+    put 3 (year mod 10);
+    Bytes.unsafe_set b 4 '-';
+    put 5 (month / 10);
+    put 6 (month mod 10);
+    Bytes.unsafe_set b 7 '-';
+    put 8 (day / 10);
+    put 9 (day mod 10);
+    Bytes.unsafe_to_string b
+  end
 
 (* The general rules, for every spelling the direct path below does
    not classify itself. *)
@@ -291,18 +308,168 @@ let to_string = function
   | String s -> s
   | Date d -> string_of_date d
 
-(* [%.15g] is enough for most floats and keeps store files short;
-   [%.17g] always reads back exactly.  Digits alone would parse as an
-   [Int], so an integral rendering gets a ".0". *)
+(* ---- the storage form ----
+
+   The rule: [%.15g] when it reads back to the same bits, as it does
+   for most floats and keeps store files short, else [%.17g], which
+   always does.  Digits alone would parse as an [Int], so an integral
+   rendering gets a ".0". *)
+let exact_float_printf f =
+  let short = Printf.sprintf "%.15g" f in
+  let s = if Float.equal (float_of_string short) f then short else Printf.sprintf "%.17g" f in
+  if String.exists (fun c -> c = '.' || c = 'e' || c = 'n') s then s else s ^ ".0"
+
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (digit_char (n mod 10))
+
+(* [n] in exactly [width] digits, zero-padded *)
+let rec add_padded buf n width =
+  if width > 0 then begin
+    add_padded buf (n / 10) (width - 1);
+    Buffer.add_char buf (digit_char (n mod 10))
+  end
+
+let add_int buf i =
+  if i >= 0 then add_digits buf i
+  else if i = min_int then Buffer.add_string buf (string_of_int i)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-i)
+  end
+
+(* 10^d for d <= 18, each exact, as floats and as ints *)
+let pow10 =
+  [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12; 1e13; 1e14; 1e15;
+     1e16; 1e17; 1e18 |]
+
+let ipow10 = Array.map int_of_float pow10
+
+(* [n / 10^width] in fixed notation, as [%g] writes it: fraction zeros
+   stripped, then a ".0" if none is left, as the rule adds.  [n] is
+   below 10^18, so with a wider fraction there is no integer part. *)
+let add_fixed buf n width =
+  let n = ref n and width = ref width in
+  while !width > 0 && !n mod 10 = 0 do
+    n := !n / 10;
+    decr width
+  done;
+  if !width > 18 then add_digits buf 0 else add_digits buf (!n / ipow10.(!width));
+  Buffer.add_char buf '.';
+  if !width = 0 then Buffer.add_char buf '0'
+  else add_padded buf (if !width > 18 then !n else !n mod ipow10.(!width)) !width
+
+(* The decimal fast path, for a non-integral [a] in [1e-4, 1e15).  It
+   looks for the smallest [d] whose [n = round (a·10^d)] is under 10^15
+   and reads back as [a]: [n] and [10^d] are exact, so [n /. 10^d] is
+   [n / 10^d] correctly rounded, as [float_of_string] reads it.  Such an
+   [n / 10^d] has at most 15 significant digits and lies within half an
+   ulp of [a], far nearer than any other 15-digit decimal, so it is the
+   value [%.15g] prints, in fixed notation since [a >= 1e-4], and the
+   rule keeps it as it reads back.  Conversely [%.15g] prints [a] with
+   at most [15 - 1 - (-4)] = 18 fraction digits, so when no [d <= 18]
+   qualifies, [%.15g] does not read back and the rule takes [%.17g].
+   Appends [n / 10^d] and answers true, or appends nothing and answers
+   false. *)
+let add_short_decimal buf a =
+  let rec go d =
+    if d > 18 then false
+    else
+      let n = Float.round (a *. pow10.(d)) in
+      if n >= 1e15 then false
+      else if n /. pow10.(d) = a then begin
+        add_fixed buf (int_of_float n) d;
+        true
+      end
+      else go (d + 1)
+  in
+  go 0
+
+(* 5^k for k <= 20 *)
+let pow5 =
+  let a = Array.make 21 1 in
+  for k = 1 to 20 do
+    a.(k) <- 5 * a.(k - 1)
+  done;
+  a
+
+(* The 17 significant digits of a positive [a] in [1e-4, 1e15) whose
+   decimal exponent is [x] in [-4, 14]: [round (a·10^(16-x))], an int
+   in [10^16, 10^17) when [x] is right, computed exactly.  With [a =
+   m·2^e] ([m < 2^53]) and [k = 16 - x], that is [m·5^k / 2^s] for [s =
+   -(k + e)] (between 1 and 47 in this range), rounded half to even as
+   glibc's printf rounds.  [m·5^k] (below 2^100) is formed from 30-bit
+   limbs as [hi·2^60 + lo].  -1 if [s] falls outside [1, 59]. *)
+let digits17 a x =
+  let k = 16 - x in
+  let fr, ex = Float.frexp a in
+  let m = int_of_float (Float.ldexp fr 53) and s = 53 - ex - k in
+  let mask30 = (1 lsl 30) - 1 in
+  let m1 = m lsr 30 and m0 = m land mask30 in
+  let p1 = pow5.(k) lsr 30 and p0 = pow5.(k) land mask30 in
+  let mid = (m0 * p1) + (m1 * p0) in
+  let lo = (m0 * p0) + ((mid land mask30) lsl 30) in
+  let hi = (m1 * p1) + (mid lsr 30) + (lo lsr 60) in
+  let lo = lo land ((1 lsl 60) - 1) in
+  (* [hi lsl (60 - s)] must not overflow *)
+  if s < 1 || s > 59 || hi >= 1 lsl (s + 1) then -1
+  else begin
+    let q = (hi lsl (60 - s)) lor (lo lsr s) in
+    let r = lo land ((1 lsl s) - 1) and half = 1 lsl (s - 1) in
+    if r > half || (r = half && q land 1 = 1) then q + 1 else q
+  end
+
+(* [%.17g] of a positive [a] in [1e-4, 1e15), which it writes in fixed
+   notation with [16 - x] fraction digits: [x] starts from [log10 a]
+   and is corrected until the digits are exactly 17.  Appends and
+   answers true, or appends nothing and answers false. *)
+let add_digits17 buf a =
+  let rec settle x tries =
+    if x < -4 || x > 14 || tries > 2 then false
+    else
+      let d = digits17 a x in
+      if d < 0 then false
+      else if d >= ipow10.(17) then settle (x + 1) (tries + 1)
+      else if d < ipow10.(16) then settle (x - 1) (tries + 1)
+      else begin
+        add_fixed buf d (16 - x);
+        true
+      end
+  in
+  settle (max (-4) (min 14 (int_of_float (Float.floor (Float.log10 a))))) 0
+
+let add_exact_float buf f =
+  let a = Float.abs f in
+  if Float.is_integer f && a < 1e15 then begin
+    (* [to_string]'s "%.1f": the integer's digits and ".0", signed for
+       -0.0 too *)
+    if Float.sign_bit f then Buffer.add_char buf '-';
+    add_digits buf (int_of_float a);
+    Buffer.add_string buf ".0"
+  end
+  else if a >= 1e-4 && a < 1e15 then begin
+    let mark = Buffer.length buf in
+    if f < 0.0 then Buffer.add_char buf '-';
+    if not (add_short_decimal buf a || add_digits17 buf a) then begin
+      Buffer.truncate buf mark;
+      Buffer.add_string buf (exact_float_printf f)
+    end
+  end
+  else Buffer.add_string buf (exact_float_printf f)
+
+let add_exact_string buf = function
+  | Null -> Buffer.add_string buf "NULL"
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Int i -> add_int buf i
+  | Float f -> add_exact_float buf f
+  | String s -> Buffer.add_string buf s
+  | Date d -> Buffer.add_string buf (string_of_date d)
+
 let to_exact_string = function
-  | Float f when not (Float.is_integer f && Float.abs f < 1e15) ->
-    let short = Printf.sprintf "%.15g" f in
-    let s =
-      if Float.equal (float_of_string short) f then short
-      else Printf.sprintf "%.17g" f
-    in
-    if String.exists (fun c -> c = '.' || c = 'e' || c = 'n') s then s
-    else s ^ ".0"
+  | Float f ->
+    let buf = Buffer.create 24 in
+    add_exact_float buf f;
+    Buffer.contents buf
   | v -> to_string v
 
 let to_sql = function

@@ -85,6 +85,12 @@ val to_exact_string : t -> string
     float; the store's table files and the delta journal write cells
     this way. *)
 
+val add_exact_string : Buffer.t -> t -> unit
+(** [Buffer.add_string buf (to_exact_string v)], without building the
+    string for an int or a float.  Ints, dates and the floats in
+    \[1e-4, 1e15) (in magnitude) are written digit by digit, without
+    [Printf]. *)
+
 val to_sql : t -> string
 (** SQL literal form (strings quoted with escaping, dates as
     [DATE 'YYYY-MM-DD']). *)

@@ -9,7 +9,8 @@ val string : string -> int
 
 val update : int -> string -> int
 (** [update crc s] extends a running checksum, so a file can be hashed
-    chunk by chunk: [string (a ^ b) = update (string a) b]. *)
+    chunk by chunk: [string (a ^ b) = update (string a) b].  Only the
+    low 32 bits of [crc] are read. *)
 
 val to_hex : int -> string
 (** Lower-case 8-digit hex rendering, the journal's on-disk form. *)

@@ -4,7 +4,11 @@
     Symbols are non-negative integers (callers intern their domain
     values, see {!Prob.Interning}); probabilities of symbols outside
     the support are zero.  All logarithms are base 2, so entropies and
-    divergences are in bits. *)
+    divergences are in bits.
+
+    A distribution is stored as two parallel arrays: its support in
+    ascending symbol order, and the masses.  Every operation visits
+    the entries in that order. *)
 
 type t
 
@@ -12,6 +16,13 @@ val of_assoc : (int * float) list -> t
 (** Builds a distribution from (symbol, mass) pairs.  Masses for the
     same symbol accumulate; zero-mass entries are dropped.
     @raise Invalid_argument on negative mass. *)
+
+val of_sorted : int array -> float array -> t
+(** [of_sorted syms masses]: the distribution with mass [masses.(i)]
+    on [syms.(i)].  The arrays are shared, not copied, so the caller
+    must not modify them afterwards.
+    @raise Invalid_argument unless the lengths agree, [syms] is
+    strictly ascending and every mass is positive. *)
 
 val uniform : int list -> t
 (** Uniform distribution over the given (distinct) symbols. *)
@@ -31,10 +42,14 @@ val normalize : t -> t
     mass. *)
 
 val scale : float -> t -> t
+(** Every mass times the weight; entries whose product is zero (a zero
+    weight, or underflow) are dropped. *)
 
 val mix : (float * t) list -> t
 (** Weighted mixture [sum_i w_i * d_i]; weights need not sum to 1 (the
-    result is not normalized unless they do and each [d_i] is). *)
+    result is not normalized unless they do and each [d_i] is).  An
+    entry is [w_1·d_1(x)], then [+ w_2·d_2(x)], and so on; zero
+    contributions are skipped and symbols of zero mixed mass dropped. *)
 
 val fold : (int -> float -> 'a -> 'a) -> t -> 'a -> 'a
 

@@ -10,7 +10,10 @@ type t
 val create : unit -> t
 
 val intern : t -> attr:int -> Dirty.Value.t -> int
-(** Symbol of the pair, allocating a fresh one on first sight. *)
+(** Symbol of the pair, allocating a fresh one on first sight, so
+    symbols are numbered in first-seen order.  [attr] is a
+    non-negative attribute position; values are equal when
+    {!Dirty.Value.equal} says so. *)
 
 val find_opt : t -> attr:int -> Dirty.Value.t -> int option
 val size : t -> int

@@ -3,7 +3,7 @@
     Row [t] of the matrix holds the conditional distribution
     [p(v | t)]: probability [1/m] on each of the [m] attribute values
     appearing in tuple [t], zero elsewhere.  The matrix is stored
-    sparsely as interned symbols per row. *)
+    sparsely: each row's interned symbols, in ascending order. *)
 
 type t
 

@@ -1,5 +1,5 @@
-(* The store-load and statistics paths against reference copies of
-   their general-purpose implementations.
+(* The store-load, store-write and statistics paths against reference
+   copies of their general-purpose implementations.
 
    [Value.parse], the CSV scanner with its relation decoder, and
    [Stats.analyze] each take direct paths for the common cases (plain
@@ -11,7 +11,13 @@
    [Array.sort].  Each property draws inputs aimed at the edges of the
    direct paths and requires identical results: value constructors and
    float bits, schema types and cells, the same [Parse_error], the same
-   statistics. *)
+   statistics.
+
+   On the write side, a store's table file renders each cell with
+   digits written directly instead of through [Printf], and checksums
+   its bytes with a slicing-by-8 CRC-32.  Their references are the
+   [Printf] rendering and the bytewise table loop, and the text and the
+   checksum must be identical. *)
 
 open Dirty
 
@@ -478,6 +484,156 @@ let prop_stats =
                got.distinct want.distinct got.nulls want.nulls)
         (Schema.names (Relation.schema rel)))
 
+(* ---- reference: the store writer ---- *)
+
+(* civil-from-days, after Howard Hinnant, as [Value] converts dates *)
+let ref_civil_of_days z =
+  let z = z + 719468 in
+  let era = (if z >= 0 then z else z - 146096) / 146097 in
+  let doe = z - (era * 146097) in
+  let yoe = (doe - (doe / 1460) + (doe / 36524) - (doe / 146096)) / 365 in
+  let y = yoe + (era * 400) in
+  let doy = doe - ((365 * yoe) + (yoe / 4) - (yoe / 100)) in
+  let mp = ((5 * doy) + 2) / 153 in
+  let day = doy - (((153 * mp) + 2) / 5) + 1 in
+  let month = if mp < 10 then mp + 3 else mp - 9 in
+  ((if month <= 2 then y + 1 else y), month, day)
+
+let ref_string_of_date d =
+  let year, month, day = ref_civil_of_days d in
+  Printf.sprintf "%04d-%02d-%02d" year month day
+
+(* [%.15g] when it reads back, else [%.17g], with a ".0" when the
+   digits alone would parse as an int *)
+let ref_exact_float f =
+  let short = Printf.sprintf "%.15g" f in
+  let s = if Float.equal (float_of_string short) f then short else Printf.sprintf "%.17g" f in
+  if String.exists (fun c -> c = '.' || c = 'e' || c = 'n') s then s else s ^ ".0"
+
+let ref_exact_string (v : Value.t) =
+  match v with
+  | Null -> "NULL"
+  | Bool b -> string_of_bool b
+  | Int i -> string_of_int i
+  | Float f ->
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+    else ref_exact_float f
+  | String s -> s
+  | Date d -> ref_string_of_date d
+
+(* the bytewise table loop *)
+let ref_crc_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+      done;
+      !c)
+
+let ref_crc_update crc s =
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  String.iter (fun ch -> c := ref_crc_table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+  !c lxor 0xFFFFFFFF
+
+(* ---- generators: cells to write ---- *)
+
+let pow10 d = 10.0 ** float_of_int d
+
+let rec nudge f k = if k = 0 then f else if k > 0 then nudge (Float.succ f) (k - 1) else nudge (Float.pred f) (k + 1)
+
+let float_gen =
+  let signed g = map2 (fun f neg -> if neg then -.f else f) g bool in
+  frequency
+    [
+      (3, map Int64.float_of_bits ui64);
+      (3, signed (map (fun c -> float_of_int c /. 100.0) (int_range 0 100_000_000)));
+      (2, map (fun n -> float_of_int n /. 1e6) (int_range 1 999_999));
+      (2, map (fun x -> float_of_string (Printf.sprintf "%.6g" x)) (float_range 0.0 1.0));
+      (2, map2 (fun x t -> float_of_int x /. float_of_int t) (int_range 1 16) (int_range 16 200));
+      ( 2,
+        signed
+          (map2 (fun n d -> float_of_int n /. pow10 d) (int_range 1 999_999_999) (int_range 0 18)) );
+      (1, signed (map2 (fun n d -> float_of_int n /. pow10 d) (int_range 1 max_int) (int_range 0 22)));
+      ( 2,
+        signed (map2 nudge (oneofl [ 1e-4; 1e15; 0.1; 1.0; 1e14; 9.99999999999999e14 ]) (int_range (-3) 3)) );
+      (* binary fractions whose 18th digit is an exact 5: [%.17g] ties,
+         which round half to even *)
+      ( 1,
+        signed
+          (map2
+             (fun n j -> float_of_int n +. (float_of_int j /. 64.0))
+             (int_range 0 999_999_999_999_999) (int_range 1 63)) );
+      (1, map (fun b -> Int64.float_of_bits (Int64.of_int b)) (int_range 0 0xFFFFF));
+      (1, map float_of_int int);
+      ( 1,
+        oneofl
+          [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 5e-324; Float.max_float;
+            Float.min_float; 0x1p53; 1e15; -1e15; 1e16; 123456789012345.6; 0.000123456789012345 ] );
+    ]
+
+let write_cell_gen : Value.t QCheck.Gen.t =
+  frequency
+    [
+      (1, return Value.Null);
+      (1, map (fun b -> Value.Bool b) bool);
+      (2, map (fun i -> Value.Int i) (oneof [ int; int_range (-1000) 1000; oneofl [ min_int; max_int; 0 ] ]));
+      (4, map (fun f -> Value.Float f) float_gen);
+      ( 2,
+        map
+          (fun s -> Value.String s)
+          (oneof
+             [
+               oneofl [ ""; ","; "\""; "a,b"; "say \"hi\""; "two\nlines"; "cr\r"; "NULL"; "1.5" ];
+               string_size ~gen:(oneofl [ 'a'; ','; '"'; '\n'; '\r'; ' '; '1' ]) (int_range 0 6);
+             ]) );
+      (2, map (fun d -> Value.Date d) (oneof [ int_range (-800_000) 3_000_000; int_range (-1_000_000_000) 1_000_000_000 ]));
+    ]
+
+let show_row row = String.concat " | " (Array.to_list (Array.map show_value row))
+
+let prop_exact_float =
+  QCheck.Test.make ~count:5000 ~name:"Value.to_exact_string agrees with the Printf rule"
+    (QCheck.make ~print:(Printf.sprintf "%h") float_gen)
+    (fun f ->
+      let want = ref_exact_string (Float f) in
+      let buf = Buffer.create 32 in
+      Value.add_exact_string buf (Float f);
+      (Value.to_exact_string (Float f) = want && Buffer.contents buf = want)
+      || QCheck.Test.fail_reportf "%h: got %S / %S, want %S" f
+           (Value.to_exact_string (Float f)) (Buffer.contents buf) want)
+
+let prop_exact_row =
+  QCheck.Test.make ~count:2000 ~name:"Csv.add_exact_row agrees with render_line of the Printf rule"
+    (QCheck.make ~print:show_row (array_size (int_range 1 5) write_cell_gen))
+    (fun row ->
+      let want = Csv.render_line (Array.to_list (Array.map ref_exact_string row)) in
+      let buf = Buffer.create 64 in
+      Csv.add_exact_row buf row;
+      let dates_ok =
+        Array.for_all
+          (function Value.Date d -> Value.string_of_date d = ref_string_of_date d | _ -> true)
+          row
+      in
+      (Buffer.contents buf = want && dates_ok)
+      || QCheck.Test.fail_reportf "got %S, want %S (dates agree: %b)" (Buffer.contents buf) want
+           dates_ok)
+
+let prop_crc =
+  QCheck.Test.make ~count:2000 ~name:"Crc32.update agrees with the bytewise loop"
+    (QCheck.make
+       ~print:(fun (crc, chunks) -> Printf.sprintf "%x %s" crc (String.concat "|" (List.map (Printf.sprintf "%S") chunks)))
+       (pair (int_range 0 0xFFFFFFFF) (list_size (int_range 0 12) (string_size (int_range 0 9)))))
+    (fun (crc, chunks) ->
+      (* chunk by chunk, so the 8-byte blocks start at every offset of
+         the whole string, and each chunk alone *)
+      let whole = String.concat "" chunks in
+      let want = ref_crc_update crc whole in
+      let chained = List.fold_left Fault.Crc32.update crc chunks in
+      (chained = want
+      && Fault.Crc32.update crc whole = want
+      && List.for_all (fun c -> Fault.Crc32.string c = ref_crc_update 0 c) chunks)
+      || QCheck.Test.fail_reportf "got %x / %x, want %x" chained (Fault.Crc32.update crc whole) want)
+
 (* ---- the type vote's tie-break ---- *)
 
 let column_type doc =
@@ -506,6 +662,8 @@ let () =
   Alcotest.run "load"
     [
       ( "differential",
-        List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_parse; prop_csv; prop_stats ] );
+        List.map
+          (QCheck_alcotest.to_alcotest ~long:false)
+          [ prop_parse; prop_csv; prop_stats; prop_exact_float; prop_exact_row; prop_crc ] );
       ("type vote", [ Alcotest.test_case "tie-break" `Quick test_tie_break ]);
     ]
