@@ -27,10 +27,9 @@
    '--trace FILE' anywhere enables telemetry and appends every completed
    root span as a JSON line to FILE; '--metrics FILE' enables telemetry
    and writes a Prometheus-style metrics snapshot to FILE at exit.
-   '--jobs N' anywhere runs the partition-parallel Filter and Project
-   on up to N domains (same results, defaults to CONQUER_JOBS or 1);
-   joins stream their rows into their consumer and run serially, as
-   does Aggregate.
+   '--jobs N' anywhere sets the domains probability assignment spreads
+   its per-cluster work over (same results, defaults to CONQUER_JOBS or
+   1); queries always run serially.
    '--retries N' / '--io-backoff-ms N' anywhere tune the retry policy
    for transient I/O failures when saving or loading a database. *)
 
@@ -1005,7 +1004,7 @@ let update_cmd =
 
 let serve_cmd =
   let run dir host port concurrency queue_capacity deadline_ms max_deadline_ms
-      budget_rows jobs cache drain_ms trace_sample slow_query_ms query_log =
+      budget_rows cache drain_ms trace_sample slow_query_ms query_log =
     handling_failures @@ fun () ->
     let config =
       {
@@ -1017,7 +1016,6 @@ let serve_cmd =
         default_deadline = float_of_int deadline_ms /. 1000.0;
         max_deadline = float_of_int max_deadline_ms /. 1000.0;
         default_budget_rows = budget_rows;
-        jobs;
         cache_capacity = cache;
         drain_deadline = float_of_int drain_ms /. 1000.0;
         trace_sample;
@@ -1091,13 +1089,6 @@ let serve_cmd =
           ~doc:"Default row budget per query (clients override with the \
                 budget_rows query parameter).")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "query-jobs" ] ~docv:"N"
-          ~doc:"Engine domains per query; 1 keeps each query serial and lets \
-                --concurrency provide the parallelism.")
-  in
   let cache =
     Arg.(
       value & opt int 256
@@ -1155,7 +1146,7 @@ let serve_cmd =
           cancellations, 4 when the store cannot be loaded.")
     Term.(
       const run $ dir $ host $ port $ concurrency $ queue_capacity
-      $ deadline_ms $ max_deadline_ms $ budget_rows $ jobs $ cache
+      $ deadline_ms $ max_deadline_ms $ budget_rows $ cache
       $ drain_ms $ trace_sample $ slow_query_ms $ query_log)
 
 (* ---- trace: inspect a running daemon's observability surface ---- *)
@@ -1318,9 +1309,8 @@ let fuzz_cmd =
     let rejected = ref 0 in
     let agreed = ref 0 in
     let skipped = ref 0 in
-    let jobs = Fuzz.Differential.default_jobs in
     let record name case =
-      match Fuzz.Differential.run ~jobs ~max_candidates case with
+      match Fuzz.Differential.run ~max_candidates case with
       | Fuzz.Differential.Rejected _ -> incr rejected
       | Fuzz.Differential.Agree _ -> incr agreed
       | Fuzz.Differential.Oracle_too_large _ -> incr skipped
@@ -1328,13 +1318,13 @@ let fuzz_cmd =
         incr failures;
         let failing c =
           Fuzz.Differential.failing
-            (Fuzz.Differential.run ~jobs ~max_candidates c)
+            (Fuzz.Differential.run ~max_candidates c)
         in
         let small = Fuzz.Differential.minimize failing case in
         Printf.printf "FAILURE %s (minimized):\n%s%s\n" name
           (Fuzz.Case.print small)
           (Fuzz.Differential.to_string
-             (Fuzz.Differential.run ~jobs ~max_candidates small));
+             (Fuzz.Differential.run ~max_candidates small));
         Option.iter
           (fun dir ->
             Fuzz.Corpus.save ~dir ~name small;
@@ -1357,8 +1347,7 @@ let fuzz_cmd =
          failure(s)\n"
         (List.length names) !agreed !rejected !skipped !failures
     | None ->
-      Printf.printf "fuzzing %d case(s) with seed %d (jobs %s)\n%!" cases seed
-        (String.concat "," (List.map string_of_int jobs));
+      Printf.printf "fuzzing %d case(s) with seed %d\n%!" cases seed;
       for i = 0 to cases - 1 do
         let rand = Random.State.make [| seed; i |] in
         let case = QCheck.Gen.generate1 ~rand (Fuzz.Case.gen ()) in
@@ -1408,7 +1397,7 @@ let fuzz_cmd =
        ~doc:
          "Differential fuzzing: random dirty databases and SPJ queries, \
           RewriteClean on the engine versus the candidate-enumeration \
-          oracle, at every parallelism degree. Prints minimized \
+          oracle. Prints minimized \
           counterexamples; exit code 1 if any case disagrees.")
     Term.(const run $ seed $ cases $ max_candidates $ out $ replay)
 
@@ -1505,8 +1494,9 @@ let () =
   (* --trace FILE / --metrics FILE anywhere enable telemetry globally *)
   let trace_file, args = extract_value "--trace" args in
   let metrics_file, args = extract_value "--metrics" args in
-  (* --jobs N anywhere sets the process-wide parallelism default
-     (overrides CONQUER_JOBS); results are identical for any N *)
+  (* --jobs N anywhere sets the process-wide parallelism default of
+     probability assignment (overrides CONQUER_JOBS); results are
+     identical for any N *)
   let jobs_arg, args = extract_value "--jobs" args in
   (match jobs_arg with
   | Some s -> (

@@ -37,11 +37,8 @@ val rewrite : session -> string -> (string, Rewritable.violation list) result
 val answers : ?config:Engine.Planner.config -> session -> string -> Dirty.Relation.t
 (** Clean answers via RewriteClean executed on the engine.
 
-    Parallelism rides along in [config]: set its [jobs] field to run
-    the rewritten query's filters and projections partition-parallel
-    (answers are bit-identical for any value); with no [config] the process-wide
-    default ([--jobs] / [CONQUER_JOBS]) applies.  The same holds for
-    every query entry point below.
+    The query runs serially; the [jobs] field of [config] is ignored,
+    here and in every query entry point below.
     @raise Rewrite.Not_rewritable when the query is outside the
     class. *)
 

@@ -29,7 +29,20 @@ let is_empty t = cardinality t = 0
 let iter f t = Array.iter f t.rows
 let fold f init t = Array.fold_left f init t.rows
 
-let filter p t = { t with rows = Array.of_seq (Seq.filter p (Array.to_seq t.rows)) }
+(* one pass marks the kept rows in a byte mask, so the only other
+   allocation is the output array, of its exact size *)
+let filter p t =
+  let keep = Bytes.init (Array.length t.rows) (fun i -> if p t.rows.(i) then '\001' else '\000') in
+  let out = Array.make (Bytes.fold_left (fun n c -> n + Char.code c) 0 keep) [||] in
+  let j = ref 0 in
+  Bytes.iteri
+    (fun i c ->
+      if c <> '\000' then begin
+        out.(!j) <- t.rows.(i);
+        incr j
+      end)
+    keep;
+  { t with rows = out }
 
 let map_rows schema f t =
   let rows = Array.map f t.rows in

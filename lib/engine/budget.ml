@@ -30,18 +30,15 @@ let () =
    this keeps the per-row overhead well under a nanosecond amortized *)
 let time_check_interval = 256
 
-(* The mutable accounting fields are guarded by [lock]: a budget can be
-   charged from several domains when the executor runs partitioned
-   operators in parallel, and a torn produced/countdown update would
-   let rows slip past the limit.  The lock is uncontended in serial
-   runs, so the cost there is a couple of atomic instructions per
-   admit — still dwarfed by row materialization. *)
+(* A budget belongs to one execution, which runs on one domain, so its
+   accounting needs no lock.  What another domain may do — trip the
+   cancellation token (the deadline watchdog, a client disconnect) —
+   goes through the token's atomics. *)
 type t = {
   limits : limits;
   mode : mode;
   started : float;
   cancel : Cancel.token option;
-  lock : Mutex.t;
   mutable produced : int;
   mutable stopped : bool;
   mutable was_cancelled : bool;
@@ -54,29 +51,22 @@ let create ?(mode = Raise) ?cancel limits =
     mode;
     started = Unix.gettimeofday ();
     cancel;
-    lock = Mutex.create ();
     produced = 0;
     stopped = false;
     was_cancelled = false;
     countdown = time_check_interval;
   }
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let elapsed t = Unix.gettimeofday () -. t.started
-let produced t = with_lock t (fun () -> t.produced)
-let exhausted t = with_lock t (fun () -> t.stopped)
-let truncated t = with_lock t (fun () -> t.stopped && not t.was_cancelled)
-let cancelled t = with_lock t (fun () -> t.was_cancelled)
+let produced t = t.produced
+let exhausted t = t.stopped
+let truncated t = t.stopped && not t.was_cancelled
+let cancelled t = t.was_cancelled
 let cancel_token t = t.cancel
-let mode t = t.mode
 let limits t = t.limits
 
-(* must be called with [t.lock] held; raises in [Raise] mode, so
-   callers release the lock via Fun.protect *)
-let stop_locked t =
+(* raises in [Raise] mode *)
+let stop t =
   match t.mode with
   | Raise ->
     raise (Exceeded { produced = t.produced; elapsed = elapsed t; limits = t.limits })
@@ -85,9 +75,8 @@ let stop_locked t =
 (* Stop because of cancellation — either the token tripped (watchdog,
    caller) or the wall-clock limit was crossed.  Unlike a row-budget
    stop this is surfaced as [Cancel.Cancelled], and the token (when
-   present) is tripped so parallel partitions observe it too.  Must be
-   called with [t.lock] held. *)
-let stop_cancel_locked t reason =
+   present) is tripped so every holder of it observes the stop. *)
+let stop_cancel t reason =
   t.was_cancelled <- true;
   (match t.cancel with Some tok -> Cancel.cancel ~reason tok | None -> ());
   match t.mode with
@@ -113,23 +102,21 @@ let token_reason t =
   | _ -> None
 
 let check_time t =
-  with_lock t (fun () ->
-      if not t.stopped then
-        match token_reason t with
-        | Some reason -> stop_cancel_locked t reason
-        | None -> if over_time t then stop_cancel_locked t (time_reason t))
+  if not t.stopped then
+    match token_reason t with
+    | Some reason -> stop_cancel t reason
+    | None -> if over_time t then stop_cancel t (time_reason t)
 
 let admit t n =
-  with_lock t @@ fun () ->
   if t.stopped then 0
   else begin
     (match token_reason t with
-     | Some reason -> stop_cancel_locked t reason
+     | Some reason -> stop_cancel t reason
      | None ->
        t.countdown <- t.countdown - n;
        if t.countdown <= 0 then begin
          t.countdown <- time_check_interval;
-         if over_time t then stop_cancel_locked t (time_reason t)
+         if over_time t then stop_cancel t (time_reason t)
        end);
     if t.stopped then 0
     else
@@ -145,7 +132,7 @@ let admit t n =
         else begin
           let allowed = max 0 (lim - t.produced) in
           t.produced <- t.produced + n;
-          stop_locked t;
+          stop t;
           (* only reached in Truncate mode *)
           allowed
         end

@@ -26,11 +26,10 @@
     (consult {!cancelled}).  {!Exceeded} is reserved for the row
     budget.
 
-    A budget is domain-safe: its accounting is mutex-guarded, so
-    charges from parallel operator partitions are serialized and the
-    admitted total never exceeds the limit.  (The operators that charge
-    per row, the joins, always run serially, so [Truncate] prefixes are
-    the same at any [jobs] count.) *)
+    A budget is charged by the one execution it bounds, on one domain,
+    and keeps its accounting without a lock; other domains reach it
+    only through its {!Cancel.token}.  The executor runs every
+    operator serially, so a [Truncate] prefix is deterministic. *)
 
 type limits = {
   max_rows : int option;  (** total rows produced across all operators *)
@@ -89,7 +88,5 @@ val cancelled : t -> bool
     returned. *)
 
 val cancel_token : t -> Cancel.token option
-val mode : t -> mode
 val limits : t -> limits
 val produced : t -> int
-val elapsed : t -> float

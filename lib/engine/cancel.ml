@@ -1,10 +1,9 @@
 (* Cooperative cancellation.
 
    A token is a single atomic flag threaded through the executor's
-   checkpoints: budget charges, operator boundaries, and the parallel
-   pool's chunk-claim loop all poll it, so a long-running query — in
-   particular a partitioned filter spread over several domains — can
-   be interrupted at the next checkpoint rather than only between
+   checkpoints: budget charges, operator boundaries and the loop that
+   pushes a stream's source rows all poll it, so a long-running query
+   can be interrupted at the next checkpoint rather than only between
    queries.  Checking costs one atomic load, cheap enough for per-row
    paths.
 

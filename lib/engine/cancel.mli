@@ -1,10 +1,10 @@
 (** Cooperative query cancellation.
 
     A token is polled at the executor's checkpoints — budget charges,
-    operator boundaries, the parallel pool's chunk-claim loop — so a
-    running query (including one spread over several domains) stops at
-    the next checkpoint after the token trips.  Polling is one atomic
-    load; tripping is one-shot and counted by the
+    operator boundaries, every 1024th row a stream's source pushes —
+    and before each task of a {!Parallel} region, so a running query
+    stops at the next checkpoint after the token trips.  Polling is one
+    atomic load; tripping is one-shot and counted by the
     [engine.cancel.cancellations] telemetry counter. *)
 
 type token
@@ -26,9 +26,8 @@ val check : token -> unit
 
 val with_deadline : seconds:float -> token -> (unit -> 'a) -> 'a
 (** Run [f] under a wall-clock watchdog: a polling domain trips the
-    token once [seconds] elapse, interrupting work — notably parallel
-    joins — at the next checkpoint even when no single operator ever
-    finishes.  The watchdog is always joined before returning.
+    token once [seconds] elapse, interrupting work at the next
+    checkpoint even when no single operator ever finishes.  The watchdog is always joined before returning.
 
     A deadline that is already past — zero, negative, or at or below
     the watchdog's 2ms tick — trips the token {e before} [f] runs

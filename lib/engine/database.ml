@@ -110,17 +110,11 @@ let exec_catalog t : Exec.catalog =
 
 let plan ?config t q = Planner.plan ?config (planner_env t) q
 
-let run_plan ?budget ?jobs ?chunked:_ t p = Exec.run ?budget ?jobs (exec_catalog t) p
-
-(* the parallelism the caller asked for: an explicit config pins it
-   (so jobs=1 vs jobs=4 comparisons are environment-independent);
-   otherwise the process default (CLI --jobs / CONQUER_JOBS) applies *)
-let effective_jobs (config : Planner.config option) =
-  match config with Some c -> c.jobs | None -> Parallel.default_jobs ()
+let run_plan ?budget ?jobs:_ ?chunked:_ t p = Exec.run ?budget (exec_catalog t) p
 
 (* The budget declared by the planner config, if any; a time-limited
    budget gets a cancellation token so the wall-clock watchdog can
-   interrupt parallel regions mid-operator.  An externally supplied
+   interrupt an operator mid-loop.  An externally supplied
    token (the server's per-request token, tripped on client
    disconnect) is attached to the budget whatever the limits — and
    forces a budget into existence even for a limitless config, so the
@@ -145,8 +139,8 @@ let budget_of_config ?cancel mode (config : Planner.config option) =
 (* run [f] under the wall-clock watchdog when the budget carries a
    time limit: the watchdog trips the budget's token at the deadline,
    so execution stops at the next checkpoint (budget charge, operator
-   boundary, or parallel chunk claim) rather than only when a row
-   charge happens to consult the clock *)
+   boundary, or the 1024-row poll of [Exec.drain]) rather than only
+   when a row charge happens to consult the clock *)
 let guarded budget f =
   match budget with
   | None -> f ()
@@ -173,7 +167,7 @@ let query_ast ?config t q =
   timed_query (fun () ->
       let budget = budget_of_config Budget.Raise config in
       guarded budget (fun () ->
-          run_plan ?budget ~jobs:(effective_jobs config) t (plan ?config t q)))
+          run_plan ?budget t (plan ?config t q)))
 
 type stop = { truncated : bool; cancelled : bool }
 
@@ -184,7 +178,7 @@ let query_ast_within ?config ?cancel t q =
       let budget = budget_of_config ?cancel Budget.Truncate config in
       let rel =
         guarded budget (fun () ->
-            run_plan ?budget ~jobs:(effective_jobs config) t (plan ?config t q))
+            run_plan ?budget t (plan ?config t q))
       in
       let stop =
         match budget with

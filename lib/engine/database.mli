@@ -49,9 +49,10 @@ val reuse : ?prev:t -> t -> reuse
 val plan : ?config:Planner.config -> t -> Sql.Ast.query -> Plan.t
 val run_plan :
   ?budget:Budget.t -> ?jobs:int -> ?chunked:bool -> t -> Plan.t -> Dirty.Relation.t
-(** Execute a plan directly — see {!Exec.run}.  [chunked] is ignored:
-    the row interpreter is the only executor.  It is kept only because
-    the benchmark still passes it; ROADMAP item 3 removes it. *)
+(** Execute a plan directly — see {!Exec.run}.  [jobs] and [chunked]
+    are ignored: every operator runs serially in the row interpreter.
+    They are kept only because the benchmark still passes them; ROADMAP
+    item 6 removes them. *)
 
 val query_ast : ?config:Planner.config -> t -> Sql.Ast.query -> Dirty.Relation.t
 val query : ?config:Planner.config -> t -> string -> Dirty.Relation.t
@@ -59,10 +60,9 @@ val query : ?config:Planner.config -> t -> string -> Dirty.Relation.t
     execution budget, exceeding [max_rows] raises {!Budget.Exceeded}
     and exceeding [max_elapsed] raises {!Cancel.Cancelled} — a
     wall-clock watchdog trips the budget's cancellation token, so even
-    a query stuck inside a parallel operator is interrupted at its
-    next checkpoint.  The config's [jobs] field sets the domains of the
-    partition-parallel Filter and Project; with no config the
-    process-wide default ([--jobs] / [CONQUER_JOBS]) applies.
+    a query stuck inside one operator is interrupted at its next
+    checkpoint.  The config's [jobs] field is ignored: queries run
+    serially.
     @raise Sql.Parser.Error, Planner.Plan_error, Exec.Exec_error,
     Budget.Exceeded or Cancel.Cancelled. *)
 

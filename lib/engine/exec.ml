@@ -50,7 +50,7 @@ let operator_label (plan : Plan.t) =
    Operators charge the budget per row.  In [Raise] mode {!Budget.admit}
    raises {!Budget.Exceeded} itself; in [Truncate] mode it stops
    admitting rows, and the local [Budget_stop] exception unwinds the
-   emit loop, so the operator (for a streamed join, the node consuming
+   emit loop, so the operator (for a streamed stage, the node consuming
    the stream) finishes with the rows produced so far. *)
 
 exception Budget_stop
@@ -62,22 +62,34 @@ let tick budget =
     Telemetry.Metrics.inc m_budget_ticks;
     if Budget.admit b 1 = 0 then raise Budget_stop
 
-(* nodes whose emit loops tick per row; everything else is charged on
-   its materialized output at the node boundary *)
-let per_row_charged (plan : Plan.t) =
-  match plan with
-  | Hash_join _ | Left_outer_join _ | Cross _ | Index_join _ -> true
-  | Scan _ | Filter _ | Project _ | Aggregate _ | Sort _ | Distinct _ | Limit _ ->
-    false
+(* ---- growable row buffers ----
 
-(* Result of a per-row-charged emit loop.  A cancelled execution's
+   A node that builds its output row by row (a collected stream,
+   Project, the outer join, Cross) pushes into one array that doubles
+   when full. *)
+
+type rows_buf = { mutable buf : Relation.row array; mutable len : int }
+
+let new_buf () = { buf = [||]; len = 0 }
+
+let push_row b row =
+  if b.len = Array.length b.buf then begin
+    let grown = Array.make (max 64 (2 * b.len)) [||] in
+    Array.blit b.buf 0 grown 0 b.len;
+    b.buf <- grown
+  end;
+  Array.unsafe_set b.buf b.len row;
+  b.len <- b.len + 1
+
+let buf_rows b = if b.len = Array.length b.buf then b.buf else Array.sub b.buf 0 b.len
+
+(* The rows a node built row by row.  A cancelled execution's
    partial rows are discarded at every node boundary above anyway, so
-   don't pay to reverse and materialize a possibly huge accumulator —
-   this is part of what keeps cancellation latency bounded. *)
-let emit_result budget out_schema out =
+   it answers none. *)
+let buffered budget schema b =
   match budget with
-  | Some b when Budget.cancelled b -> Relation.create out_schema []
-  | _ -> Relation.create out_schema (List.rev !out)
+  | Some bg when Budget.cancelled bg -> Relation.of_array schema [||]
+  | _ -> Relation.of_array schema (buf_rows b)
 
 let infer_column_ty rows j =
   let rec go i =
@@ -104,8 +116,10 @@ let compile schema e =
   | Expr.Type_error msg -> raise (Exec_error msg)
 
 let predicate schema e =
-  let f = compile schema e in
-  fun row -> Expr.truth (f row)
+  try Expr.compile_pred schema e with
+  | Expr.Unbound_column c -> exec_errorf "unbound column %s" c
+  | Expr.Ambiguous_column c -> exec_errorf "ambiguous column %s" c
+  | Expr.Type_error msg -> raise (Exec_error msg)
 
 (* ---- aggregation ---- *)
 
@@ -201,94 +215,6 @@ let aggregate_output ~group_by ~items ~having ~aggs finished_rows =
     in
     let out_rows = Array.map (project_row out_fns) (Relation.rows inter) in
     Relation.of_array (infer_schema out_names out_rows) out_rows
-  end
-
-(* ---- partition-parallel helpers ----
-
-   Filter and Project, given enough rows, split their input into
-   contiguous chunks, evaluate the chunks on the domain pool, and
-   concatenate the per-chunk results in chunk order — so the output
-   row order (and hence every downstream result) is bit-identical to a
-   serial run.  Small inputs stay serial: below
-   [Parallel.min_rows_per_chunk] per requested job the handoff costs
-   more than it saves.  Joins and aggregates always run serially:
-   they stream, so there is no input array to partition. *)
-
-let use_parallel ~jobs n = jobs > 1 && n >= jobs * !Parallel.min_rows_per_chunk
-
-(* split [0..n-1] into contiguous ranges, a few per job so chunk
-   stealing evens out skew; returns [(offset, length)] pairs *)
-let chunk_ranges ~jobs n =
-  let max_chunks = max 1 (n / max 1 !Parallel.min_rows_per_chunk) in
-  let chunks = max 1 (min (jobs * 4) max_chunks) in
-  let base = n / chunks and extra = n mod chunks in
-  Array.init chunks (fun i ->
-      let lo = (i * base) + min i extra in
-      let len = base + if i < extra then 1 else 0 in
-      (lo, len))
-
-(* cancellation token forwarded to parallel regions, which abort with
-   [Cancel.Cancelled] once it trips.  In [Raise] budget mode that is
-   the desired outcome.  A Truncate-mode execution whose token trips
-   answers no rows (every node boundary above the stop hands on an
-   empty input), so its regions abort too and {!run} turns the abort
-   into that empty answer.  Once a Truncate-mode budget has stopped,
-   regions only see the emptied inputs of that stop and get no token,
-   so they run to completion. *)
-let region_cancel budget =
-  match budget with
-  | Some b when Budget.mode b = Budget.Raise -> Budget.cancel_token b
-  | Some b when not (Budget.exhausted b) -> Budget.cancel_token b
-  | _ -> None
-
-(* A serial run has no chunk claims to poll the token at, so [f]
-   polls it itself every 1024 calls: a deadline that lands inside a
-   large serial filter or projection stops it there, not at the next
-   node boundary.  Without a token (no budget) [f] runs unwrapped. *)
-let polled cancel f =
-  match cancel with
-  | None -> f
-  | Some tok ->
-    let calls = ref 0 in
-    fun x ->
-      if !calls land 1023 = 0 then Cancel.check tok;
-      incr calls;
-      f x
-
-(* parallel filter over row ranges; preserves row order exactly *)
-let run_filter ?cancel ~jobs pred rel =
-  let rows = Relation.rows rel in
-  let n = Array.length rows in
-  if not (use_parallel ~jobs n) then Relation.filter (polled cancel pred) rel
-  else begin
-    let ranges = chunk_ranges ~jobs n in
-    let parts =
-      Parallel.init ?cancel ~jobs (Array.length ranges) (fun ci ->
-          let lo, len = ranges.(ci) in
-          let acc = ref [] in
-          for i = lo + len - 1 downto lo do
-            if pred rows.(i) then acc := rows.(i) :: !acc
-          done;
-          !acc)
-    in
-    Relation.create (Relation.schema rel) (List.concat (Array.to_list parts))
-  end
-
-(* parallel row mapping (Project) over row ranges: each chunk fills
-   its own range of the one output array, so row order is kept *)
-let run_map_rows ?cancel ~jobs f rel =
-  let rows = Relation.rows rel in
-  let n = Array.length rows in
-  if not (use_parallel ~jobs n) then Array.map (polled cancel f) rows
-  else begin
-    let out = Array.make n [||] in
-    let ranges = chunk_ranges ~jobs n in
-    Parallel.run ?cancel ~jobs (Array.length ranges) (fun ci ->
-        let lo, len = ranges.(ci) in
-        for i = lo to lo + len - 1 do
-          out.(i) <- f rows.(i)
-        done);
-    out
   end
 
 (* ---- the grouping kernel ----
@@ -496,22 +422,25 @@ let insert g i src sofs h =
   Array.blit src sofs g.keys (gid * g.arity) g.arity;
   gid
 
-(* the group of the key [src.(sofs) .. src.(sofs + arity - 1)] with
-   hash [h], opened (key copied) when it is new; top-level and
+(* the slot of the key [src.(sofs) .. src.(sofs + arity - 1)] with
+   hash [h], or the empty slot where it would go; top-level and
    tail-recursive, so a lookup allocates nothing *)
-let rec find_or_add g src sofs h i =
+let rec slot_of g src sofs h i =
   let gid = g.slot_gid.(i) in
-  if gid < 0 then
-    if g.count < g.cap then insert g i src sofs h
-    else begin
-      grow g;
-      insert g (free_slot g.slot_gid g.mask (h land g.mask)) src sofs h
-    end
-  else if g.slot_hash.(i) = h && same_key g.keys (gid * g.arity) src sofs 0 g.arity
-  then gid
-  else find_or_add g src sofs h ((i + 1) land g.mask)
+  if gid < 0 || (g.slot_hash.(i) = h && same_key g.keys (gid * g.arity) src sofs 0 g.arity)
+  then i
+  else slot_of g src sofs h ((i + 1) land g.mask)
 
-let group_of g src sofs h = find_or_add g src sofs h (h land g.mask)
+(* the key's group, opened (key copied) when it is new *)
+let group_of g src sofs h =
+  let i = slot_of g src sofs h (h land g.mask) in
+  let gid = g.slot_gid.(i) in
+  if gid >= 0 then gid
+  else if g.count < g.cap then insert g i src sofs h
+  else begin
+    grow g;
+    insert g (free_slot g.slot_gid g.mask (h land g.mask)) src sofs h
+  end
 
 (* the output row of group [gid]: its key, then each aggregate *)
 let group_row g gid =
@@ -524,12 +453,21 @@ let group_row g gid =
 (* an aggregate argument: count-star or a compiled expression *)
 type agg_arg = Star_arg | Expr_arg of (Relation.row -> Value.t)
 
-let key_hash key_fns scratch row =
-  let h = ref 0 in
-  for j = 0 to Array.length key_fns - 1 do
-    let v = key_fns.(j) row in
+(* evaluate [fns] over [row] into [scratch]; false when a part is NULL
+   (which, in a join key, matches nothing) *)
+let eval_key fns scratch row =
+  let known = ref true in
+  for j = 0 to Array.length fns - 1 do
+    let v = fns.(j) row in
     scratch.(j) <- v;
-    h := (!h * 0x9E3779B1) + Index.hash_value v
+    if Value.is_null v then known := false
+  done;
+  !known
+
+let hash_key scratch =
+  let h = ref 0 in
+  for j = 0 to Array.length scratch - 1 do
+    h := (!h * 0x9E3779B1) + Index.hash_value scratch.(j)
   done;
   Index.mix !h
 
@@ -542,54 +480,58 @@ let feed_row g gid args row =
 
 (* ---- streams ----
 
-   Hash and index joins do not build their output: each pushes its
-   rows, in order, into its consumer as it produces them.  The
-   consumer is a [sink]: called once with the stream's schema, before
-   any row, it returns the function that takes the rows.  A join reads
-   its probe (left) input as a stream too, so a chain of joins runs as
-   one loop over the chain's leftmost materialized input, and an
-   Aggregate on top groups the rows as the joins produce them.  Every
-   other node materializes its output, which is drained into a stream
-   where a join or an Aggregate reads it.  A join whose whole output is
-   needed (the plan root, a hash join's build side, or the input of
-   any node other than a join or an Aggregate) collects its stream
-   into one growable array. *)
+   Filter, hash joins and index joins push their rows, in order, into
+   their consumer: a [sink], called once with the stream's schema
+   before any row, returns the function that takes the rows.  So a
+   pipeline runs as one loop from one materialized source (Scan, Sort,
+   an Aggregate's output, Distinct, Limit, the outer join, Cross),
+   which {!drain} pushes, to one breaker (after Neumann, VLDB 2011):
+   Aggregate groups the rows, Project fills its output array, and any
+   other consumer collects them into one growable array. *)
 
 type sink = Schema.t -> Relation.row -> unit
 
 let streams (plan : Plan.t) =
   match plan with
-  | Hash_join _ | Index_join _ -> true
-  | Scan _ | Filter _ | Project _ | Left_outer_join _ | Cross _ | Aggregate _ | Sort _
-  | Distinct _ | Limit _ ->
+  | Filter _ | Hash_join _ | Index_join _ -> true
+  | Scan _ | Project _ | Left_outer_join _ | Cross _ | Aggregate _ | Sort _ | Distinct _
+  | Limit _ ->
     false
 
 (* Push a materialized relation into [sink].  This is the loop that
-   drives a stream, so a Truncate stop raised by any join above ends
-   the whole stream here, and every consumer keeps what it received. *)
-let drain rel (sink : sink) =
+   drives a stream, so a Truncate stop raised by any stage above ends
+   the whole stream here, and every consumer keeps what it received.
+   With a budget it also checks the clock and the cancellation token
+   every 1024 rows: a stage that pushes nothing on (a selective filter)
+   charges nothing, yet a deadline inside it must still stop it. *)
+let drain budget rel (sink : sink) =
   let push = sink (Relation.schema rel) in
-  try Relation.iter push rel with Budget_stop -> ()
+  let poll = function
+    | Some b ->
+      Budget.check_time b;
+      if Budget.exhausted b then raise_notrace Budget_stop
+    | None -> ()
+  in
+  try Array.iteri (fun i row -> if i land 1023 = 0 then poll budget; push row) (Relation.rows rel)
+  with Budget_stop -> ()
 
-(* The rows of the stream [produce], kept in one growable array.  A
-   cancelled execution's partial rows are discarded at every node
-   boundary above anyway, so it answers none. *)
+(* The rows of the stream [produce], kept in one growable array *)
 let collect budget (produce : sink -> unit) =
-  let schema = ref None and rows = ref [||] and n = ref 0 in
+  let schema = ref None and out = new_buf () in
   produce (fun s ->
       schema := Some s;
-      fun row ->
-        if !n = Array.length !rows then begin
-          let grown = Array.make (max 64 (2 * !n)) [||] in
-          Array.blit !rows 0 grown 0 !n;
-          rows := grown
-        end;
-        !rows.(!n) <- row;
-        incr n);
-  let schema = Option.get !schema in
-  match budget with
-  | Some b when Budget.cancelled b -> Relation.of_array schema [||]
-  | _ -> Relation.of_array schema (Array.sub !rows 0 !n)
+      push_row out);
+  buffered budget (Option.get !schema) out
+
+(* Project: one output row per input row, built straight into the
+   output array; the schema is inferred from the rows *)
+let run_project (produce : sink -> unit) items =
+  let out = new_buf () in
+  produce (fun schema ->
+      let fns = Array.of_list (List.map (fun (e, _) -> compile schema e) items) in
+      fun row -> push_row out (project_row fns row));
+  let rows = buf_rows out in
+  Relation.of_array (infer_schema (List.map snd items) rows) rows
 
 (* Group the stream [produce] as it arrives: each row is hashed and
    folded into its group, and never kept. *)
@@ -613,7 +555,8 @@ let run_aggregate (produce : sink -> unit) ~group_by ~items ~having =
       in
       let scratch = Array.make g.arity Value.Null in
       fun row ->
-        feed_row g (group_of g scratch 0 (key_hash key_fns scratch row)) args row);
+        ignore (eval_key key_fns scratch row);
+        feed_row g (group_of g scratch 0 (hash_key scratch)) args row);
   (* SQL semantics: an ungrouped aggregate over an empty input yields
      a single row of initial aggregate values *)
   if g.arity = 0 && g.count = 0 then ignore (group_of g [||] 0 (Index.mix 0));
@@ -621,28 +564,45 @@ let run_aggregate (produce : sink -> unit) ~group_by ~items ~having =
 
 (* ---- joins ---- *)
 
-(* A build-side bucket.  Rows are consed during the build (so they sit
-   in reverse scan order) and reversed in place exactly once, at the
-   bucket's first probe hit, so the table is never rebuilt just to fix
-   bucket order. *)
-type bucket = { mutable b_rows : Relation.row list; mutable b_ordered : bool }
+(* A hash join's build side, laid out like the persistent index: its
+   distinct keys are the groups of a grouping-kernel table (numbered in
+   first-occurrence order), and the rows of key [k] are
+   [members.(offsets.(k)) .. members.(offsets.(k + 1) - 1)], in build
+   order.  Keys hash with [Index.hash_value] and compare with
+   [Value.equal], so they match as {!Dirty.Relation.Row_tbl} keys do,
+   and a probe allocates nothing. *)
+type join_table = { keys : groups; offsets : int array; members : Relation.row array }
 
-let bucket_add table key row =
-  match Relation.Row_tbl.find_opt table key with
-  | Some b -> b.b_rows <- row :: b.b_rows
-  | None -> Relation.Row_tbl.add table key { b_rows = [ row ]; b_ordered = false }
+let build_join_table fns rel =
+  let g = new_groups (Array.length fns) [||] in
+  let scratch = Array.make g.arity Value.Null in
+  let rows = Relation.rows rel in
+  let gids =
+    Array.map
+      (fun row ->
+        if eval_key fns scratch row then group_of g scratch 0 (hash_key scratch) else -1)
+      rows
+  in
+  let offsets = Array.make (g.count + 1) 0 in
+  Array.iter (fun k -> if k >= 0 then offsets.(k + 1) <- offsets.(k + 1) + 1) gids;
+  for k = 1 to g.count do
+    offsets.(k) <- offsets.(k) + offsets.(k - 1)
+  done;
+  let next = Array.sub offsets 0 g.count in
+  let members = Array.make offsets.(g.count) [||] in
+  Array.iteri
+    (fun i k ->
+      if k >= 0 then begin
+        members.(next.(k)) <- rows.(i);
+        next.(k) <- next.(k) + 1
+      end)
+    gids;
+  { keys = g; offsets; members }
 
-let bucket_rows b =
-  if not b.b_ordered then begin
-    b.b_rows <- List.rev b.b_rows;
-    b.b_ordered <- true
-  end;
-  b.b_rows
-
-(* a hash-join key; [None] when a part is NULL, which matches nothing *)
-let join_key fns row =
-  let key = Array.of_list (List.map (fun f -> f row) fns) in
-  if Array.exists Value.is_null key then None else Some key
+(* the key number of [scratch] in [t], or -1 *)
+let probe t scratch =
+  let h = hash_key scratch in
+  t.keys.slot_gid.(slot_of t.keys scratch 0 h (h land t.keys.mask))
 
 (* A join's output: the schema of [ls @ rs] narrowed to [keep] (see
    {!Plan.t}), and the function building one output row from a left
@@ -697,89 +657,66 @@ let split_outer_condition ls rs on =
   in
   pick [] conjuncts
 
+(* A left row's candidates are the right rows of its key, in reverse
+   build order, when [on] has an equality conjunct over the two inputs
+   (the rest of [on] is checked per pair); otherwise every right row.
+   A left row with no match comes out once, padded with NULLs. *)
 let run_left_outer_join ?budget lrel rrel ~on =
   let ls = Relation.schema lrel and rs = Relation.schema rrel in
   let out_schema = Schema.append ls rs in
   let nulls = Array.make (Schema.arity rs) Dirty.Value.Null in
-  let out = ref [] in
+  let out = new_buf () in
+  let candidates, pred =
+    match split_outer_condition ls rs on with
+    | Some ((lkey, rkey), residual) ->
+      let lf = [| compile ls lkey |] and rf = compile rs rkey in
+      let table = build_join_table [| rf |] rrel in
+      let scratch = [| Value.Null |] in
+      let candidates lrow f =
+        let k = if eval_key lf scratch lrow then probe table scratch else -1 in
+        if k >= 0 then
+          for p = table.offsets.(k + 1) - 1 downto table.offsets.(k) do
+            f table.members.(p)
+          done
+      in
+      ( candidates,
+        match Sql.Ast.conj residual with
+        | None -> fun _ -> true
+        | Some pred -> predicate out_schema pred )
+    | None -> ((fun _ f -> Relation.iter f rrel), predicate out_schema on)
+  in
+  let emit row =
+    tick budget;
+    push_row out row
+  in
   (try
-     match split_outer_condition ls rs on with
-  | Some ((lkey, rkey), residual) ->
-    let lf = compile ls lkey and rf = compile rs rkey in
-    let table = Relation.Row_tbl.create (max 16 (Relation.cardinality rrel)) in
-    let add_bucket key row =
-      let existing = Option.value ~default:[] (Relation.Row_tbl.find_opt table key) in
-      Relation.Row_tbl.replace table key (row :: existing)
-    in
-    Relation.iter
-      (fun rrow ->
-        let key = [| rf rrow |] in
-        if not (Value.is_null key.(0)) then add_bucket key rrow)
-      rrel;
-    let residual_pred =
-      match Sql.Ast.conj residual with
-      | None -> fun _ -> true
-      | Some pred -> predicate out_schema pred
-    in
-    Relation.iter
-      (fun lrow ->
-        let key = [| lf lrow |] in
-        let matches =
-          if Value.is_null key.(0) then []
-          else
-            List.filter
-              (fun combined -> residual_pred combined)
-              (List.rev_map
-                 (fun rrow -> Array.append lrow rrow)
-                 (Option.value ~default:[] (Relation.Row_tbl.find_opt table key)))
-        in
-        match matches with
-        | [] ->
-          tick budget;
-          out := Array.append lrow nulls :: !out
-        | rows ->
-          List.iter
-            (fun row ->
-              tick budget;
-              out := row :: !out)
-            (List.rev rows))
-      lrel
-  | None ->
-    (* general nested-loop outer join *)
-    let pred = predicate out_schema on in
-    Relation.iter
-      (fun lrow ->
-        let matched = ref false in
-        Relation.iter
-          (fun rrow ->
-            let combined = Array.append lrow rrow in
-            if pred combined then begin
-              matched := true;
-              tick budget;
-              out := combined :: !out
-            end)
-          rrel;
-        if not !matched then begin
-          tick budget;
-          out := Array.append lrow nulls :: !out
-        end)
-      lrel
+     Relation.iter
+       (fun lrow ->
+         let matched = ref false in
+         candidates lrow (fun rrow ->
+             let combined = Array.append lrow rrow in
+             if pred combined then begin
+               matched := true;
+               emit combined
+             end);
+         if not !matched then emit (Array.append lrow nulls))
+       lrel
    with Budget_stop -> ());
-  emit_result budget out_schema out
+  buffered budget out_schema out
 
 (* ---- main interpreter ----
 
    With telemetry on, every node runs under an [exec.<operator>] span
    carrying its output row and column counts; that span tree is the
    one per-operator view, read by [conquer profile], [/debug] and the
-   benchmark alike.  A streamed join's span sits where the join sits
+   benchmark alike.  A streamed stage's span sits where the stage sits
    in the plan, opens when its stream starts and closes when the
    stream ends, so its time also covers the per-row work of the
-   operators above it, up to the node that consumes the stream.
+   stages above it, up to the node that consumes the stream.
    Budgets and telemetry only observe or bound the operators: every
    configuration runs the same ones. *)
 
-type ctx = { budget : Budget.t option; jobs : int; catalog : catalog }
+type ctx = { budget : Budget.t option; catalog : catalog }
 
 (* bail out of deep plans promptly when the clock has run out *)
 let check_time ctx = match ctx.budget with None -> () | Some b -> Budget.check_time b
@@ -803,16 +740,16 @@ let observed plan shape f =
 let relation_shape rel = (Relation.cardinality rel, Schema.arity (Relation.schema rel))
 
 let rec run_node ctx (plan : Plan.t) : Relation.t =
-  (* a join opens its span and charges its rows itself, as its stream
-     runs *)
+  (* a streamed stage opens its span and charges its rows itself, as
+     its stream runs *)
   if streams plan then eval ctx plan
   else begin
     check_time ctx;
     let rel = observed plan relation_shape (fun () -> eval ctx (resolve_node ctx plan)) in
-    match ctx.budget with
-    | None -> rel
-    | Some _ when per_row_charged plan -> rel
-    | Some b ->
+    match ctx.budget, plan with
+    | None, _ -> rel
+    | Some _, (Left_outer_join _ | Cross _) -> rel (* their emit loops tick per row *)
+    | Some b, _ ->
       let n = Relation.cardinality rel in
       let allowed = Budget.admit b n in
       if allowed >= n then rel
@@ -827,19 +764,19 @@ and run_child ctx plan =
      input instead of letting them process (then discard) a large
      partial intermediate.  This is what bounds cancellation latency:
      after the token trips mid-join, the plan unwinds without paying
-     for filters/projections over millions of doomed rows. *)
+     for the work above it over millions of doomed rows. *)
   match ctx.budget with
   | Some b when Budget.exhausted b -> Relation.of_array (Relation.schema rel) [||]
   | _ -> rel
 
-(* [plan]'s rows as a stream: a join streams; any other node is
-   evaluated now and drained once the stream starts *)
+(* [plan]'s rows as a stream: a streamed stage streams; any other node
+   is evaluated now and drained once the stream starts *)
 and source ctx (plan : Plan.t) : sink -> unit =
-  if streams plan then join ctx plan else drain (run_child ctx plan)
+  if streams plan then stream ctx plan else drain ctx.budget (run_child ctx plan)
 
-(* A streamed join under its span: the span counts the rows it
-   pushes into [sink] *)
-and join ctx (plan : Plan.t) (sink : sink) =
+(* A streamed stage under its span: the span counts the rows it pushes
+   into [sink] *)
+and stream ctx (plan : Plan.t) (sink : sink) =
   check_time ctx;
   let rows = ref 0 and cols = ref 0 in
   let counted schema =
@@ -853,11 +790,23 @@ and join ctx (plan : Plan.t) (sink : sink) =
     (fun () -> (!rows, !cols))
     (fun () ->
       match resolve_node ctx plan with
+      | Filter { input; pred } -> filter ctx ~input ~pred counted
       | Hash_join { left; right; left_keys; right_keys; keep } ->
         hash_join ctx ~left ~right ~left_keys ~right_keys ~keep counted
       | Index_join { left; table; alias; left_keys; right_attrs; keep } ->
         index_join ctx ~left ~table ~alias ~left_keys ~right_attrs ~keep counted
-      | _ -> invalid_arg "Exec.join: not a streamed join")
+      | _ -> invalid_arg "Exec.stream: not a streamed stage")
+
+(* Pass the input's matching rows on, each charged as it passes *)
+and filter ctx ~input ~pred sink =
+  source ctx input (fun schema ->
+      let p = predicate schema pred in
+      let push = sink schema in
+      fun row ->
+        if p row then begin
+          tick ctx.budget;
+          push row
+        end)
 
 (* Build a table on the right input, then stream the left input
    through it.  The build side must be complete before the first probe,
@@ -865,28 +814,21 @@ and join ctx (plan : Plan.t) (sink : sink) =
 and hash_join ctx ~left ~right ~left_keys ~right_keys ~keep sink =
   let rrel = run_child ctx right in
   let rs = Relation.schema rrel in
-  let rf = List.map (compile rs) right_keys in
-  let table = Relation.Row_tbl.create (max 16 (Relation.cardinality rrel)) in
-  Relation.iter
-    (fun row ->
-      match join_key rf row with Some key -> bucket_add table key row | None -> ())
-    rrel;
+  let table = build_join_table (Array.of_list (List.map (compile rs) right_keys)) rrel in
   source ctx left (fun ls ->
-      let lf = List.map (compile ls) left_keys in
+      let lf = Array.of_list (List.map (compile ls) left_keys) in
+      let scratch = Array.make (Array.length lf) Value.Null in
       let out_schema, emit = join_output keep ls rs in
       let push = sink out_schema in
       fun lrow ->
-        match join_key lf lrow with
-        | None -> ()
-        | Some key -> (
-          match Relation.Row_tbl.find_opt table key with
-          | None -> ()
-          | Some b ->
-            List.iter
-              (fun rrow ->
-                tick ctx.budget;
-                push (emit lrow rrow))
-              (bucket_rows b)))
+        if eval_key lf scratch lrow then begin
+          let k = probe table scratch in
+          if k >= 0 then
+            for p = table.offsets.(k) to table.offsets.(k + 1) - 1 do
+              tick ctx.budget;
+              push (emit lrow table.members.(p))
+            done
+        end)
 
 (* Probe the base table's persistent index on its first key attribute
    with each left row; the remaining key attributes are checked on
@@ -1046,8 +988,7 @@ and resolve_node ctx (plan : Plan.t) : Plan.t =
     Sort { input; keys = List.map (fun (e, d) -> (r e, d)) keys }
 
 and eval ctx (plan : Plan.t) : Relation.t =
-  let cancel = region_cancel ctx.budget in
-  let budget = ctx.budget and jobs = ctx.jobs in
+  let budget = ctx.budget in
   match plan with
   | Scan { table; alias } ->
     let rel =
@@ -1055,33 +996,25 @@ and eval ctx (plan : Plan.t) : Relation.t =
       with Not_found -> exec_errorf "unknown table %s" table
     in
     Relation.with_schema (Schema.rename ~prefix:alias (Relation.schema rel)) rel
-  | Filter { input; pred } ->
-    let rel = run_child ctx input in
-    run_filter ?cancel ~jobs (predicate (Relation.schema rel) pred) rel
-  | Project { input; items } ->
-    let rel = run_child ctx input in
-    let schema = Relation.schema rel in
-    let fns = Array.of_list (List.map (fun (e, _) -> compile schema e) items) in
-    let rows = run_map_rows ?cancel ~jobs (project_row fns) rel in
-    Relation.of_array (infer_schema (List.map snd items) rows) rows
-  | Hash_join _ | Index_join _ -> collect budget (join ctx plan)
+  | Filter _ | Hash_join _ | Index_join _ -> collect budget (stream ctx plan)
+  | Project { input; items } -> run_project (source ctx input) items
   | Left_outer_join { left; right; on } ->
     run_left_outer_join ?budget (run_child ctx left) (run_child ctx right) ~on
   | Cross (a, b) ->
     let ra = run_child ctx a and rb = run_child ctx b in
     let schema = Schema.append (Relation.schema ra) (Relation.schema rb) in
-    let out = ref [] in
+    let out = new_buf () in
     (try
        Relation.iter
          (fun rowa ->
            Relation.iter
              (fun rowb ->
                tick budget;
-               out := Array.append rowa rowb :: !out)
+               push_row out (Array.append rowa rowb))
              rb)
          ra
      with Budget_stop -> ());
-    emit_result budget schema out
+    buffered budget schema out
   | Aggregate { input; group_by; items; having } ->
     run_aggregate (source ctx input) ~group_by ~items ~having
   | Sort { input; keys } ->
@@ -1105,23 +1038,7 @@ and eval ctx (plan : Plan.t) : Relation.t =
     Relation.of_array (Relation.schema rel)
       (Array.sub (Relation.rows rel) 0 keep)
 
-(* A Truncate-mode region aborted by its tripped token: record the
-   stop on the budget and evaluate the plan again.  With the budget
-   stopped, every node boundary hands its parent an empty input, so
-   the second pass is a cheap walk over the plan that yields the empty
-   answer, with the output schema, that a stop observed at an earlier
-   node boundary would have given. *)
-let run_to_stop budget f =
-  try f () with
-  | Cancel.Cancelled _ as e -> (
-    match budget with
-    | Some b when Budget.mode b = Budget.Truncate ->
-      Budget.check_time b;
-      f ()
-    | _ -> raise e)
-
-let run ?budget ?(jobs = 1) catalog plan =
-  let ctx = { budget; jobs; catalog } in
+let run ?budget catalog plan =
+  let ctx = { budget; catalog } in
   (* evaluation-time type errors surface as engine errors *)
-  try run_to_stop budget (fun () -> run_node ctx plan)
-  with Expr.Type_error msg -> raise (Exec_error msg)
+  try run_node ctx plan with Expr.Type_error msg -> raise (Exec_error msg)

@@ -351,3 +351,126 @@ and generic schema (e : Sql.Ast.expr) : Relation.row -> Value.t =
   | In_query _ | Exists _ | Scalar_subquery _ ->
     (* the executor resolves subqueries before compiling *)
     type_errorf "unresolved subquery: %s" (Sql.Pretty.expr_to_string e)
+
+(* ---- predicates ----
+
+   [compile_pred e] is [fun row -> truth (compile e row)], node for
+   node: each case evaluates the same operands in the same order (each
+   mirrors its [generic] case's shape, so the compiler orders them
+   alike), short-circuits where [generic] does, and raises the same
+   [Type_error]s.  What it saves is the boxed [Value.Bool] per node
+   and, for a column compared with a literal of the column's schema
+   type, the dispatch of [Value.compare]: a cell of that type is
+   compared directly, any other cell (NULL among them) by the generic
+   rule. *)
+
+(* [op]'s test on a [Value.compare] result *)
+let holds (op : Sql.Ast.binop) : int -> bool =
+  match op with
+  | Eq -> fun c -> c = 0
+  | Neq -> fun c -> c <> 0
+  | Lt -> fun c -> c < 0
+  | Le -> fun c -> c <= 0
+  | Gt -> fun c -> c > 0
+  | Ge -> fun c -> c >= 0
+  | Add | Sub | Mul | Div | And | Or -> assert false
+
+let compares test a b =
+  (not (Value.is_null a || Value.is_null b)) && test (Value.compare a b)
+
+(* [compares test cell lit] for the column [c].  When [lit] has the
+   column's schema type, a cell of that type is compared directly.  An
+   INTEGER literal meets a FLOAT column as its float image only within
+   2^53, where [Value.compare] agrees with [Float.compare] on it. *)
+let column_vs_literal schema test c (lit : Value.t) : Relation.row -> bool =
+  let i = resolve schema c in
+  let generic v = compares test v lit in
+  let floats k row =
+    match row.(i) with Value.Float x -> test (Float.compare x k) | v -> generic v
+  in
+  match (Schema.attribute_at schema i).ty, lit with
+  | TInt, Int k -> fun row -> (match row.(i) with Value.Int x -> test (Int.compare x k) | v -> generic v)
+  | TDate, Date k ->
+    fun row -> (match row.(i) with Value.Date x -> test (Int.compare x k) | v -> generic v)
+  | TString, String k ->
+    fun row -> (match row.(i) with Value.String x -> test (String.compare x k) | v -> generic v)
+  | TFloat, Float k -> floats k
+  | TFloat, Int k when k >= -(1 lsl 53) && k <= 1 lsl 53 -> floats (float_of_int k)
+  | _ -> fun row -> generic row.(i)
+
+(* [x op y] as [y op' x]: only the sign of a comparison matters, and
+   [Value.compare] is antisymmetric in sign *)
+let flip (op : Sql.Ast.binop) : Sql.Ast.binop =
+  match op with Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | op -> op
+
+(* the node returns a [Bool] on every row it does not raise on *)
+let never_null (e : Sql.Ast.expr) =
+  match e with
+  | Lit (Value.Bool _)
+  | Binop ((And | Or | Eq | Neq | Lt | Le | Gt | Ge), _, _)
+  | Unop (Not, _) | Like _ | Not_like _ | In_list _ | Between _ | Is_null _ | Is_not_null _
+    ->
+    true
+  | _ -> false
+
+let rec mem_value v = function [] -> false | x :: rest -> Value.equal v x || mem_value v rest
+
+let like_value matcher (v : Value.t) =
+  match v with String s -> matcher s | Null -> false | v -> matcher (Value.to_string v)
+
+let rec compile_pred schema (e : Sql.Ast.expr) : Relation.row -> bool =
+  match e with
+  | Lit (Value.Bool b) -> fun _ -> b
+  | Lit Value.Null -> fun _ -> false
+  | Unop (Not, a) when never_null a ->
+    let p = compile_pred schema a in
+    fun row -> not (p row)
+  | Binop (And, a, b) ->
+    let pa = compile_pred schema a and pb = compile_pred schema b in
+    fun row -> pa row && pb row
+  | Binop (Or, a, b) ->
+    let pa = compile_pred schema a and pb = compile_pred schema b in
+    fun row -> pa row || pb row
+  | Binop (((Eq | Neq | Lt | Le | Gt | Ge) as op), a, b) -> (
+    let fa = compile schema a and fb = compile schema b in
+    match a, b with
+    | Col c, Lit v -> column_vs_literal schema (holds op) c v
+    | Lit v, Col c -> column_vs_literal schema (holds (flip op)) c v
+    | _ ->
+      let test = holds op in
+      fun row -> compares test (fa row) (fb row))
+  | Like (a, pattern) ->
+    let f = compile schema a in
+    let matcher = like_matcher pattern in
+    fun row -> like_value matcher (f row)
+  | Not_like (a, pattern) ->
+    let f = compile schema a in
+    let matcher = like_matcher pattern in
+    fun row -> (match f row with Value.Null -> false | v -> not (like_value matcher v))
+  | In_list (a, values) ->
+    let f = compile schema a in
+    fun row ->
+      let v = f row in
+      (not (Value.is_null v)) && mem_value v values
+  | Between (a, lo, hi) -> (
+    let f = compile schema a and flo = compile schema lo and fhi = compile schema hi in
+    match a, lo, hi with
+    | Col c, Lit l, Lit h ->
+      (* [l <= cell] and [cell <= h], each false on NULL, as the whole is *)
+      let above = column_vs_literal schema (fun x -> x >= 0) c l
+      and below = column_vs_literal schema (fun x -> x <= 0) c h in
+      fun row -> above row && below row
+    | _ ->
+      fun row ->
+        let v = f row and l = flo row and h = fhi row in
+        if Value.is_null v || Value.is_null l || Value.is_null h then false
+        else Value.compare l v <= 0 && Value.compare v h <= 0)
+  | Is_null a ->
+    let f = compile schema a in
+    fun row -> Value.is_null (f row)
+  | Is_not_null a ->
+    let f = compile schema a in
+    fun row -> not (Value.is_null (f row))
+  | _ ->
+    let f = compile schema e in
+    fun row -> truth (f row)

@@ -40,6 +40,17 @@ val truth : Dirty.Value.t -> bool
 (** SQL predicate truth: [Bool true] is true; [Bool false] and [Null]
     are false. @raise Type_error on other values. *)
 
+val compile_pred : Dirty.Schema.t -> Sql.Ast.expr -> Dirty.Relation.row -> bool
+(** [compile_pred schema e] is [fun row -> truth (compile schema e
+    row)]: the same bool on every row, the same [Type_error]s, the
+    same compile-time errors, and the same short-circuit order.  AND,
+    OR, comparisons, BETWEEN, IN lists, LIKE and IS [NOT] NULL return
+    their bool without boxing it; NOT does so over an operand that
+    never returns NULL.  A column compared with a literal of its
+    schema type (in BETWEEN too) compares such cells directly rather
+    than through {!Dirty.Value.compare}; other cells take the generic
+    rule. *)
+
 val like_matcher : string -> string -> bool
 (** [like_matcher pattern s] implements SQL LIKE ([%] = any sequence,
     [_] = any single character). *)

@@ -25,9 +25,9 @@
 
 let max_jobs = max 1 (Domain.recommended_domain_count ())
 
-(* process-wide default used when Planner.config doesn't pin jobs:
-   CLI --jobs override beats the CONQUER_JOBS environment variable
-   beats serial *)
+(* process-wide default used when a caller doesn't pin jobs: CLI
+   --jobs override beats the CONQUER_JOBS environment variable beats
+   serial *)
 let default_override = Atomic.make 0 (* 0 = unset *)
 
 let set_default_jobs n = Atomic.set default_override (max 1 (min max_jobs n))
@@ -44,8 +44,6 @@ let env_jobs =
 let default_jobs () =
   let o = Atomic.get default_override in
   if o > 0 then o else Lazy.force env_jobs
-
-let min_rows_per_chunk = ref 512
 
 (* ---- the pool ---- *)
 

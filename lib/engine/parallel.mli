@@ -1,5 +1,6 @@
-(** A fixed-size pool of worker domains for partition-parallel query
-    execution.
+(** A fixed-size pool of worker domains.  Its one production caller
+    is [Prob.Assign], which spreads the per-cluster distance work of
+    probability assignment over it; queries run no parallel region.
 
     The pool is created lazily on the first parallel region and grows
     (never shrinks) to the largest [jobs] ever requested, capped at the
@@ -29,12 +30,6 @@ val warm : int -> unit
     sampling; otherwise the lazily-created pool charges its spawn time
     to whichever run happens first. *)
 
-val min_rows_per_chunk : int ref
-(** Parallel operators fall back to serial execution when the input
-    has fewer than about [jobs * !min_rows_per_chunk] rows — below
-    that, domain handoff costs more than it saves.  Exposed (default
-    512) so tests can force the parallel paths on small relations. *)
-
 val run : ?cancel:Cancel.token -> jobs:int -> int -> (int -> unit) -> unit
 (** [run ~jobs n task] evaluates [task i] for every [0 <= i < n],
     using up to [jobs] domains (including the calling one).  Tasks
@@ -47,7 +42,7 @@ val run : ?cancel:Cancel.token -> jobs:int -> int -> (int -> unit) -> unit
     When [cancel] is given, the token is polled before each task: once
     it trips, unstarted tasks are skipped and {!Cancel.Cancelled} is
     raised after the region drains.  Only pass a token when raising is
-    acceptable (the executor does so in [Raise] budget mode only). *)
+    acceptable. *)
 
 val init : ?cancel:Cancel.token -> jobs:int -> int -> (int -> 'a) -> 'a array
 (** [init ~jobs n f] is [Array.init n f] with the calls distributed

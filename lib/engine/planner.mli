@@ -27,13 +27,11 @@ type config = {
       (** execution budget: wall-clock seconds; [None] is
           unlimited. *)
   jobs : int;
-      (** domains used for the partition-parallel Filter and Project
-          (joins and aggregates always run serially); [1] (the
-          default) keeps execution serial.  Results are bit-identical
-          for any value — see {!Exec.run}. *)
+      (** ignored: every operator runs serially.  Kept only because
+          the benchmark still sets it; ROADMAP item 6 removes it. *)
   chunked : bool;
       (** ignored: the row interpreter is the only executor.  Kept
-          only because the benchmark still reads it; ROADMAP item 3
+          only because the benchmark still reads it; ROADMAP item 6
           removes it. *)
 }
 

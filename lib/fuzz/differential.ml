@@ -2,8 +2,7 @@
    compare.
 
    Operational path: [Rewritable.check], then [Rewrite.rewrite_exn],
-   then engine execution — once per requested parallelism degree,
-   since answers must not depend on the [jobs] value.
+   then engine execution.
    Declarative path: [Oracle.answers], candidate enumeration with each
    candidate evaluated by [Reference.eval], which shares no code with
    the engine.
@@ -16,11 +15,9 @@
 type outcome =
   | Rejected of Conquer.Rewritable.violation list
   | Agree of { answers : int }
-  | Mismatch of { jobs : int; mismatch : Conquer.Oracle.mismatch }
+  | Mismatch of Conquer.Oracle.mismatch
   | Oracle_too_large of { count : float }
   | Error_during of { stage : string; message : string }
-
-let default_jobs = [ 1; 4 ]
 
 let failing = function
   | Mismatch _ | Error_during _ -> true
@@ -32,15 +29,14 @@ let to_string = function
     ^ String.concat "; "
         (List.map Conquer.Rewritable.violation_to_string vs)
   | Agree { answers } -> Printf.sprintf "agree (%d answers)" answers
-  | Mismatch { jobs; mismatch } ->
-    Printf.sprintf "MISMATCH at jobs=%d: %s" jobs
-      (Conquer.Oracle.mismatch_to_string mismatch)
+  | Mismatch mismatch ->
+    "MISMATCH: " ^ Conquer.Oracle.mismatch_to_string mismatch
   | Oracle_too_large { count } ->
     Printf.sprintf "oracle budget exceeded (%.0f candidates)" count
   | Error_during { stage; message } ->
     Printf.sprintf "ERROR during %s: %s" stage message
 
-let run ?(jobs = default_jobs) ?(max_candidates = 200_000) (case : Case.t) =
+let run ?(max_candidates = 200_000) (case : Case.t) =
   let env = Conquer.Dirty_schema.of_dirty_db case.db in
   match Conquer.Rewritable.check env case.query with
   | Error vs -> Rejected vs
@@ -56,42 +52,25 @@ let run ?(jobs = default_jobs) ?(max_candidates = 200_000) (case : Case.t) =
         Error_during { stage = "rewrite"; message = Printexc.to_string e }
       | rewritten ->
         let session = Conquer.Clean.create case.db in
-        (* one leg per jobs value *)
-        let rec check_legs = function
-          | [] -> Agree { answers = Dirty.Relation.cardinality oracle }
-          | j :: rest -> (
-            let config = { Engine.Planner.default_config with jobs = j } in
-            match
-              Engine.Database.query_ast ~config
-                (Conquer.Clean.engine session)
-                rewritten
-            with
-            | exception e ->
-              Error_during
-                {
-                  stage = Printf.sprintf "execute (jobs=%d)" j;
-                  message = Printexc.to_string e;
-                }
-            | answers -> (
-              match Conquer.Oracle.compare_answers ~oracle answers with
-              | Ok () -> check_legs rest
-              | Error mismatch -> Mismatch { jobs = j; mismatch }))
-        in
-        check_legs jobs))
+        match Engine.Database.query_ast (Conquer.Clean.engine session) rewritten with
+        | exception e -> Error_during { stage = "execute"; message = Printexc.to_string e }
+        | answers -> (
+          match Conquer.Oracle.compare_answers ~oracle answers with
+          | Ok () -> Agree { answers = Dirty.Relation.cardinality oracle }
+          | Error mismatch -> Mismatch mismatch)))
 
 (* The update differential: apply a sequence of update batches and,
-   after every batch, run the rewritten query from scratch at every
-   jobs leg.  Each batch's session is derived from the previous one
-   with [Clean.derive], as [conquer serve] does after a commit, so the
-   check covers [Delta.apply] and [Clean.derive] together.  Every leg
-   is compared with the enumeration oracle on that batch's database
+   after every batch, run the rewritten query from scratch.  Each
+   batch's session is derived from the previous one with
+   [Clean.derive], as [conquer serve] does after a commit, so the check
+   covers [Delta.apply] and [Clean.derive] together.  Every answer is
+   compared with the enumeration oracle on that batch's database
    whenever the database fits the candidate budget. *)
 
 type update_outcome =
   | U_rejected of Conquer.Rewritable.violation list
   | U_agree of { batches : int; answers : int }
   | U_mismatch of {
-      jobs : int;
       batch : int;  (** 1-based index of the first diverging batch *)
       mismatch : Conquer.Oracle.mismatch;
     }
@@ -108,13 +87,13 @@ let update_to_string = function
         (List.map Conquer.Rewritable.violation_to_string vs)
   | U_agree { batches; answers } ->
     Printf.sprintf "agree (%d batches, %d answers)" batches answers
-  | U_mismatch { jobs; batch; mismatch } ->
-    Printf.sprintf "MISMATCH after batch %d at jobs=%d: %s" batch jobs
+  | U_mismatch { batch; mismatch } ->
+    Printf.sprintf "MISMATCH after batch %d: %s" batch
       (Conquer.Oracle.mismatch_to_string mismatch)
   | U_error { stage; message } ->
     Printf.sprintf "ERROR during %s: %s" stage message
 
-let run_updates ?(jobs = default_jobs) ?(max_candidates = 200_000)
+let run_updates ?(max_candidates = 200_000)
     (case : Case.t) (batches : Dirty.Delta.batch list) =
   let env = Conquer.Dirty_schema.of_dirty_db case.db in
   match Conquer.Rewritable.check env case.query with
@@ -128,8 +107,7 @@ let run_updates ?(jobs = default_jobs) ?(max_candidates = 200_000)
       let fail stage e =
         raise (Fail (U_error { stage; message = Printexc.to_string e }))
       in
-      (* returns the derived session and the answer count of the last
-         leg *)
+      (* returns the derived session and its answer count *)
       let check_batch (session, _) (batch_no, batch) =
         let db =
           try (Dirty.Delta.apply (Conquer.Clean.dirty_db session) batch).db
@@ -143,27 +121,17 @@ let run_updates ?(jobs = default_jobs) ?(max_candidates = 200_000)
           | exception e ->
             fail (Printf.sprintf "oracle (batch %d)" batch_no) e
         in
-        let check_leg j =
-          let config = { Engine.Planner.default_config with jobs = j } in
-          let answers =
-            try
-              Engine.Database.query_ast ~config
-                (Conquer.Clean.engine session)
-                rewritten
-            with e ->
-              fail (Printf.sprintf "execute (batch %d, jobs=%d)" batch_no j) e
-          in
-          (match oracle with
-          | None -> ()
-          | Some oracle -> (
-            match Conquer.Oracle.compare_answers ~oracle answers with
-            | Ok () -> ()
-            | Error mismatch ->
-              raise
-                (Fail (U_mismatch { jobs = j; batch = batch_no; mismatch }))));
-          Dirty.Relation.cardinality answers
+        let answers =
+          try Engine.Database.query_ast (Conquer.Clean.engine session) rewritten
+          with e -> fail (Printf.sprintf "execute (batch %d)" batch_no) e
         in
-        (session, List.fold_left (fun _ j -> check_leg j) 0 jobs)
+        (match oracle with
+        | None -> ()
+        | Some oracle -> (
+          match Conquer.Oracle.compare_answers ~oracle answers with
+          | Ok () -> ()
+          | Error mismatch -> raise (Fail (U_mismatch { batch = batch_no; mismatch }))));
+        (session, Dirty.Relation.cardinality answers)
       in
       match
         List.fold_left check_batch

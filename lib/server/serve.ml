@@ -70,7 +70,6 @@ type config = {
   default_deadline : float;
   max_deadline : float;
   default_budget_rows : int option;
-  jobs : int;
   cache_capacity : int;
   breaker_threshold : int;
   compact_every : int;
@@ -92,7 +91,6 @@ let default_config =
     default_deadline = 5.0;
     max_deadline = 60.0;
     default_budget_rows = None;
-    jobs = 1;
     cache_capacity = 256;
     breaker_threshold = 3;
     compact_every = 16;
@@ -683,7 +681,6 @@ let handle_query t ctx ~trace_id job req =
           let config =
             {
               Engine.Planner.default_config with
-              jobs = t.cfg.jobs;
               max_rows = budget_rows;
               max_elapsed = Some remaining;
             }

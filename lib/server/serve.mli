@@ -95,7 +95,6 @@ type config = {
   default_deadline : float;  (** seconds, when [deadline_ms] absent *)
   max_deadline : float;  (** ceiling clamped onto client deadlines *)
   default_budget_rows : int option;  (** row budget when none given *)
-  jobs : int;  (** engine domains per query; 1 = serial execution *)
   cache_capacity : int;  (** result-cache entries; 0 disables *)
   breaker_threshold : int;  (** store failures before tripping open *)
   compact_every : int;

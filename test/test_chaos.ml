@@ -491,19 +491,15 @@ let big_cross_db () =
 let cross_query =
   Sql.Parser.parse_query "select a.v, b.v from a, b where a.v + b.v > -1"
 
-let cancel_config jobs seconds =
-  {
-    Engine.Planner.default_config with
-    jobs;
-    max_elapsed = Some seconds;
-  }
+let cancel_config seconds =
+  { Engine.Planner.default_config with max_elapsed = Some seconds }
 
 (* a budgeted query whose time budget is already spent returns an
    empty cancelled partial, through the normal degrading path *)
 let test_expired_deadline_query_degrades () =
   let engine = big_cross_db () in
   let rel, { Engine.Database.truncated; cancelled } =
-    Engine.Database.query_ast_within ~config:(cancel_config 4 0.0) engine
+    Engine.Database.query_ast_within ~config:(cancel_config 0.0) engine
       cross_query
   in
   Alcotest.(check bool) "cancelled" true cancelled;
@@ -516,7 +512,7 @@ let test_query_cancelled_partial_within_deadline () =
   let t0 = Unix.gettimeofday () in
   let rel, { Engine.Database.truncated; cancelled } =
     Engine.Database.query_ast_within
-      ~config:(cancel_config 4 deadline)
+      ~config:(cancel_config deadline)
       engine cross_query
   in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -530,8 +526,10 @@ let test_query_cancelled_partial_within_deadline () =
     (elapsed < 2.0 *. deadline)
 
 (* The deadline falls late in the plan: inside the cross product
-   below, or inside the filter and projection over its 1.2M rows.
-   Wherever it falls, the query must stop promptly and answer no rows,
+   below, or inside the streamed filter and the projection over its
+   1.2M rows.  (The test's name predates streaming, when the filter
+   and projection ran as chunked parallel regions.)  Wherever the
+   deadline falls, the query must stop promptly and answer no rows,
    with the output columns a stop before the first operator gives. *)
 let test_query_cancelled_in_chunked_region () =
   let engine = Engine.Database.create () in
@@ -544,7 +542,7 @@ let test_query_cancelled_in_chunked_region () =
   let deadline = 0.25 in
   let run () =
     Engine.Database.query_ast_within
-      ~config:(cancel_config 1 deadline)
+      ~config:(cancel_config deadline)
       engine cross_query
   in
   (* while the heap still grows, the cross product alone can outlast
@@ -557,7 +555,7 @@ let test_query_cancelled_in_chunked_region () =
   Alcotest.(check bool) "not row-truncated" false truncated;
   Alcotest.(check int) "a cancelled answer has no rows" 0 (Relation.cardinality rel);
   let expired, _ =
-    Engine.Database.query_ast_within ~config:(cancel_config 1 0.0) engine
+    Engine.Database.query_ast_within ~config:(cancel_config 0.0) engine
       cross_query
   in
   Alcotest.(check (list string))
@@ -569,12 +567,47 @@ let test_query_cancelled_in_chunked_region () =
     true
     (elapsed < 2.0 *. deadline)
 
+(* A Filter -> Aggregate pipeline over one scan, with no join, whose
+   deadline lands inside the filter's loop.  A filter that passes no
+   row charges the budget nothing, so only [Exec.drain]'s poll can
+   stop it; one that passes every row is stopped by its charges.  Each
+   row's LIKE test walks a 2000-character string, so the whole scan
+   would take seconds. *)
+let test_filter_aggregate_deadline () =
+  let engine = Engine.Database.create () in
+  let row = [| v_i 1; Value.String (String.make 2000 'a') |] in
+  Engine.Database.add_relation engine ~name:"t"
+    (Relation.of_array
+       (Schema.make [ ("k", Value.TInt); ("s", Value.TString) ])
+       (Array.make 1_000_000 row));
+  let deadline = 0.1 in
+  List.iter
+    (fun pred ->
+      let q =
+        Sql.Parser.parse_query
+          ("select k, count(*) from t where " ^ pred ^ " group by k")
+      in
+      let t0 = Unix.gettimeofday () in
+      let rel, { Engine.Database.truncated; cancelled } =
+        Engine.Database.query_ast_within ~config:(cancel_config deadline) engine q
+      in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) (pred ^ ": cancelled") true cancelled;
+      Alcotest.(check bool) (pred ^ ": not row-truncated") false truncated;
+      Alcotest.(check int) (pred ^ ": no rows") 0 (Relation.cardinality rel);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: returned within 2x deadline (%.0fms)" pred
+           (elapsed *. 1000.))
+        true
+        (elapsed < 2.0 *. deadline))
+    [ "s like '%a%a%a%b'"; "s not like '%a%a%a%b'" ]
+
 let test_query_cancelled_raise_within_deadline () =
   let engine = big_cross_db () in
   let deadline = 0.3 in
   let t0 = Unix.gettimeofday () in
   (match
-     Engine.Database.query_ast ~config:(cancel_config 4 deadline) engine
+     Engine.Database.query_ast ~config:(cancel_config deadline) engine
        cross_query
    with
   | _ -> Alcotest.fail "cross product outran its deadline uncancelled"
@@ -646,6 +679,8 @@ let () =
             `Quick test_query_cancelled_partial_within_deadline;
           Alcotest.test_case "deadline inside a chunked region" `Quick
             test_query_cancelled_in_chunked_region;
+          Alcotest.test_case "filter into aggregate stops within 2x deadline"
+            `Quick test_filter_aggregate_deadline;
           Alcotest.test_case "raise-mode query cancelled within 2x deadline"
             `Quick test_query_cancelled_raise_within_deadline;
           Alcotest.test_case "cancellations counter and first-reason-wins"

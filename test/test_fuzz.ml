@@ -3,8 +3,7 @@
    The headline property: on random dirty databases and random SPJ
    queries, whenever [Rewritable.check] accepts, RewriteClean on the
    engine agrees exactly with the candidate-enumeration oracle, whose
-   reference evaluator shares no code with the engine — at jobs=1 and
-   jobs=4.  Around it: the oracle's own invariants, observation
+   reference evaluator shares no code with the engine.  Around it: the oracle's own invariants, observation
    (telemetry, profiling) leaving answers bit-identical, sampler
    convergence to oracle probabilities, the SQL pretty-printer
    round-trip on generated queries, corpus round-trip and replay, and
@@ -23,9 +22,9 @@ let total_rows db =
 
 let prop_differential =
   QCheck.Test.make ~count:300
-    ~name:"rewriting agrees with the oracle (jobs 1 and 4)" case_arb
+    ~name:"rewriting agrees with the oracle (just one engine leg)" case_arb
     (fun case ->
-      let outcome = Fuzz.Differential.run ~jobs:[ 1; 4 ] case in
+      let outcome = Fuzz.Differential.run case in
       if Fuzz.Differential.failing outcome then
         QCheck.Test.fail_report (Fuzz.Differential.to_string outcome)
       else true)
@@ -34,7 +33,7 @@ let prop_differential =
 
    300 random update sequences over rewritable cases: after every
    batch, the rewritten query run from scratch on a session derived
-   with [Clean.derive] agrees with the oracle at jobs 1 and 4.  The
+   with [Clean.derive] agrees with the oracle.  The
    first property stays on the 1/16 probability grid; the second
    renormalizes raw weights off the grid, so every database it checks,
    the final one included, carries inexact probabilities. *)
@@ -43,7 +42,7 @@ let update_differential ~name mode =
   QCheck.Test.make ~count:300 ~name
     (Fuzz.Updategen.scenario_arbitrary ~mode ())
     (fun (case, batches) ->
-      let outcome = Fuzz.Differential.run_updates ~jobs:[ 1; 4 ] case batches in
+      let outcome = Fuzz.Differential.run_updates case batches in
       if Fuzz.Differential.update_failing outcome then
         QCheck.Test.fail_report (Fuzz.Differential.update_to_string outcome)
       else true)
@@ -51,14 +50,13 @@ let update_differential ~name mode =
 let prop_update_differential =
   update_differential Fuzz.Updategen.Grid
     ~name:
-      "after every update batch, from-scratch answers agree with the oracle \
-       (jobs 1 and 4)"
+      "after every update batch, from-scratch answers agree with the oracle"
 
 let prop_update_differential_off_grid =
   update_differential Fuzz.Updategen.Free
     ~name:
       "off-grid: after every update batch, from-scratch answers agree with \
-       the oracle (jobs 1 and 4)"
+       the oracle"
 
 (* ---- derived sessions ----
 
@@ -141,13 +139,13 @@ let test_derived_session_property () =
 (* ---- observation does not change answers ----
 
    Telemetry and profiling only watch node boundaries.  Over rewritten
-   generated queries, at jobs 1 and 4, answers with telemetry on, and
+   generated queries, answers with telemetry on, and
    under the span collector that [conquer profile] runs, are bitwise
    those of a plain run with telemetry off, row order included. *)
 
 let prop_observation_invisible =
   QCheck.Test.make ~count:150
-    ~name:"telemetry and profiling leave answers bit-identical (jobs 1 and 4)"
+    ~name:"telemetry and profiling leave answers bit-identical"
     (QCheck.make ~print:Fuzz.Case.print (Fuzz.Updategen.rewritable_case_gen ()))
     (fun (case : Fuzz.Case.t) ->
       let env = Conquer.Dirty_schema.of_dirty_db case.db in
@@ -161,25 +159,16 @@ let prop_observation_invisible =
           index = (fun table attr -> Engine.Database.index engine ~table ~attr);
         }
       in
-      let plain jobs () = Engine.Exec.run ~jobs catalog plan in
-      let profiled jobs () = fst (Telemetry.Span.collecting (plain jobs)) in
-      let expected = Telemetry.Control.with_disabled (plain 1) in
+      let plain () = Engine.Exec.run catalog plan in
+      let expected = Telemetry.Control.with_disabled plain in
       List.for_all
         (fun (label, answers) ->
           Testutil.rows_bits_equal expected answers
-          || QCheck.Test.fail_reportf "%s differs from jobs=1 with telemetry off"
-               label)
-        (List.concat_map
-           (fun jobs ->
-             [
-               ( Printf.sprintf "jobs=%d, telemetry off" jobs,
-                 Telemetry.Control.with_disabled (plain jobs) );
-               ( Printf.sprintf "jobs=%d, telemetry on" jobs,
-                 Telemetry.Control.with_enabled (plain jobs) );
-               ( Printf.sprintf "jobs=%d, profiled" jobs,
-                 profiled jobs () );
-             ])
-           [ 1; 4 ]))
+          || QCheck.Test.fail_reportf "%s differs from a run with telemetry off" label)
+        [
+          ("telemetry on", Telemetry.Control.with_enabled plain);
+          ("profiled", fst (Telemetry.Span.collecting plain));
+        ])
 
 (* ---- oracle invariants ---- *)
 
@@ -351,11 +340,11 @@ let test_corpus_classification () =
 
    Deterministic witnesses for two update shapes that move answers
    between groups, run through the update differential: after each
-   batch, from-scratch answers at jobs 1 and 4 against the oracle. *)
+   batch, from-scratch answers against the oracle. *)
 
 let run_pinned_updates name batches =
   let case = Fuzz.Corpus.load ~dir:corpus_dir ~name in
-  match Fuzz.Differential.run_updates ~jobs:[ 1; 4 ] case batches with
+  match Fuzz.Differential.run_updates case batches with
   | Fuzz.Differential.U_agree { answers; _ } -> answers
   | outcome ->
     Alcotest.failf "pinned %s: %s" name
