@@ -222,11 +222,9 @@ let aggregate_output ~group_by ~items ~having ~aggs finished_rows =
    One hash-aggregate for every GROUP BY.  It takes its input row by
    row, in order, from a stream.  Its per-row work allocates nothing
    beyond what the key and argument expressions themselves return:
-   - an open-addressing table of two int arrays (full hash, group id),
-     linear probing, grown by doubling at half load; it sizes with the
-     number of groups, not rows;
-   - keys are evaluated into one reused scratch buffer and copied into
-     a flat key store only when they open a new group;
+   - keys are evaluated into one reused scratch buffer, and
+     {!Index.Keys} numbers them (copying a key only when it opens a
+     new group), as it numbers an index's keys;
    - accumulators are flat per-group arrays ([Float.Array] for float
      sums, int arrays for counts and int sums, one [Value.t] array for
      MIN/MAX) that grow with the group count.
@@ -357,97 +355,30 @@ let finish acc g : Value.t =
 
 type groups = {
   arity : int;  (** key columns *)
-  mutable cap : int;  (** groups the arrays below have room for *)
-  mutable mask : int;  (** slot count - 1 *)
-  mutable slot_hash : int array;
-  mutable slot_gid : int array;  (** -1 = empty slot *)
-  mutable count : int;  (** groups so far; ids are [0 .. count - 1] *)
-  mutable keys : Value.t array;  (** [arity] values per group *)
+  keys : Index.Keys.t;  (** group ids are key numbers *)
+  mutable cap : int;  (** groups the accumulators have room for *)
   accs : acc array;
 }
 
 let new_groups arity funs =
   let cap = 16 in
-  {
-    arity;
-    cap;
-    mask = (2 * cap) - 1;
-    slot_hash = Array.make (2 * cap) 0;
-    slot_gid = Array.make (2 * cap) (-1);
-    count = 0;
-    keys = Array.make (arity * cap) Value.Null;
-    accs = Array.map (fun f -> new_acc f cap) funs;
-  }
+  { arity; keys = Index.Keys.create arity; cap; accs = Array.map (fun f -> new_acc f cap) funs }
 
-let rec free_slot slot_gid mask i =
-  if slot_gid.(i) < 0 then i else free_slot slot_gid mask ((i + 1) land mask)
-
-(* double the group capacity and the slot table (kept at most half
-   full), re-placing every group by its stored hash *)
-let grow g =
-  let cap = 2 * g.cap in
-  g.cap <- cap;
-  g.keys <- grow_values g.keys (g.arity * cap);
-  Array.iter (fun acc -> grow_acc acc cap) g.accs;
-  let nslots = 2 * cap in
-  let mask = nslots - 1 in
-  let slot_hash = Array.make nslots 0 and slot_gid = Array.make nslots (-1) in
-  for s = 0 to g.mask do
-    let gid = g.slot_gid.(s) in
-    if gid >= 0 then begin
-      let h = g.slot_hash.(s) in
-      let i = free_slot slot_gid mask (h land mask) in
-      slot_hash.(i) <- h;
-      slot_gid.(i) <- gid
-    end
-  done;
-  g.mask <- mask;
-  g.slot_hash <- slot_hash;
-  g.slot_gid <- slot_gid
-
-(* keys read from the same stored row or joined-in tuple are often
-   physically the same value, which [Value.equal] would still walk *)
-let rec same_key keys kofs src sofs j arity =
-  j >= arity
-  ||
-  let a = keys.(kofs + j) and b = src.(sofs + j) in
-  (a == b || Value.equal a b) && same_key keys kofs src sofs (j + 1) arity
-
-(* open group [gid = g.count] for the key at [src.(sofs)] in slot [i] *)
-let insert g i src sofs h =
-  let gid = g.count in
-  g.count <- gid + 1;
-  g.slot_hash.(i) <- h;
-  g.slot_gid.(i) <- gid;
-  Array.blit src sofs g.keys (gid * g.arity) g.arity;
+(* the key's group, opened (key copied) when it is new; the
+   accumulators double when a new group id reaches their capacity *)
+let group_of g key =
+  let gid = Index.Keys.find_or_add g.keys key in
+  if gid = g.cap then begin
+    g.cap <- 2 * g.cap;
+    Array.iter (fun acc -> grow_acc acc g.cap) g.accs
+  end;
   gid
-
-(* the slot of the key [src.(sofs) .. src.(sofs + arity - 1)] with
-   hash [h], or the empty slot where it would go; top-level and
-   tail-recursive, so a lookup allocates nothing *)
-let rec slot_of g src sofs h i =
-  let gid = g.slot_gid.(i) in
-  if gid < 0 || (g.slot_hash.(i) = h && same_key g.keys (gid * g.arity) src sofs 0 g.arity)
-  then i
-  else slot_of g src sofs h ((i + 1) land g.mask)
-
-(* the key's group, opened (key copied) when it is new *)
-let group_of g src sofs h =
-  let i = slot_of g src sofs h (h land g.mask) in
-  let gid = g.slot_gid.(i) in
-  if gid >= 0 then gid
-  else if g.count < g.cap then insert g i src sofs h
-  else begin
-    grow g;
-    insert g (free_slot g.slot_gid g.mask (h land g.mask)) src sofs h
-  end
 
 (* the output row of group [gid]: its key, then each aggregate *)
 let group_row g gid =
-  let arity = g.arity in
-  let row = Array.make (arity + Array.length g.accs) Value.Null in
-  Array.blit g.keys (gid * arity) row 0 arity;
-  Array.iteri (fun a acc -> row.(arity + a) <- finish acc gid) g.accs;
+  let row = Array.make (g.arity + Array.length g.accs) Value.Null in
+  Index.Keys.blit g.keys gid row;
+  Array.iteri (fun a acc -> row.(g.arity + a) <- finish acc gid) g.accs;
   row
 
 (* an aggregate argument: count-star or a compiled expression *)
@@ -463,13 +394,6 @@ let eval_key fns scratch row =
     if Value.is_null v then known := false
   done;
   !known
-
-let hash_key scratch =
-  let h = ref 0 in
-  for j = 0 to Array.length scratch - 1 do
-    h := (!h * 0x9E3779B1) + Index.hash_value scratch.(j)
-  done;
-  Index.mix !h
 
 let feed_row g gid args row =
   for a = 0 to Array.length args - 1 do
@@ -556,53 +480,14 @@ let run_aggregate (produce : sink -> unit) ~group_by ~items ~having =
       let scratch = Array.make g.arity Value.Null in
       fun row ->
         ignore (eval_key key_fns scratch row);
-        feed_row g (group_of g scratch 0 (hash_key scratch)) args row);
+        feed_row g (group_of g scratch) args row);
   (* SQL semantics: an ungrouped aggregate over an empty input yields
      a single row of initial aggregate values *)
-  if g.arity = 0 && g.count = 0 then ignore (group_of g [||] 0 (Index.mix 0));
-  aggregate_output ~group_by ~items ~having ~aggs (Array.init g.count (group_row g))
+  if g.arity = 0 && Index.Keys.count g.keys = 0 then ignore (group_of g [||]);
+  aggregate_output ~group_by ~items ~having ~aggs
+    (Array.init (Index.Keys.count g.keys) (group_row g))
 
 (* ---- joins ---- *)
-
-(* A hash join's build side, laid out like the persistent index: its
-   distinct keys are the groups of a grouping-kernel table (numbered in
-   first-occurrence order), and the rows of key [k] are
-   [members.(offsets.(k)) .. members.(offsets.(k + 1) - 1)], in build
-   order.  Keys hash with [Index.hash_value] and compare with
-   [Value.equal], so they match as {!Dirty.Relation.Row_tbl} keys do,
-   and a probe allocates nothing. *)
-type join_table = { keys : groups; offsets : int array; members : Relation.row array }
-
-let build_join_table fns rel =
-  let g = new_groups (Array.length fns) [||] in
-  let scratch = Array.make g.arity Value.Null in
-  let rows = Relation.rows rel in
-  let gids =
-    Array.map
-      (fun row ->
-        if eval_key fns scratch row then group_of g scratch 0 (hash_key scratch) else -1)
-      rows
-  in
-  let offsets = Array.make (g.count + 1) 0 in
-  Array.iter (fun k -> if k >= 0 then offsets.(k + 1) <- offsets.(k + 1) + 1) gids;
-  for k = 1 to g.count do
-    offsets.(k) <- offsets.(k) + offsets.(k - 1)
-  done;
-  let next = Array.sub offsets 0 g.count in
-  let members = Array.make offsets.(g.count) [||] in
-  Array.iteri
-    (fun i k ->
-      if k >= 0 then begin
-        members.(next.(k)) <- rows.(i);
-        next.(k) <- next.(k) + 1
-      end)
-    gids;
-  { keys = g; offsets; members }
-
-(* the key number of [scratch] in [t], or -1 *)
-let probe t scratch =
-  let h = hash_key scratch in
-  t.keys.slot_gid.(slot_of t.keys scratch 0 h (h land t.keys.mask))
 
 (* A join's output: the schema of [ls @ rs] narrowed to [keep] (see
    {!Plan.t}), and the function building one output row from a left
@@ -657,10 +542,10 @@ let split_outer_condition ls rs on =
   in
   pick [] conjuncts
 
-(* A left row's candidates are the right rows of its key, in reverse
-   build order, when [on] has an equality conjunct over the two inputs
-   (the rest of [on] is checked per pair); otherwise every right row.
-   A left row with no match comes out once, padded with NULLs. *)
+(* A left row's candidates are the right rows of its key, in build
+   order, when [on] has an equality conjunct over the two inputs (the
+   rest of [on] is checked per pair); otherwise every right row.  A
+   left row with no match comes out once, padded with NULLs. *)
 let run_left_outer_join ?budget lrel rrel ~on =
   let ls = Relation.schema lrel and rs = Relation.schema rrel in
   let out_schema = Schema.append ls rs in
@@ -669,14 +554,14 @@ let run_left_outer_join ?budget lrel rrel ~on =
   let candidates, pred =
     match split_outer_condition ls rs on with
     | Some ((lkey, rkey), residual) ->
-      let lf = [| compile ls lkey |] and rf = compile rs rkey in
-      let table = build_join_table [| rf |] rrel in
+      let lf = [| compile ls lkey |] and rrows = Relation.rows rrel in
+      let index = Index.of_rows [| compile rs rkey |] rrows in
       let scratch = [| Value.Null |] in
       let candidates lrow f =
-        let k = if eval_key lf scratch lrow then probe table scratch else -1 in
+        let k = if eval_key lf scratch lrow then Index.find index scratch else -1 in
         if k >= 0 then
-          for p = table.offsets.(k + 1) - 1 downto table.offsets.(k) do
-            f table.members.(p)
+          for p = index.offsets.(k) to index.offsets.(k + 1) - 1 do
+            f rrows.(index.row_ids.(p))
           done
       in
       ( candidates,
@@ -808,89 +693,66 @@ and filter ctx ~input ~pred sink =
           push row
         end)
 
-(* Build a table on the right input, then stream the left input
+(* Index the right input on all its keys, then stream the left input
    through it.  The build side must be complete before the first probe,
    so its spans precede the probe side's. *)
 and hash_join ctx ~left ~right ~left_keys ~right_keys ~keep sink =
   let rrel = run_child ctx right in
-  let rs = Relation.schema rrel in
-  let table = build_join_table (Array.of_list (List.map (compile rs) right_keys)) rrel in
-  source ctx left (fun ls ->
-      let lf = Array.of_list (List.map (compile ls) left_keys) in
-      let scratch = Array.make (Array.length lf) Value.Null in
-      let out_schema, emit = join_output keep ls rs in
-      let push = sink out_schema in
-      fun lrow ->
-        if eval_key lf scratch lrow then begin
-          let k = probe table scratch in
-          if k >= 0 then
-            for p = table.offsets.(k) to table.offsets.(k + 1) - 1 do
-              tick ctx.budget;
-              push (emit lrow table.members.(p))
-            done
-        end)
+  let rs = Relation.schema rrel and rrows = Relation.rows rrel in
+  let index = Index.of_rows (Array.of_list (List.map (compile rs) right_keys)) rrows in
+  probe_join ctx ~left ~left_keys ~index ~rrows ~rs ~rest:[||] ~keep sink
 
-(* Probe the base table's persistent index on its first key attribute
-   with each left row; the remaining key attributes are checked on
-   each match. *)
+(* Stream the left input through the base table's persistent index on
+   its first key attribute; the remaining key attributes are checked
+   on each match. *)
 and index_join ctx ~left ~table ~alias ~left_keys ~right_attrs ~keep sink =
   let base =
     try ctx.catalog.relation table
     with Not_found -> exec_errorf "unknown table %s" table
   in
-  match right_attrs with
-  | [] -> exec_errorf "index join with no key attributes"
-  | first_attr :: other_attrs ->
-    let index =
-      match ctx.catalog.index table first_attr with
-      | None -> exec_errorf "no index on %s.%s" table first_attr
-      | Some index -> index
-    in
-    let brows = Relation.rows base in
-    let other_idx =
-      Array.of_list (List.map (Schema.index_of (Relation.schema base)) other_attrs)
-    in
-    let nrest = Array.length other_idx in
-    (* the current left row's values for the remaining key attributes,
-       evaluated once per left row with matches *)
-    let rest_vals = Array.make nrest Value.Null in
-    let rec residual_ok rrow j =
-      j >= nrest
-      || Value.equal rest_vals.(j) rrow.(other_idx.(j)) && residual_ok rrow (j + 1)
-    in
-    source ctx left (fun ls ->
-        let first_f, rest_f =
-          match List.map (compile ls) left_keys with
-          | [] -> exec_errorf "index join with no probe keys"
-          | f :: fs -> (f, Array.of_list fs)
-        in
-        (* fill [rest_vals]; false when one is NULL, which equals
-           nothing, as in a hash join *)
-        let rec rest_known lrow j =
-          j >= nrest
-          ||
-          let v = rest_f.(j) lrow in
-          rest_vals.(j) <- v;
-          (not (Value.is_null v)) && rest_known lrow (j + 1)
-        in
-        let out_schema, emit =
-          join_output keep ls (Schema.rename ~prefix:alias (Relation.schema base))
-        in
-        let push = sink out_schema in
-        fun lrow ->
-          let probe = first_f lrow in
-          if not (Value.is_null probe) then begin
-            let k = Index.find index probe in
-            if k >= 0 && rest_known lrow 0 then begin
-              for p = Index.offset index k to Index.offset index (k + 1) - 1 do
-                let rrow = brows.(Index.row_id index p) in
-                if residual_ok rrow 0 then begin
-                  tick ctx.budget;
-                  push (emit lrow rrow)
-                end
-              done
-            end
-          end)
+  if right_attrs = [] || List.length left_keys <> List.length right_attrs then
+    exec_errorf "index join with %d probe keys for %d key attributes" (List.length left_keys)
+      (List.length right_attrs);
+  let first_attr = List.hd right_attrs and schema = Relation.schema base in
+  let index =
+    match ctx.catalog.index table first_attr with
+    | None -> exec_errorf "no index on %s.%s" table first_attr
+    | Some index -> index
+  in
+  let rest = Array.of_list (List.map (Schema.index_of schema) (List.tl right_attrs)) in
+  probe_join ctx ~left ~left_keys ~index ~rrows:(Relation.rows base)
+    ~rs:(Schema.rename ~prefix:alias schema) ~rest ~keep sink
+
+(* The probe loop of both joins.  Each left row's [left_keys] are
+   evaluated into one scratch array; a key with a NULL part matches
+   nothing, so it is rejected before the lookup.  The first keys are
+   looked up in [index] over [rrows]; the last [Array.length rest] are
+   residuals, each equal to its right row's column in [rest].  A probe
+   writes only to the scratch array, so an index the daemon's domains
+   share is only read. *)
+and probe_join ctx ~left ~left_keys ~index ~rrows ~rs ~rest ~keep sink =
+  source ctx left (fun ls ->
+      let fns = Array.of_list (List.map (compile ls) left_keys) in
+      let scratch = Array.make (Array.length fns) Value.Null in
+      let first_rest = Array.length fns - Array.length rest in
+      let rec rest_ok rrow j =
+        j >= Array.length rest
+        || Value.equal scratch.(first_rest + j) rrow.(rest.(j)) && rest_ok rrow (j + 1)
+      in
+      let out_schema, emit = join_output keep ls rs in
+      let push = sink out_schema in
+      fun lrow ->
+        if eval_key fns scratch lrow then begin
+          let k = Index.find index scratch in
+          if k >= 0 then
+            for p = index.offsets.(k) to index.offsets.(k + 1) - 1 do
+              let rrow = rrows.(index.row_ids.(p)) in
+              if rest_ok rrow 0 then begin
+                tick ctx.budget;
+                push (emit lrow rrow)
+              end
+            done
+        end)
 
 (* ---- uncorrelated subqueries ----
 

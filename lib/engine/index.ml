@@ -23,111 +23,141 @@ let hash_value (v : Value.t) =
   | String s -> mix (Hashtbl.hash s)
   | Date d -> mix (d lxor 0x5BD1E995)
 
-(* The distinct keys are numbered in first-occurrence order and sit in
-   an open-addressing table of key numbers (linear probing, at most
-   half full), sized by the number of distinct keys.  Key [k]'s row
-   ids are [row_ids.(offsets.(k)) .. row_ids.(offsets.(k + 1) - 1)],
-   ascending.  A probe allocates nothing. *)
-type t = {
-  attr : string;
-  keys : Value.t array;  (** by key number *)
-  hashes : int array;  (** [hash_value] of each key *)
-  slots : int array;  (** a key number, or -1 for an empty slot *)
-  offsets : int array;  (** [distinct_keys + 1] entries *)
-  row_ids : int array;
-}
+module Keys = struct
+  (* Key [k]'s values are [store.(k * arity) .. store.(k * arity +
+     arity - 1)] and its hash is [hashes.(k)]; [slots] is an
+     open-addressing table of key numbers (-1 = empty), linear probing,
+     at most half full.  The capacity is [Array.length hashes]. *)
+  type t = {
+    arity : int;
+    mutable count : int;
+    mutable store : Value.t array;
+    mutable hashes : int array;
+    mutable slots : int array;
+  }
 
-(* the slot holding [v] (hash [h]), or the empty slot where it would go *)
-let rec slot_of slots mask keys hashes h v i =
-  let k = slots.(i) in
-  if k < 0 || (hashes.(k) = h && Value.equal keys.(k) v) then i
-  else slot_of slots mask keys hashes h v ((i + 1) land mask)
+  let create arity =
+    let cap = 8 in
+    {
+      arity;
+      count = 0;
+      store = Array.make (arity * cap) Value.Null;
+      hashes = Array.make cap 0;
+      slots = Array.make (2 * cap) (-1);
+    }
 
-let rec free_slot slots mask i =
-  if slots.(i) < 0 then i else free_slot slots mask ((i + 1) land mask)
+  let count t = t.count
 
-let grow_to a n fill =
-  let b = Array.make n fill in
-  Array.blit a 0 b 0 (Array.length a);
-  b
+  let hash arity key =
+    let h = ref 0 in
+    for j = 0 to arity - 1 do
+      h := (!h * 0x9E3779B1) + hash_value key.(j)
+    done;
+    mix !h
 
-let find t v =
-  let h = hash_value v in
-  let mask = Array.length t.slots - 1 in
-  t.slots.(slot_of t.slots mask t.keys t.hashes h v (h land mask))
+  (* keys read from the same stored row are often physically the same
+     value, which [Value.equal] would still walk *)
+  let rec same_key store kofs key j arity =
+    j >= arity
+    ||
+    let a = store.(kofs + j) and b = key.(j) in
+    (a == b || Value.equal a b) && same_key store kofs key (j + 1) arity
+
+  (* the slot holding [key] (hash [h]), or the empty slot where it
+     would go; top-level and tail-recursive, so a lookup allocates
+     nothing and writes nothing *)
+  let rec slot_of t key h i =
+    let k = t.slots.(i) in
+    if k < 0 || (t.hashes.(k) = h && same_key t.store (k * t.arity) key 0 t.arity) then i
+    else slot_of t key h ((i + 1) land (Array.length t.slots - 1))
+
+  let find t key =
+    let h = hash t.arity key in
+    t.slots.(slot_of t key h (h land (Array.length t.slots - 1)))
+
+  let rec free_slot slots mask i =
+    if slots.(i) < 0 then i else free_slot slots mask ((i + 1) land mask)
+
+  (* double the capacity; re-place every key, by its stored hash, in a
+     slot table twice that size *)
+  let grow t =
+    let cap = 2 * t.count in
+    let store = Array.make (t.arity * cap) Value.Null and hashes = Array.make cap 0 in
+    Array.blit t.store 0 store 0 (t.arity * t.count);
+    Array.blit t.hashes 0 hashes 0 t.count;
+    let slots = Array.make (2 * cap) (-1) and mask = (2 * cap) - 1 in
+    for k = 0 to t.count - 1 do
+      slots.(free_slot slots mask (hashes.(k) land mask)) <- k
+    done;
+    t.store <- store;
+    t.hashes <- hashes;
+    t.slots <- slots
+
+  let find_or_add t key =
+    let h = hash t.arity key in
+    let i = slot_of t key h (h land (Array.length t.slots - 1)) in
+    let k = t.slots.(i) in
+    if k >= 0 then k
+    else begin
+      let i =
+        if t.count < Array.length t.hashes then i
+        else begin
+          grow t;
+          free_slot t.slots (Array.length t.slots - 1) (h land (Array.length t.slots - 1))
+        end
+      in
+      let k = t.count in
+      t.count <- k + 1;
+      t.slots.(i) <- k;
+      t.hashes.(k) <- h;
+      Array.blit key 0 t.store (k * t.arity) t.arity;
+      k
+    end
+
+  let blit t k dst = Array.blit t.store (k * t.arity) dst 0 t.arity
+end
+
+type t = { keys : Keys.t; offsets : int array; row_ids : int array }
+
+let of_rows fns rows =
+  let n = Array.length rows in
+  let keys = Keys.create (Array.length fns) in
+  let scratch = Array.make (Array.length fns) Value.Null in
+  let kids =
+    Array.map
+      (fun row ->
+        for j = 0 to Array.length fns - 1 do
+          scratch.(j) <- fns.(j) row
+        done;
+        Keys.find_or_add keys scratch)
+      rows
+  in
+  (* [offsets.(k)] starts at the end of key [k]'s run; walking the rows
+     backwards fills each run from its end, so it ends at the run's
+     start and every run is in row order *)
+  let offsets = Array.make (Keys.count keys + 1) 0 in
+  Array.iter (fun k -> offsets.(k) <- offsets.(k) + 1) kids;
+  for k = 1 to Keys.count keys do
+    offsets.(k) <- offsets.(k) + offsets.(k - 1)
+  done;
+  let row_ids = Array.make n 0 in
+  for i = n - 1 downto 0 do
+    let k = kids.(i) in
+    offsets.(k) <- offsets.(k) - 1;
+    row_ids.(offsets.(k)) <- i
+  done;
+  { keys; offsets; row_ids }
 
 let build rel attr =
   let col = Schema.index_of (Relation.schema rel) attr in
-  let rows = Relation.rows rel in
-  let n = Array.length rows in
-  (* pass 1: number the distinct keys and count each one's rows *)
-  let keys = ref (Array.make 8 Value.Null) and hashes = ref (Array.make 8 0) in
-  let counts = ref (Array.make 8 0) in
-  let slots = ref (Array.make 16 (-1)) and count = ref 0 in
-  for i = 0 to n - 1 do
-    if !count = Array.length !keys then begin
-      (* double the key capacity; re-place every key in a slot table
-         twice that size *)
-      let cap = 2 * !count in
-      keys := grow_to !keys cap Value.Null;
-      hashes := grow_to !hashes cap 0;
-      counts := grow_to !counts cap 0;
-      let s = Array.make (2 * cap) (-1) and mask = (2 * cap) - 1 in
-      for k = 0 to !count - 1 do
-        s.(free_slot s mask (!hashes.(k) land mask)) <- k
-      done;
-      slots := s
-    end;
-    let v = rows.(i).(col) in
-    let h = hash_value v and mask = Array.length !slots - 1 in
-    let s = slot_of !slots mask !keys !hashes h v (h land mask) in
-    let k = !slots.(s) in
-    if k >= 0 then !counts.(k) <- !counts.(k) + 1
-    else begin
-      let k = !count in
-      incr count;
-      !slots.(s) <- k;
-      !keys.(k) <- v;
-      !hashes.(k) <- h;
-      !counts.(k) <- 1
-    end
-  done;
-  let t =
-    {
-      attr;
-      keys = Array.sub !keys 0 !count;
-      hashes = Array.sub !hashes 0 !count;
-      slots = !slots;
-      offsets = Array.make (!count + 1) n;
-      row_ids = Array.make n 0;
-    }
-  in
-  (* pass 2: [offsets.(k)] starts at the end of key [k]'s run; walking
-     the rows backwards fills each run from its end, so it ends at the
-     run's start and every run is in row order *)
-  let ends = ref 0 in
-  for k = 0 to !count - 1 do
-    ends := !ends + !counts.(k);
-    t.offsets.(k) <- !ends
-  done;
-  for i = n - 1 downto 0 do
-    let k = find t rows.(i).(col) in
-    t.offsets.(k) <- t.offsets.(k) - 1;
-    t.row_ids.(t.offsets.(k)) <- i
-  done;
-  t
+  of_rows [| (fun row -> row.(col)) |] (Relation.rows rel)
 
-let attr t = t.attr
+let find t key = Keys.find t.keys key
 
-let offset t k = t.offsets.(k)
-let row_id t p = t.row_ids.(p)
-
-let lookup t v =
-  match find t v with
+let lookup t key =
+  match find t key with
   | -1 -> []
-  | k ->
-    let first = t.offsets.(k) in
-    List.init (t.offsets.(k + 1) - first) (fun j -> t.row_ids.(first + j))
+  | k -> List.init (t.offsets.(k + 1) - t.offsets.(k)) (fun j -> t.row_ids.(t.offsets.(k) + j))
 
-let distinct_keys t = Array.length t.keys
+let distinct_keys t = Keys.count t.keys
 let cardinality t = Array.length t.row_ids

@@ -518,6 +518,22 @@ let test_left_outer_join_residual_on () =
   | [ row ] -> Alcotest.(check bool) "bob only" true (Value.equal row.(1) (v_s "bob"))
   | _ -> Alcotest.fail "expected one eng row")
 
+(* The same condition on the hash path (an equality conjunct) and on
+   the nested-loop path (no conjunct to hash on) gives the same rows in
+   the same order: each left row's matches in build order *)
+let test_left_outer_join_paths_agree () =
+  let rows sql = Relation.row_list (run sql) in
+  let hashed = rows "select d.did, e.name from dept d left join emp e on d.did = e.dept" in
+  let looped =
+    rows "select d.did, e.name from dept d left join emp e on (d.did = e.dept or 1 = 0)"
+  in
+  let show rows =
+    List.map (fun r -> String.concat "," (Array.to_list (Array.map Value.to_string r))) rows
+  in
+  Alcotest.(check (list string)) "same row sequence" (show looped) (show hashed);
+  Alcotest.(check (list string)) "build order"
+    [ "10,ann"; "10,bob"; "20,carol"; "20,dan"; "40,NULL" ] (show hashed)
+
 let test_left_outer_join_nested_loop_path () =
   (* a pure inequality ON condition exercises the nested-loop path *)
   let r =
@@ -1424,38 +1440,78 @@ let test_index_lookup () =
       ]
   in
   let idx = Engine.Index.build rel "k" in
-  Alcotest.(check (list int)) "bucket" [ 0; 2 ] (Engine.Index.lookup idx (v_i 1));
-  Alcotest.(check (list int)) "missing" [] (Engine.Index.lookup idx (v_i 99));
+  Alcotest.(check (list int)) "bucket" [ 0; 2 ] (Engine.Index.lookup idx [| v_i 1 |]);
+  Alcotest.(check (list int)) "missing" [] (Engine.Index.lookup idx [| v_i 99 |]);
   Alcotest.(check int) "distinct keys" 2 (Engine.Index.distinct_keys idx)
 
-(* the flat index against a scan: every value's row ids, in row order,
-   over enough distinct keys to grow the table several times *)
+(* key cells that are equal under [Value.equal] without being the same
+   value, or that sit next to such a value *)
+let corner_key_cells =
+  [
+    Value.Null; v_i 2; v_f 2.0; v_f 0.0; v_f (-0.0); v_i 0; v_f Float.nan;
+    v_f (Int64.float_of_bits 0x7FF8000000000001L); v_f (-.Float.nan);
+    v_i (1 lsl 53); v_i ((1 lsl 53) + 1); v_i ((1 lsl 53) - 1); v_f 0x1p53;
+    v_f (0x1p53 +. 2.0); v_f (0x1p53 -. 1.0);
+  ]
+
+(* a computed key: the cell in its other numeric representation where
+   that is exact, so equal keys reach the table as different values *)
+let flip_numeric (v : Value.t) : Value.t =
+  match v with
+  | Int i when abs i <= 1 lsl 53 -> Float (float_of_int i)
+  | Float f when Float.is_integer f && Float.abs f <= 0x1p53 -> Int (int_of_float f)
+  | v -> v
+
+(* The index against a scan: keys of 1-3 parts (the last one computed
+   in half the cases) over rows of three cells, for every distinct key
+   tuple its row ids, in row order, over enough distinct keys to grow
+   the table several times *)
 let prop_index_lookup =
+  let cell =
+    QCheck.Gen.(
+      oneof
+        [
+          map v_i (int_range 0 150);
+          map (fun i -> v_f (float_of_int i)) (int_range 0 20);
+          map v_s (string_size (int_range 0 2));
+          oneofl corner_key_cells;
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 1 3) bool
+        (list_size (int_range 0 400) (array_size (return 3) cell)))
+  in
+  let print (arity, computed, rows) =
+    Printf.sprintf "arity %d, computed %b, rows [%s]" arity computed
+      (String.concat "; "
+         (List.map
+            (fun r -> String.concat "," (Array.to_list (Array.map Value.to_string r)))
+            rows))
+  in
   QCheck.Test.make ~count:200 ~name:"Index.lookup equals a scan, in row order"
-    QCheck.(
-      list_of_size Gen.(int_range 0 400)
-        (oneof
-           [
-             map v_i (int_range 0 150);
-             map (fun i -> v_f (float_of_int i)) (int_range 0 20);
-             map v_s (string_of_size Gen.(int_range 0 2));
-             always Value.Null;
-           ]))
-    (fun values ->
-      let rel =
-        Relation.create
-          (Schema.make [ ("k", Value.TInt) ])
-          (List.map (fun v -> [| v |]) values)
+    (QCheck.make ~print gen)
+    (fun (arity, computed, rows) ->
+      let fns =
+        Array.init arity (fun j ->
+            if computed && j = arity - 1 then fun row -> flip_numeric row.(j)
+            else fun row -> row.(j))
       in
-      let idx = Engine.Index.build rel "k" in
-      let scan v =
-        List.concat (List.mapi (fun i w -> if Value.equal v w then [ i ] else []) values)
+      let idx = Engine.Index.of_rows fns (Array.of_list rows) in
+      let keys = List.map (fun row -> Array.map (fun f -> f row) fns) rows in
+      let same a b = Array.for_all2 Value.equal a b in
+      let scan key =
+        List.concat (List.mapi (fun i k -> if same key k then [ i ] else []) keys)
       in
-      let probes = values @ [ v_i 999; v_s "zzz"; v_f 0.5 ] in
-      let distinct = List.sort_uniq Value.compare values in
+      let compare_keys a b =
+        List.compare Value.compare (Array.to_list a) (Array.to_list b)
+      in
+      let distinct = List.sort_uniq compare_keys keys in
+      let absent = [ v_i 999; v_s "zzz"; v_f 0.5 ] in
+      let probes = distinct @ List.map (fun v -> Array.make arity v) absent in
       Engine.Index.distinct_keys idx = List.length distinct
-      && Engine.Index.cardinality idx = List.length values
-      && List.for_all (fun v -> Engine.Index.lookup idx v = scan v) probes)
+      && Engine.Index.cardinality idx = List.length rows
+      && List.for_all (fun key -> Engine.Index.lookup idx key = scan key) probes)
 
 let () =
   Alcotest.run "engine"
@@ -1498,6 +1554,8 @@ let () =
             test_left_outer_join_residual_on;
           Alcotest.test_case "outer join nested loop" `Quick
             test_left_outer_join_nested_loop_path;
+          Alcotest.test_case "outer join paths agree on order" `Quick
+            test_left_outer_join_paths_agree;
           Alcotest.test_case "outer join keeps dangling rows" `Quick
             test_left_outer_join_all_match;
           Alcotest.test_case "outer join not rewritable" `Quick

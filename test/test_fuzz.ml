@@ -96,7 +96,7 @@ let same_catalogs ~prev derived fresh =
         Engine.Index.cardinality di = Engine.Index.cardinality fi
         && Engine.Index.distinct_keys di = Engine.Index.distinct_keys fi
         && List.for_all
-             (fun id -> Engine.Index.lookup di id = Engine.Index.lookup fi id)
+             (fun id -> Engine.Index.lookup di [| id |] = Engine.Index.lookup fi [| id |])
              (identifiers t prev)
       | _ -> false)
     (Dirty_db.tables (Conquer.Clean.dirty_db fresh))
