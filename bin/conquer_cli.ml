@@ -382,13 +382,17 @@ let profile_cmd =
       | Consistent -> Conquer.Clean.consistent_answers session sql
     in
     (* one instrumented pass captures the span tree (plan operators,
-       rewriting, and the clean-answer aggregation) *)
+       rewriting, and the clean-answer aggregation); it follows one
+       uncounted warm-up, so the tree and the timings below describe
+       the same warm state *)
+    Telemetry.Control.with_disabled (fun () -> ignore (execute ()));
     let result, spans = Telemetry.Span.collecting (fun () -> execute ()) in
     (* repeated timing runs with telemetry forced off, so the numbers
-       are not distorted by the instrumentation itself *)
+       are not distorted by the instrumentation itself; the runs above
+       warmed them up *)
     let stats =
       Telemetry.Control.with_disabled (fun () ->
-          Telemetry.Timing.time_runs ~runs (fun () -> ignore (execute ())))
+          Telemetry.Timing.time_runs ~warmup:0 ~runs (fun () -> ignore (execute ())))
     in
     let samples = Telemetry.Metrics.snapshot () in
     let histograms =

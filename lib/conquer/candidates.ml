@@ -118,18 +118,7 @@ let clean_answers_with ?max_candidates eval db =
       (fun row prob acc -> Array.append row [| Value.Float prob |] :: acc)
       answers []
   in
-  let rel = Relation.create out_schema rows in
-  let cmp a b =
-    let n = Array.length a in
-    let rec go i =
-      if i >= n then 0
-      else
-        let c = Value.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
-  in
-  Relation.sort_by cmp rel
+  Relation.sort_by Relation.row_compare (Relation.create out_schema rows)
 
 let nonempty_mass_with ?max_candidates eval db =
   fold_answers ?max_candidates db eval

@@ -184,13 +184,4 @@ let answers_oracle ?max_candidates session sql =
         row :: out)
       expectations []
   in
-  let cmp a b =
-    let rec go i =
-      if i >= Array.length a then 0
-      else
-        let c = Value.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
-  in
-  Relation.sort_by cmp (Relation.create schema_full rows)
+  Relation.sort_by Relation.row_compare (Relation.create schema_full rows)

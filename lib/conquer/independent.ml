@@ -72,13 +72,4 @@ let answers ?(max_worlds = 1_000_000) db query =
       (fun row prob acc -> Array.append row [| Value.Float prob |] :: acc)
       answers []
   in
-  let cmp a b =
-    let rec go i =
-      if i >= Array.length a then 0
-      else
-        let c = Value.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
-  in
-  Relation.sort_by cmp (Relation.create out_schema rows)
+  Relation.sort_by Relation.row_compare (Relation.create out_schema rows)

@@ -47,6 +47,13 @@ val value : t -> row -> string -> Value.t
 
 val project : t -> string list -> t
 val sort_by : (row -> row -> int) -> t -> t
+(** A stable sort of the rows by the comparator. *)
+
+val row_compare : row -> row -> int
+(** Rows in lexicographic {!Value.compare} order of their cells; a
+    shorter row sorts before a longer one.  Zero exactly when the rows
+    are the same {!Row_tbl} key. *)
+
 module Row_tbl : Hashtbl.S with type key = row
 (** Hash tables keyed by whole rows: two rows are the same key when
     they have the same arity and {!Value.equal} cells, and a row hashes

@@ -589,6 +589,90 @@ let run_left_outer_join ?budget lrel rrel ~on =
    with Budget_stop -> ());
   buffered budget out_schema out
 
+(* ---- ORDER BY ----
+
+   A stable sort without a comparator.  Each key is evaluated once per
+   row and numbered with {!Index.Keys}, whose equality is
+   [Value.equal], so the values [Value.compare] calls equal ([Int 2]
+   and [Float 2.0], 0.0 and -0.0, every NaN) share one number.  Only
+   the d distinct values are sorted, with [Value.compare]; a value's
+   place in that order is its rank (DESC: d - 1 - rank).  One stable
+   counting pass per key, last key first (LSD radix), then orders the
+   row indices, and the first key's pass places the rows themselves.
+   Besides the output it holds one int array of ranks, reused across
+   keys, and a permutation of the rows for two keys (two permutations
+   for three keys or more). *)
+
+(* Write each row's rank under the key [f] into [ids]; the number of
+   distinct values *)
+let rank_key f desc rows ids =
+  let keys = Index.Keys.create 1 and cell = [| Value.Null |] in
+  for i = 0 to Array.length rows - 1 do
+    cell.(0) <- f rows.(i);
+    ids.(i) <- Index.Keys.find_or_add keys cell
+  done;
+  let d = Index.Keys.count keys in
+  let values = Array.make d Value.Null in
+  for k = 0 to d - 1 do
+    Index.Keys.blit keys k cell;
+    values.(k) <- cell.(0)
+  done;
+  Array.sort Value.compare values;
+  let rank = Array.make d 0 in
+  for r = 0 to d - 1 do
+    cell.(0) <- values.(r);
+    rank.(Index.Keys.find_or_add keys cell) <- (if desc then d - 1 - r else r)
+  done;
+  for i = 0 to Array.length ids - 1 do
+    ids.(i) <- rank.(ids.(i))
+  done;
+  d
+
+(* One stable counting pass over the ranks [ids] (below [d]): visiting
+   the rows in the order [src] (the input order when [None]), [place
+   pos i] puts row [i] at position [pos]. *)
+let counting_pass ids d src place =
+  let n = Array.length ids in
+  let next = Array.make (d + 1) 0 in
+  for i = 0 to n - 1 do
+    let r = ids.(i) + 1 in
+    next.(r) <- next.(r) + 1
+  done;
+  for r = 1 to d do
+    next.(r) <- next.(r) + next.(r - 1)
+  done;
+  let visit i =
+    let r = ids.(i) in
+    place next.(r) i;
+    next.(r) <- next.(r) + 1
+  in
+  match src with
+  | None -> for i = 0 to n - 1 do visit i done
+  | Some src -> for p = 0 to n - 1 do visit src.(p) done
+
+(* [rows] ordered by [keys] (key function, DESC), ties in input order *)
+let sort_rows keys rows =
+  let n = Array.length rows and m = Array.length keys in
+  if m = 0 then Array.copy rows
+  else begin
+    let ids = Array.make n 0 and out = Array.make n [||] in
+    (* [src] is the order the passes so far left the rows in, [None]
+       being the input order; [spare] is a permutation free for reuse *)
+    let src = ref None and spare = ref None in
+    for j = m - 1 downto 0 do
+      let f, desc = keys.(j) in
+      let d = rank_key f desc rows ids in
+      if j = 0 then counting_pass ids d !src (fun pos i -> out.(pos) <- rows.(i))
+      else begin
+        let perm = match !spare with Some p -> p | None -> Array.make n 0 in
+        counting_pass ids d !src (fun pos i -> perm.(pos) <- i);
+        spare := !src;
+        src := Some perm
+      end
+    done;
+    out
+  end
+
 (* ---- main interpreter ----
 
    With telemetry on, every node runs under an [exec.<operator>] span
@@ -882,17 +966,8 @@ and eval ctx (plan : Plan.t) : Relation.t =
   | Sort { input; keys } ->
     let rel = run_child ctx input in
     let schema = Relation.schema rel in
-    let compiled = List.map (fun (e, desc) -> (compile schema e, desc)) keys in
-    let cmp a b =
-      let rec go = function
-        | [] -> 0
-        | (f, desc) :: rest ->
-          let c = Value.compare (f a) (f b) in
-          if c <> 0 then if desc then -c else c else go rest
-      in
-      go compiled
-    in
-    Relation.sort_by cmp rel
+    let compiled = Array.of_list (List.map (fun (e, desc) -> (compile schema e, desc)) keys) in
+    Relation.of_array schema (sort_rows compiled (Relation.rows rel))
   | Distinct input -> Relation.distinct (run_child ctx input)
   | Limit (input, n) ->
     let rel = run_child ctx input in

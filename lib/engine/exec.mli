@@ -7,7 +7,9 @@
     arrive, a Project builds its output array from them, and the plan
     root, a hash join's build side and the input of any other node
     collect them into a full {!Dirty.Relation.t}.  Joins are
-    hash-based; aggregation is hash-grouped. *)
+    hash-based; aggregation is hash-grouped; ORDER BY is a stable
+    radix sort over each key's rank among its distinct values, with no
+    comparator. *)
 
 type catalog = {
   relation : string -> Dirty.Relation.t;

@@ -1,11 +1,17 @@
 (* Tracing spans.
 
    [with_ ~name f] times [f] and charges it with wall-clock and
-   allocation deltas ({!Gc.counters} minor/major words — both
-   inclusive of children, like the times).  [Gc.counters] reads the
-   allocation pointer, so the deltas are exact even when no GC ran
-   inside the span ([Gc.quick_stat]'s counters only refresh at GC
-   events in native code).  Nested calls build a tree; when the
+   allocation deltas (minor and major words, both inclusive of
+   children, like the times).  Minor words come from
+   {!Gc.minor_words}, which reads this domain's allocation pointer and
+   so counts every word whether or not a collection ran inside the
+   span.  [Gc.counters]' minor count is not usable on OCaml 5.1: it
+   reads about one eighth of the words allocated since the last minor
+   collection.  Its major count (direct major allocations plus
+   promotions) is exact, so major words still come from it.
+   [Gc.quick_stat]'s counters refresh only at collections, so it is no
+   use for either.  Both deltas include a few words of the span's own
+   bookkeeping.  Nested calls build a tree; when the
    outermost span of the current stack completes, the finished tree
    is handed to every subscriber.
 
@@ -76,7 +82,8 @@ let complete_root span =
 let with_ ?(attrs = []) ~name f =
   if not (Control.enabled ()) then f ()
   else begin
-    let minor0, _, major0 = Gc.counters () in
+    let _, _, major0 = Gc.counters () in
+    let minor0 = Gc.minor_words () in
     let span =
       {
         name;
@@ -92,7 +99,8 @@ let with_ ?(attrs = []) ~name f =
     st := span :: !st;
     let finish () =
       span.elapsed <- Unix.gettimeofday () -. span.start;
-      let minor1, _, major1 = Gc.counters () in
+      let minor1 = Gc.minor_words () in
+      let _, _, major1 = Gc.counters () in
       span.minor_words <- minor1 -. minor0;
       span.major_words <- major1 -. major0;
       (match !st with

@@ -1513,6 +1513,124 @@ let prop_index_lookup =
       && Engine.Index.cardinality idx = List.length rows
       && List.for_all (fun key -> Engine.Index.lookup idx key = scan key) probes)
 
+(* ---- ORDER BY ---- *)
+
+let names_of r = List.map (fun row -> Value.to_string row.(0)) (Relation.row_list r)
+
+(* [sql] sorts below its projection, and answers [expected] *)
+let check_sorted_below_project sql expected =
+  (match plan_of (db ()) sql with
+  | Project { input = Sort _; _ } -> ()
+  | plan -> Alcotest.failf "no sort below the projection:\n%s" (Engine.Plan.to_string plan));
+  Alcotest.(check (list string)) sql expected (names_of (run sql))
+
+let test_order_below_project_desc_null () =
+  (* NULL is the lowest value, so DESC puts it last *)
+  check_sorted_below_project "select name from emp order by salary desc"
+    [ "dan"; "carol"; "bob"; "ann"; "eve" ]
+
+let test_order_below_project_ties () =
+  check_sorted_below_project "select name from emp order by dept desc"
+    [ "eve"; "carol"; "dan"; "ann"; "bob" ]
+
+let test_order_below_project_computed () =
+  (* integer division: depts 10 | 20, 30; NULL * -1 is NULL, the lowest *)
+  check_sorted_below_project "select name from emp order by dept / 20, salary * -1"
+    [ "bob"; "ann"; "eve"; "dan"; "carol" ]
+
+(* Cells that [Value.compare] calls equal without being the same
+   value, their neighbours, and one of each other type; few enough
+   that a column is heavy with ties *)
+let sort_numeric_cells =
+  [
+    Value.Null; v_i 2; v_f 2.0; v_f 2.5; v_i 0; v_f 0.0; v_f (-0.0); v_i (-1);
+    v_f Float.nan; v_f (Int64.float_of_bits 0x7FF8000000000001L); v_f (-.Float.nan);
+    v_f (Int64.float_of_bits 0x7FF0000000000001L); v_f Float.infinity;
+    v_i (1 lsl 53); v_i ((1 lsl 53) + 1); v_i ((1 lsl 53) - 1); v_f 0x1p53;
+    v_f (0x1p53 +. 2.0); v_f (0x1p53 -. 1.0); v_i (-(1 lsl 53)); v_i (-(1 lsl 53) - 1);
+    v_f (-0x1p53); v_f (-0x1p53 -. 2.0);
+  ]
+
+let sort_other_cells =
+  [
+    Value.Null; v_s ""; v_s "a"; v_s "ab"; Value.Date 0; Value.Date 9000; Value.Date (-1);
+    Value.Bool true; Value.Bool false;
+  ]
+
+(* A column is numeric (its computed key negates it), boolean (NOT) or
+   mixed (no computed key); a key is a column, computed or not, ASC or
+   DESC *)
+type sort_col = Numeric | Boolean | Mixed
+
+let sort_case_gen =
+  let open QCheck.Gen in
+  let cell = function
+    | Numeric -> oneofl sort_numeric_cells
+    | Boolean -> oneofl [ Value.Null; Value.Bool true; Value.Bool false ]
+    | Mixed -> oneofl (sort_numeric_cells @ sort_other_cells)
+  in
+  let* kinds = array_size (return 4) (oneofl [ Numeric; Boolean; Mixed ]) in
+  let* keys = list_size (int_range 1 4) (triple (int_range 0 3) bool bool) in
+  let* n = oneof [ return 0; return 1; int_range 2 150 ] in
+  let* rows = array_size (return n) (flatten_a (Array.map cell kinds)) in
+  return (kinds, keys, rows)
+
+let sort_key_expr kinds (c, computed, _) : Sql.Ast.expr =
+  let col : Sql.Ast.expr = Col { table = Some "t"; name = Printf.sprintf "c%d" c } in
+  match kinds.(c) with
+  | Numeric when computed -> Unop (Neg, col)
+  | Boolean when computed -> Unop (Not, col)
+  | Numeric | Boolean | Mixed -> col
+
+let show_rows rows =
+  String.concat "\n"
+    (Array.to_list
+       (Array.map (fun r -> String.concat ", " (Array.to_list (Array.map Value.to_string r))) rows))
+
+let print_sort_case (kinds, keys, rows) =
+  Printf.sprintf "keys [%s]\nrows\n%s"
+    (String.concat ", "
+       (List.map
+          (fun ((_, _, desc) as k) ->
+            Sql.Pretty.expr_to_string (sort_key_expr kinds k) ^ if desc then " DESC" else "")
+          keys))
+    (show_rows rows)
+
+(* The Sort against a stable comparator sort over [Value.compare]:
+   the same row objects in the same order, so ties keep their input
+   order *)
+let prop_sort =
+  QCheck.Test.make ~count:500 ~name:"Sort = a stable Value.compare sort, row for row"
+    (QCheck.make ~print:print_sort_case sort_case_gen)
+    (fun (kinds, keys, rows) ->
+      let schema = Schema.make (List.init 4 (fun j -> (Printf.sprintf "c%d" j, Value.TString))) in
+      let rel = Relation.of_array schema rows in
+      let catalog : Engine.Exec.catalog =
+        { relation = (fun _ -> rel); index = (fun _ _ -> None) }
+      in
+      let plan_keys = List.map (fun ((_, _, desc) as k) -> (sort_key_expr kinds k, desc)) keys in
+      let plan : Engine.Plan.t =
+        Sort { input = Scan { table = "t"; alias = "t" }; keys = plan_keys }
+      in
+      let got = Relation.rows (Engine.Exec.run catalog plan) in
+      let fns =
+        List.map
+          (fun (e, desc) -> (Engine.Expr.compile (Schema.rename ~prefix:"t" schema) e, desc))
+          plan_keys
+      in
+      let rec cmp fns a b =
+        match fns with
+        | [] -> 0
+        | (f, desc) :: rest ->
+          let c = Value.compare (f a) (f b) in
+          if c <> 0 then if desc then -c else c else cmp rest a b
+      in
+      let expected = Array.copy rows in
+      Array.stable_sort (cmp fns) expected;
+      Array.length got = Array.length expected
+      && (Array.for_all2 ( == ) got expected
+         || QCheck.Test.fail_reportf "got rows\n%s" (show_rows got)))
+
 let () =
   Alcotest.run "engine"
     [
@@ -1594,6 +1712,12 @@ let () =
             test_order_by_unprojected_column;
           Alcotest.test_case "distinct" `Quick test_distinct;
           Alcotest.test_case "limit" `Quick test_limit;
+          QCheck_alcotest.to_alcotest prop_sort;
+          Alcotest.test_case "below project, DESC with NULL" `Quick
+            test_order_below_project_desc_null;
+          Alcotest.test_case "below project, ties" `Quick test_order_below_project_ties;
+          Alcotest.test_case "below project, computed keys" `Quick
+            test_order_below_project_computed;
         ] );
       ( "planner errors",
         [

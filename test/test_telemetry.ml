@@ -146,6 +146,59 @@ let test_span_exception_safety () =
   Alcotest.(check (list string)) "stack recovered" [ "after" ]
     (List.map (fun (s : Telemetry.Span.t) -> s.name) roots)
 
+(* ---- the span allocation meter ---- *)
+
+(* [k] arrays of 5 cells, 6 words each with the header *)
+let alloc_small k =
+  for i = 1 to k do
+    ignore (Sys.opaque_identity (Array.make 5 i))
+  done
+
+let measured f =
+  match snd (Telemetry.Span.collecting (fun () -> Telemetry.Span.with_ ~name:"alloc" f)) with
+  | [ root ] -> root
+  | roots -> Alcotest.failf "expected one root, got %d" (List.length roots)
+
+(* the span's own bookkeeping is a few dozen words *)
+let check_words msg expected actual =
+  let slack = 128.0 in
+  if Float.abs (actual -. expected) > slack then
+    Alcotest.failf "%s: %.0f words, expected %.0f within %.0f" msg actual expected slack
+
+let minor_collections () = (Gc.quick_stat ()).minor_collections
+
+let test_span_words_no_gc () =
+  Gc.minor ();
+  let gcs = minor_collections () in
+  (* arrays of 1,000 cells are allocated in the major heap *)
+  let root =
+    measured (fun () ->
+        alloc_small 1000;
+        for i = 1 to 10 do
+          ignore (Sys.opaque_identity (Array.make 1000 i))
+        done)
+  in
+  Alcotest.(check int) "no minor collection inside" gcs (minor_collections ());
+  check_words "minor" 6000.0 root.minor_words;
+  check_words "major" 10010.0 root.major_words
+
+let test_span_words_forced_gc () =
+  let root =
+    measured (fun () ->
+        alloc_small 1000;
+        Gc.minor ();
+        alloc_small 1000)
+  in
+  check_words "minor" 12000.0 root.minor_words
+
+let test_span_words_natural_gc () =
+  let gcs = minor_collections () in
+  (* over twice the minor heap *)
+  let k = ((Gc.get ()).minor_heap_size / 3) + 1 in
+  let root = measured (fun () -> alloc_small k) in
+  Alcotest.(check bool) "a minor collection inside" true (minor_collections () > gcs);
+  check_words "minor" (float_of_int (6 * k)) root.minor_words
+
 let span_names root =
   List.rev
     (Telemetry.Span.fold_preorder
@@ -539,6 +592,12 @@ let () =
           Alcotest.test_case "exception safety" `Quick test_span_exception_safety;
           Alcotest.test_case "clean answers span tree" `Quick
             test_clean_answers_spans;
+          Alcotest.test_case "allocation, no collection" `Quick
+            test_span_words_no_gc;
+          Alcotest.test_case "allocation, forced collection" `Quick
+            test_span_words_forced_gc;
+          Alcotest.test_case "allocation, natural collection" `Quick
+            test_span_words_natural_gc;
         ] );
       ( "instrumentation",
         [ Alcotest.test_case "store counters" `Quick test_store_counters ] );
