@@ -37,6 +37,12 @@ type evaluator = (string * Dirty.Relation.t) list -> Dirty.Relation.t
 (** Answers a fixed query over one candidate database, given as
     {!candidate_relations}. *)
 
+val engine_evaluator : Dirty.Dirty_db.t -> Sql.Ast.query -> evaluator
+(** The query planned once on a bare engine over the dirty tables; each
+    call swaps in the given relations and runs that plan.  Every
+    per-world evaluation (candidates, samples, independent worlds)
+    runs through one of these. *)
+
 val clean_answers_with :
   ?max_candidates:int -> evaluator -> Dirty.Dirty_db.t -> Dirty.Relation.t
 (** Clean answers by direct application of Dfn 5: answer the query on

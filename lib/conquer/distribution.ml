@@ -108,24 +108,16 @@ let count_distribution_oracle ?max_candidates session sql =
     }
   in
   let db = Clean.dirty_db session in
-  let engine = Engine.Database.create () in
-  List.iter
-    (fun (t : Dirty_db.table) ->
-      Engine.Database.add_relation engine ~name:t.name t.relation)
-    (Dirty_db.tables db);
-  let plan = Engine.Database.plan engine counting in
+  let eval = Candidates.engine_evaluator db counting in
   let max_count =
     Cluster.num_clusters (Dirty_db.find_table db table_ref.table).clustering
   in
   let pmf = Array.make (max_count + 1) 0.0 in
   Candidates.fold ?max_candidates db
     (fun () selection prob ->
-      List.iter
-        (fun (name, rel) -> Engine.Database.add_relation engine ~name rel)
-        (Candidates.candidate_relations db selection);
       let rows =
         Relation.cardinality
-          (Relation.distinct (Engine.Database.run_plan engine plan))
+          (Relation.distinct (eval (Candidates.candidate_relations db selection)))
       in
       pmf.(rows) <- pmf.(rows) +. prob)
     ();

@@ -130,13 +130,11 @@ let answers_oracle ?max_candidates session sql =
     Array.of_list
       (List.map (fun (i : Sql.Ast.select_item) -> Sql.Ast.has_aggregates i.expr) items)
   in
-  let engine = Engine.Database.create () in
-  List.iter
-    (fun (t : Dirty_db.table) ->
-      Engine.Database.add_relation engine ~name:t.name t.relation)
-    (Dirty_db.tables db);
-  let plan = Engine.Database.plan engine q in
-  let schema_full = Relation.schema (Engine.Database.run_plan engine plan) in
+  let eval = Candidates.engine_evaluator db q in
+  let schema_full =
+    Relation.schema
+      (eval (List.map (fun (t : Dirty_db.table) -> (t.name, t.relation)) (Dirty_db.tables db)))
+  in
   let expectations = Relation.Row_tbl.create 64 in
   let group_of row =
     Array.of_list
@@ -144,10 +142,7 @@ let answers_oracle ?max_candidates session sql =
   in
   Candidates.fold ?max_candidates db
     (fun () selection prob ->
-      List.iter
-        (fun (name, rel) -> Engine.Database.add_relation engine ~name rel)
-        (Candidates.candidate_relations db selection);
-      let result = Engine.Database.run_plan engine plan in
+      let result = eval (Candidates.candidate_relations db selection) in
       Relation.iter
         (fun row ->
           let key = group_of row in

@@ -16,13 +16,8 @@ let answers ?(max_worlds = 1_000_000) db query =
     invalid_arg
       (Printf.sprintf "Independent.answers: 2^%d worlds exceed the limit of %d"
          n max_worlds);
-  let engine = Engine.Database.create () in
   let tables = Dirty_db.tables db in
-  List.iter
-    (fun (t : Dirty_db.table) ->
-      Engine.Database.add_relation engine ~name:t.name t.relation)
-    tables;
-  let plan = Engine.Database.plan engine query in
+  let eval = Candidates.engine_evaluator db query in
   let answers = Relation.Row_tbl.create 64 in
   let schema_ref = ref None in
   for mask = 0 to (1 lsl n) - 1 do
@@ -34,18 +29,19 @@ let answers ?(max_worlds = 1_000_000) db query =
     done;
     if !prob > 0.0 then begin
       (* materialize the world's relations *)
-      List.iter
-        (fun (t : Dirty_db.table) ->
-          let rows = ref [] in
-          for i = n - 1 downto 0 do
-            let name, row, _ = universe.(i) in
-            if name = t.name && mask land (1 lsl i) <> 0 then
-              rows := Relation.get t.relation row :: !rows
-          done;
-          Engine.Database.add_relation engine ~name:t.name
-            (Relation.create (Relation.schema t.relation) !rows))
-        tables;
-      let result = Relation.distinct (Engine.Database.run_plan engine plan) in
+      let world =
+        List.map
+          (fun (t : Dirty_db.table) ->
+            let rows = ref [] in
+            for i = n - 1 downto 0 do
+              let name, row, _ = universe.(i) in
+              if name = t.name && mask land (1 lsl i) <> 0 then
+                rows := Relation.get t.relation row :: !rows
+            done;
+            (t.name, Relation.create (Relation.schema t.relation) !rows))
+          tables
+      in
+      let result = Relation.distinct (eval world) in
       if !schema_ref = None then schema_ref := Some (Relation.schema result);
       Relation.iter
         (fun row ->
@@ -58,11 +54,8 @@ let answers ?(max_worlds = 1_000_000) db query =
     match !schema_ref with
     | Some s -> s
     | None ->
-      List.iter
-        (fun (t : Dirty_db.table) ->
-          Engine.Database.add_relation engine ~name:t.name t.relation)
-        tables;
-      Relation.schema (Engine.Database.run_plan engine plan)
+      Relation.schema
+        (eval (List.map (fun (t : Dirty_db.table) -> (t.name, t.relation)) tables))
   in
   let out_schema =
     Schema.append schema (Schema.make [ (Rewrite.prob_column, Value.TFloat) ])

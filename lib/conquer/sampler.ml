@@ -37,18 +37,10 @@ let estimates ?(seed = 0x5eed) ~samples session sql =
   let db = Clean.dirty_db session in
   let rng = Random.State.make [| seed |] in
   let q = Sql.Parser.parse_query sql in
-  let engine = Engine.Database.create () in
-  List.iter
-    (fun (t : Dirty_db.table) ->
-      Engine.Database.add_relation engine ~name:t.name t.relation)
-    (Dirty_db.tables db);
-  let plan = Engine.Database.plan engine q in
+  let eval = Candidates.engine_evaluator db q in
   let counts = Relation.Row_tbl.create 64 in
   for _ = 1 to samples do
-    List.iter
-      (fun (name, rel) -> Engine.Database.add_relation engine ~name rel)
-      (sample_candidate rng db);
-    let result = Relation.distinct (Engine.Database.run_plan engine plan) in
+    let result = Relation.distinct (eval (sample_candidate rng db)) in
     Relation.iter
       (fun row ->
         Relation.Row_tbl.replace counts row

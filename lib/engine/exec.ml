@@ -36,10 +36,8 @@ let operator_label (plan : Plan.t) =
   | Scan { table; _ } -> "Scan " ^ table
   | Filter _ -> "Filter"
   | Project _ -> "Project"
-  | Hash_join _ -> "HashJoin"
+  | Hash_join { outer; _ } -> if outer then "HashJoin LEFT OUTER" else "HashJoin"
   | Index_join { table; _ } -> "IndexJoin " ^ table
-  | Left_outer_join _ -> "LeftOuterJoin"
-  | Cross _ -> "CrossProduct"
   | Aggregate _ -> "Aggregate"
   | Sort _ -> "Sort"
   | Distinct _ -> "Distinct"
@@ -64,9 +62,8 @@ let tick budget =
 
 (* ---- growable row buffers ----
 
-   A node that builds its output row by row (a collected stream,
-   Project, the outer join, Cross) pushes into one array that doubles
-   when full. *)
+   A node that builds its output row by row (a collected stream or
+   Project) pushes into one array that doubles when full. *)
 
 type rows_buf = { mutable buf : Relation.row array; mutable len : int }
 
@@ -82,14 +79,6 @@ let push_row b row =
   b.len <- b.len + 1
 
 let buf_rows b = if b.len = Array.length b.buf then b.buf else Array.sub b.buf 0 b.len
-
-(* The rows a node built row by row.  A cancelled execution's
-   partial rows are discarded at every node boundary above anyway, so
-   it answers none. *)
-let buffered budget schema b =
-  match budget with
-  | Some bg when Budget.cancelled bg -> Relation.of_array schema [||]
-  | _ -> Relation.of_array schema (buf_rows b)
 
 let infer_column_ty rows j =
   let rec go i =
@@ -404,12 +393,13 @@ let feed_row g gid args row =
 
 (* ---- streams ----
 
-   Filter, hash joins and index joins push their rows, in order, into
-   their consumer: a [sink], called once with the stream's schema
-   before any row, returns the function that takes the rows.  So a
-   pipeline runs as one loop from one materialized source (Scan, Sort,
-   an Aggregate's output, Distinct, Limit, the outer join, Cross),
-   which {!drain} pushes, to one breaker (after Neumann, VLDB 2011):
+   Filter and every join (inner, outer, cross and index joins) push
+   their rows, in order, into their consumer: a [sink], called once
+   with the stream's schema before any row, returns the function that
+   takes the rows.  So a pipeline runs as one loop from one
+   materialized source (Scan, Sort, an Aggregate's output, Distinct,
+   Limit), which {!drain} pushes, to one breaker (after Neumann, VLDB
+   2011):
    Aggregate groups the rows, Project fills its output array, and any
    other consumer collects them into one growable array. *)
 
@@ -418,9 +408,7 @@ type sink = Schema.t -> Relation.row -> unit
 let streams (plan : Plan.t) =
   match plan with
   | Filter _ | Hash_join _ | Index_join _ -> true
-  | Scan _ | Project _ | Left_outer_join _ | Cross _ | Aggregate _ | Sort _ | Distinct _
-  | Limit _ ->
-    false
+  | Scan _ | Project _ | Aggregate _ | Sort _ | Distinct _ | Limit _ -> false
 
 (* Push a materialized relation into [sink].  This is the loop that
    drives a stream, so a Truncate stop raised by any stage above ends
@@ -439,13 +427,16 @@ let drain budget rel (sink : sink) =
   try Array.iteri (fun i row -> if i land 1023 = 0 then poll budget; push row) (Relation.rows rel)
   with Budget_stop -> ()
 
-(* The rows of the stream [produce], kept in one growable array *)
+(* The rows of the stream [produce], kept in one growable array.  A
+   cancelled execution's partial rows are discarded at every node
+   boundary above anyway, so it answers none. *)
 let collect budget (produce : sink -> unit) =
   let schema = ref None and out = new_buf () in
   produce (fun s ->
       schema := Some s;
       push_row out);
-  buffered budget (Option.get !schema) out
+  let cancelled = match budget with Some b -> Budget.cancelled b | None -> false in
+  Relation.of_array (Option.get !schema) (if cancelled then [||] else buf_rows out)
 
 (* Project: one output row per input row, built straight into the
    output array; the schema is inferred from the rows *)
@@ -517,77 +508,6 @@ let join_output keep ls rs =
       out
     in
     (Schema.project full names, gather)
-
-(* Find an equality conjunct of [on] whose sides resolve strictly on
-   the two inputs, to drive a hash path for the outer join; the rest
-   of [on] is verified per candidate pair. *)
-let split_outer_condition ls rs on =
-  let resolves schema e =
-    try
-      List.iter (fun c -> ignore (Expr.resolve schema c)) (Sql.Ast.expr_columns e);
-      Sql.Ast.expr_columns e <> []
-    with Expr.Unbound_column _ | Expr.Ambiguous_column _ -> false
-  in
-  let conjuncts = Sql.Ast.conjuncts on in
-  (* [acc] holds the skipped conjuncts in reverse; rev_append restores
-     their order — consing keeps the scan linear in the conjunct count *)
-  let rec pick acc = function
-    | [] -> None
-    | (Sql.Ast.Binop (Eq, a, b) as c) :: rest ->
-      if resolves ls a && resolves rs b then Some ((a, b), List.rev_append acc rest)
-      else if resolves rs a && resolves ls b then
-        Some ((b, a), List.rev_append acc rest)
-      else pick (c :: acc) rest
-    | c :: rest -> pick (c :: acc) rest
-  in
-  pick [] conjuncts
-
-(* A left row's candidates are the right rows of its key, in build
-   order, when [on] has an equality conjunct over the two inputs (the
-   rest of [on] is checked per pair); otherwise every right row.  A
-   left row with no match comes out once, padded with NULLs. *)
-let run_left_outer_join ?budget lrel rrel ~on =
-  let ls = Relation.schema lrel and rs = Relation.schema rrel in
-  let out_schema = Schema.append ls rs in
-  let nulls = Array.make (Schema.arity rs) Dirty.Value.Null in
-  let out = new_buf () in
-  let candidates, pred =
-    match split_outer_condition ls rs on with
-    | Some ((lkey, rkey), residual) ->
-      let lf = [| compile ls lkey |] and rrows = Relation.rows rrel in
-      let index = Index.of_rows [| compile rs rkey |] rrows in
-      let scratch = [| Value.Null |] in
-      let candidates lrow f =
-        let k = if eval_key lf scratch lrow then Index.find index scratch else -1 in
-        if k >= 0 then
-          for p = index.offsets.(k) to index.offsets.(k + 1) - 1 do
-            f rrows.(index.row_ids.(p))
-          done
-      in
-      ( candidates,
-        match Sql.Ast.conj residual with
-        | None -> fun _ -> true
-        | Some pred -> predicate out_schema pred )
-    | None -> ((fun _ f -> Relation.iter f rrel), predicate out_schema on)
-  in
-  let emit row =
-    tick budget;
-    push_row out row
-  in
-  (try
-     Relation.iter
-       (fun lrow ->
-         let matched = ref false in
-         candidates lrow (fun rrow ->
-             let combined = Array.append lrow rrow in
-             if pred combined then begin
-               matched := true;
-               emit combined
-             end);
-         if not !matched then emit (Array.append lrow nulls))
-       lrel
-   with Budget_stop -> ());
-  buffered budget out_schema out
 
 (* ---- ORDER BY ----
 
@@ -715,10 +635,9 @@ let rec run_node ctx (plan : Plan.t) : Relation.t =
   else begin
     check_time ctx;
     let rel = observed plan relation_shape (fun () -> eval ctx (resolve_node ctx plan)) in
-    match ctx.budget, plan with
-    | None, _ -> rel
-    | Some _, (Left_outer_join _ | Cross _) -> rel (* their emit loops tick per row *)
-    | Some b, _ ->
+    match ctx.budget with
+    | None -> rel
+    | Some b ->
       let n = Relation.cardinality rel in
       let allowed = Budget.admit b n in
       if allowed >= n then rel
@@ -760,8 +679,8 @@ and stream ctx (plan : Plan.t) (sink : sink) =
     (fun () ->
       match resolve_node ctx plan with
       | Filter { input; pred } -> filter ctx ~input ~pred counted
-      | Hash_join { left; right; left_keys; right_keys; keep } ->
-        hash_join ctx ~left ~right ~left_keys ~right_keys ~keep counted
+      | Hash_join { left; right; left_keys; right_keys; outer; residual; keep } ->
+        hash_join ctx ~left ~right ~left_keys ~right_keys ~outer ~residual ~keep counted
       | Index_join { left; table; alias; left_keys; right_attrs; keep } ->
         index_join ctx ~left ~table ~alias ~left_keys ~right_attrs ~keep counted
       | _ -> invalid_arg "Exec.stream: not a streamed stage")
@@ -779,12 +698,13 @@ and filter ctx ~input ~pred sink =
 
 (* Index the right input on all its keys, then stream the left input
    through it.  The build side must be complete before the first probe,
-   so its spans precede the probe side's. *)
-and hash_join ctx ~left ~right ~left_keys ~right_keys ~keep sink =
+   so its spans precede the probe side's.  With no keys, every right
+   row is filed under the one empty key, in build order. *)
+and hash_join ctx ~left ~right ~left_keys ~right_keys ~outer ~residual ~keep sink =
   let rrel = run_child ctx right in
   let rs = Relation.schema rrel and rrows = Relation.rows rrel in
   let index = Index.of_rows (Array.of_list (List.map (compile rs) right_keys)) rrows in
-  probe_join ctx ~left ~left_keys ~index ~rrows ~rs ~rest:[||] ~keep sink
+  probe_join ctx ~left ~left_keys ~index ~rrows ~rs ~rest:[||] ~outer ~residual ~keep sink
 
 (* Stream the left input through the base table's persistent index on
    its first key attribute; the remaining key attributes are checked
@@ -805,38 +725,69 @@ and index_join ctx ~left ~table ~alias ~left_keys ~right_attrs ~keep sink =
   in
   let rest = Array.of_list (List.map (Schema.index_of schema) (List.tl right_attrs)) in
   probe_join ctx ~left ~left_keys ~index ~rrows:(Relation.rows base)
-    ~rs:(Schema.rename ~prefix:alias schema) ~rest ~keep sink
+    ~rs:(Schema.rename ~prefix:alias schema) ~rest ~outer:false ~residual:None ~keep sink
 
-(* The probe loop of both joins.  Each left row's [left_keys] are
+(* The probe loop of every join.  Each left row's [left_keys] are
    evaluated into one scratch array; a key with a NULL part matches
    nothing, so it is rejected before the lookup.  The first keys are
-   looked up in [index] over [rrows]; the last [Array.length rest] are
-   residuals, each equal to its right row's column in [rest].  A probe
+   looked up in [index] over [rrows]; the last [Array.length rest] must
+   each equal its right row's column in [rest].  What a match does
+   (an outer join's [residual] checked on its output row or not) and
+   what a left row with no passing match does (padded with NULLs when
+   [outer], dropped otherwise) are chosen once per node.  A probe
    writes only to the scratch array, so an index the daemon's domains
    share is only read. *)
-and probe_join ctx ~left ~left_keys ~index ~rrows ~rs ~rest ~keep sink =
+and probe_join ctx ~left ~left_keys ~index ~rrows ~rs ~rest ~outer ~residual ~keep sink =
   source ctx left (fun ls ->
       let fns = Array.of_list (List.map (compile ls) left_keys) in
       let scratch = Array.make (Array.length fns) Value.Null in
-      let first_rest = Array.length fns - Array.length rest in
-      let rec rest_ok rrow j =
-        j >= Array.length rest
-        || Value.equal scratch.(first_rest + j) rrow.(rest.(j)) && rest_ok rrow (j + 1)
-      in
+      let nrest = Array.length rest in
+      let first_rest = Array.length fns - nrest in
       let out_schema, emit = join_output keep ls rs in
       let push = sink out_schema in
+      (* push a matching pair's row if it passes; whether it did *)
+      let matched =
+        match residual with
+        | None ->
+          fun lrow rrow ->
+            tick ctx.budget;
+            push (emit lrow rrow);
+            true
+        | Some e ->
+          let passes = predicate out_schema e in
+          fun lrow rrow ->
+            let out = emit lrow rrow in
+            passes out
+            && begin
+              tick ctx.budget;
+              push out;
+              true
+            end
+      in
+      let unmatched =
+        if outer then begin
+          let nulls = Array.make (Schema.arity rs) Value.Null in
+          fun lrow ->
+            tick ctx.budget;
+            push (emit lrow nulls)
+        end
+        else fun _ -> ()
+      in
       fun lrow ->
+        let any = ref false in
         if eval_key fns scratch lrow then begin
           let k = Index.find index scratch in
           if k >= 0 then
             for p = index.offsets.(k) to index.offsets.(k + 1) - 1 do
               let rrow = rrows.(index.row_ids.(p)) in
-              if rest_ok rrow 0 then begin
-                tick ctx.budget;
-                push (emit lrow rrow)
-              end
+              let j = ref 0 in
+              while !j < nrest && Value.equal scratch.(first_rest + !j) rrow.(rest.(!j)) do
+                incr j
+              done;
+              if !j = nrest && matched lrow rrow then any := true
             done
-        end)
+        end;
+        if not !any then unmatched lrow)
 
 (* ---- uncorrelated subqueries ----
 
@@ -917,11 +868,9 @@ and resolve_node ctx (plan : Plan.t) : Plan.t =
         j with
         left_keys = List.map r j.left_keys;
         right_keys = List.map r j.right_keys;
+        residual = Option.map r j.residual;
       }
   | Index_join j -> Index_join { j with left_keys = List.map r j.left_keys }
-  | Left_outer_join { left; right; on } ->
-    Left_outer_join { left; right; on = r on }
-  | Cross _ -> plan
   | Aggregate { input; group_by; items; having } ->
     Aggregate
       {
@@ -944,23 +893,6 @@ and eval ctx (plan : Plan.t) : Relation.t =
     Relation.with_schema (Schema.rename ~prefix:alias (Relation.schema rel)) rel
   | Filter _ | Hash_join _ | Index_join _ -> collect budget (stream ctx plan)
   | Project { input; items } -> run_project (source ctx input) items
-  | Left_outer_join { left; right; on } ->
-    run_left_outer_join ?budget (run_child ctx left) (run_child ctx right) ~on
-  | Cross (a, b) ->
-    let ra = run_child ctx a and rb = run_child ctx b in
-    let schema = Schema.append (Relation.schema ra) (Relation.schema rb) in
-    let out = new_buf () in
-    (try
-       Relation.iter
-         (fun rowa ->
-           Relation.iter
-             (fun rowb ->
-               tick budget;
-               push_row out (Array.append rowa rowb))
-             rb)
-         ra
-     with Budget_stop -> ());
-    buffered budget schema out
   | Aggregate { input; group_by; items; having } ->
     run_aggregate (source ctx input) ~group_by ~items ~having
   | Sort { input; keys } ->

@@ -7,6 +7,8 @@ type t =
       right : t;
       left_keys : Sql.Ast.expr list;
       right_keys : Sql.Ast.expr list;
+      outer : bool;
+      residual : Sql.Ast.expr option;
       keep : string list option;
     }
   | Index_join of {
@@ -17,8 +19,6 @@ type t =
       right_attrs : string list;
       keep : string list option;
     }
-  | Left_outer_join of { left : t; right : t; on : Sql.Ast.expr }
-  | Cross of t * t
   | Aggregate of {
       input : t;
       group_by : Sql.Ast.expr list;
@@ -52,9 +52,13 @@ let rec pp_indent fmt indent plan =
       (String.concat ", "
          (List.map (fun (e, n) -> expr_to_string e ^ " AS " ^ n) items));
     pp_indent fmt (indent + 2) input
-  | Hash_join { left; right; left_keys; right_keys; keep } ->
-    Format.fprintf fmt "HashJoin (%s = %s)%s@\n" (exprs_to_string left_keys)
-      (exprs_to_string right_keys) (keep_to_string keep);
+  | Hash_join { left; right; left_keys; right_keys; outer; residual; keep } ->
+    Format.fprintf fmt "HashJoin%s %s%s%s@\n"
+      (if outer then " LEFT OUTER" else "")
+      (if left_keys = [] then "(no keys)"
+       else Printf.sprintf "(%s = %s)" (exprs_to_string left_keys) (exprs_to_string right_keys))
+      (match residual with None -> "" | Some e -> " residual (" ^ expr_to_string e ^ ")")
+      (keep_to_string keep);
     pp_indent fmt (indent + 2) left;
     pp_indent fmt (indent + 2) right
   | Index_join { left; table; alias; left_keys; right_attrs; keep } ->
@@ -63,14 +67,6 @@ let rec pp_indent fmt indent plan =
       (String.concat ", " right_attrs)
       (keep_to_string keep);
     pp_indent fmt (indent + 2) left
-  | Left_outer_join { left; right; on } ->
-    Format.fprintf fmt "LeftOuterJoin (%s)@\n" (expr_to_string on);
-    pp_indent fmt (indent + 2) left;
-    pp_indent fmt (indent + 2) right
-  | Cross (a, b) ->
-    Format.fprintf fmt "CrossProduct@\n";
-    pp_indent fmt (indent + 2) a;
-    pp_indent fmt (indent + 2) b
   | Aggregate { input; group_by; items; having } ->
     Format.fprintf fmt "Aggregate group=[%s] out=[%s]%s@\n"
       (exprs_to_string group_by)

@@ -17,12 +17,23 @@ type t =
       right : t;
       left_keys : Sql.Ast.expr list;
       right_keys : Sql.Ast.expr list;
+      outer : bool;
+          (** SQL LEFT OUTER JOIN: a left row with no passing match is
+              emitted once, its right columns NULL *)
+      residual : Sql.Ast.expr option;
+          (** the rest of an outer join's ON, checked on each matching
+              pair's output row *)
       keep : string list option;
-          (** the output columns some operator above reads, as
-              qualified names in input order; [None] keeps them all *)
+          (** the output columns some operator above reads (and the
+              columns [residual] reads), as qualified names in input
+              order; [None] keeps them all *)
     }
-      (** Equi-join; builds a hash table on the right input and emits
-          each matching pair narrowed to [keep]. *)
+      (** Every join but the index join: builds a hash table on the
+          right input's keys and streams the left input through it,
+          emitting each left row's matches in build order, narrowed to
+          [keep].  With no keys every right row matches (a cross
+          product, or an outer join whose ON has no equality across
+          the inputs); a key with a NULL part matches nothing. *)
   | Index_join of {
       left : t;
       table : string;
@@ -35,16 +46,6 @@ type t =
     }
       (** Probes a persistent index of the base table [table] instead
           of building a transient hash table. *)
-  | Left_outer_join of {
-      left : t;
-      right : t;
-      on : Sql.Ast.expr;
-    }
-      (** SQL LEFT OUTER JOIN: every left row is kept; right columns
-          are NULL when no right row satisfies [on] (evaluated over
-          the concatenated row).  The executor uses a hash path when
-          [on] contains an equality splitting across the inputs. *)
-  | Cross of t * t
   | Aggregate of {
       input : t;
       group_by : Sql.Ast.expr list;

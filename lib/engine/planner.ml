@@ -86,8 +86,7 @@ type classified = {
   residual : Sql.Ast.expr list;
 }
 
-let classify bindings where =
-  let conjuncts = match where with None -> [] | Some w -> Sql.Ast.conjuncts w in
+let classify bindings conjuncts =
   let local = Hashtbl.create 8 in
   let edges = ref [] and residual = ref [] in
   List.iter
@@ -175,6 +174,25 @@ let resolves_against schema (e : Sql.Ast.expr) =
     true
   with Expr.Unbound_column _ | Expr.Ambiguous_column _ -> false
 
+(* Find an equality conjunct of [on] whose sides resolve strictly on
+   the two inputs, to key an outer join on; the rest of [on] is
+   verified per candidate pair. *)
+let split_outer_condition ls rs on =
+  let resolves schema e = Sql.Ast.expr_columns e <> [] && resolves_against schema e in
+  let conjuncts = Sql.Ast.conjuncts on in
+  (* [acc] holds the skipped conjuncts in reverse; rev_append restores
+     their order — consing keeps the scan linear in the conjunct count *)
+  let rec pick acc = function
+    | [] -> None
+    | (Sql.Ast.Binop (Eq, a, b) as c) :: rest ->
+      if resolves ls a && resolves rs b then Some ((a, b), List.rev_append acc rest)
+      else if resolves rs a && resolves ls b then
+        Some ((b, a), List.rev_append acc rest)
+      else pick (c :: acc) rest
+    | c :: rest -> pick (c :: acc) rest
+  in
+  pick [] conjuncts
+
 (* ---- column pruning ----
 
    A join builds its output row anyway, so it copies only the columns
@@ -259,19 +277,14 @@ let rec pruner env (plan : Plan.t) : Schema.t * (need -> Plan.t) =
   | Distinct input ->
     let s, prune = pruner env input in
     (s, fun _ -> Distinct (prune None))
-  | Cross (a, b) ->
-    let sa, prune_a = pruner env a and sb, prune_b = pruner env b in
-    (Schema.append sa sb, fun _ -> Cross (prune_a None, prune_b None))
-  | Left_outer_join j ->
-    let ls, prune_l = pruner env j.left and rs, prune_r = pruner env j.right in
-    ( Schema.append ls rs,
-      fun _ ->
-        Left_outer_join { j with left = prune_l None; right = prune_r None } )
   | Hash_join j ->
     let ls, prune_l = pruner env j.left and rs, prune_r = pruner env j.right in
     let out = Schema.append ls rs in
     ( out,
       fun need ->
+        (* the residual is checked on the output row, so it keeps what
+           it reads *)
+        let need = union need (reads out (Option.to_list j.residual)) in
         Hash_join
           {
             j with
@@ -294,38 +307,44 @@ let rec pruner env (plan : Plan.t) : Schema.t * (need -> Plan.t) =
 
 let prune_columns env plan = (snd (pruner env plan)) None
 
+let hash_join ?(outer = false) ?residual left right left_keys right_keys =
+  Plan.Hash_join { left; right; left_keys; right_keys; outer; residual; keep = None }
+
 let plan_query config env (q : Sql.Ast.query) : Plan.t =
   let stats_of table =
     Telemetry.Metrics.inc m_stats_lookups;
     env.stats_of table
   in
   (* bindings *)
-  let bindings =
-    List.map
-      (fun ({ table; t_alias } : Sql.Ast.table_ref) ->
-        let alias = Option.value ~default:table t_alias in
-        match env.schema_of table with
-        | None -> plan_errorf "unknown table %s" table
-        | Some bare -> { alias; table; bare; stats = stats_of table })
-      q.from
+  let bind ({ table; t_alias } : Sql.Ast.table_ref) =
+    let alias = Option.value ~default:table t_alias in
+    match env.schema_of table with
+    | None -> plan_errorf "unknown table %s" table
+    | Some bare -> { alias; table; bare; stats = stats_of table }
   in
+  let bindings = List.map bind q.from in
   (match bindings with [] -> plan_errorf "empty FROM clause" | _ -> ());
   let outer_bindings =
-    List.map
-      (fun ({ oj_table = { table; t_alias }; oj_on } : Sql.Ast.outer_join) ->
-        let alias = Option.value ~default:table t_alias in
-        match env.schema_of table with
-        | None -> plan_errorf "unknown table %s" table
-        | Some bare -> ({ alias; table; bare; stats = stats_of table }, oj_on))
-      q.outer_joins
+    List.map (fun (o : Sql.Ast.outer_join) -> (bind o.oj_table, o.oj_on)) q.outer_joins
   in
-  let aliases =
-    List.map (fun b -> b.alias) (bindings @ List.map fst outer_bindings)
-  in
+  let all_bindings = bindings @ List.map fst outer_bindings in
+  let aliases = List.map (fun b -> b.alias) all_bindings in
   if List.length (List.sort_uniq String.compare aliases) <> List.length aliases
   then plan_errorf "duplicate table alias in FROM";
   let aliases = List.map (fun b -> b.alias) bindings in
-  let { local; edges; residual } = classify bindings q.where in
+  let conjuncts = match q.where with None -> [] | Some w -> Sql.Ast.conjuncts w in
+  (* a conjunct that reads an outer-joined table filters the outer
+     joins' output: below them it would drop rows they must keep, or
+     see columns they have not yet padded *)
+  let above_outer, conjuncts =
+    if outer_bindings = [] then ([], conjuncts)
+    else
+      List.partition
+        (fun c ->
+          List.exists (fun a -> not (List.mem a aliases)) (aliases_of_expr all_bindings c))
+        conjuncts
+  in
+  let { local; edges; residual } = classify bindings conjuncts in
   let local, residual =
     if config.pushdown then (local, residual)
     else
@@ -426,7 +445,7 @@ let plan_query config env (q : Sql.Ast.query) : Plan.t =
     let b = binding_of next_alias in
     let pairs = edges_between next_alias in
     let node =
-      if pairs = [] then Plan.Cross (!current, base_input b)
+      if pairs = [] then hash_join !current (base_input b) [] []
       else begin
         let left_keys = List.map fst pairs and right_keys = List.map snd pairs in
         (* index join applies when the inner side is a bare scan and
@@ -468,15 +487,7 @@ let plan_query config env (q : Sql.Ast.query) : Plan.t =
               right_attrs;
               keep = None;
             }
-        | _ ->
-          Plan.Hash_join
-            {
-              left = !current;
-              right = base_input b;
-              left_keys;
-              right_keys;
-              keep = None;
-            }
+        | _ -> hash_join !current (base_input b) left_keys right_keys
       end
     in
     Hashtbl.replace joined next_alias ();
@@ -494,20 +505,30 @@ let plan_query config env (q : Sql.Ast.query) : Plan.t =
   | pending ->
     current :=
       Plan.Filter { input = !current; pred = Option.get (Sql.Ast.conj pending) });
-  (* LEFT OUTER JOINs apply after the inner block, in syntactic order *)
-  List.iter
-    (fun (b, on) ->
-      current :=
-        Plan.Left_outer_join
-          { left = !current; right = Plan.Scan { table = b.table; alias = b.alias }; on })
-    outer_bindings;
-  (* projection / aggregation *)
+  (* LEFT OUTER JOINs apply after the inner block, in syntactic order,
+     each keyed on the first equality in its ON across the inputs *)
+  let qualified b = Schema.rename ~prefix:b.alias b.bare in
+  let inner_schema =
+    List.fold_left (fun acc b -> Schema.append acc (qualified b)) (Schema.make []) bindings
+  in
   let joined_schema =
     List.fold_left
-      (fun acc b -> Schema.append acc (Schema.rename ~prefix:b.alias b.bare))
-      (Schema.make [])
-      (bindings @ List.map fst outer_bindings)
+      (fun ls (b, on) ->
+        let rs = qualified b in
+        let left_keys, right_keys, residual =
+          match split_outer_condition ls rs on with
+          | Some ((lkey, rkey), rest) -> ([ lkey ], [ rkey ], Sql.Ast.conj rest)
+          | None -> ([], [], Some on)
+        in
+        let right = Plan.Scan { table = b.table; alias = b.alias } in
+        current := hash_join ~outer:true ?residual !current right left_keys right_keys;
+        Schema.append ls rs)
+      inner_schema outer_bindings
   in
+  Option.iter
+    (fun pred -> current := Plan.Filter { input = !current; pred })
+    (Sql.Ast.conj above_outer);
+  (* projection / aggregation *)
   let items =
     match q.select with
     | Items items -> derive_output_names items

@@ -525,12 +525,12 @@ let test_query_cancelled_partial_within_deadline () =
     true
     (elapsed < 2.0 *. deadline)
 
-(* The deadline falls late in the plan: inside the cross product
-   below, or inside the streamed filter and the projection over its
-   1.2M rows.  (The test's name predates streaming, when the filter
-   and projection ran as chunked parallel regions.)  Wherever the
-   deadline falls, the query must stop promptly and answer no rows,
-   with the output columns a stop before the first operator gives. *)
+(* The deadline falls late in the plan: inside the streamed cross
+   product, filter and projection over its 2.4M rows.  (The test's
+   name predates streaming, when the filter and projection ran as
+   chunked parallel regions.)  Wherever the deadline falls, the query
+   must stop promptly and answer no rows, with the output columns a
+   stop before the first operator gives. *)
 let test_query_cancelled_in_chunked_region () =
   let engine = Engine.Database.create () in
   let schema = Schema.make [ ("k", Value.TInt); ("v", Value.TInt) ] in
@@ -538,7 +538,7 @@ let test_query_cancelled_in_chunked_region () =
     Relation.create schema (List.init n (fun i -> [| v_i i; v_i (i * 7) |]))
   in
   Engine.Database.add_relation engine ~name:"a" (rel 3000);
-  Engine.Database.add_relation engine ~name:"b" (rel 400);
+  Engine.Database.add_relation engine ~name:"b" (rel 800);
   let deadline = 0.25 in
   let run () =
     Engine.Database.query_ast_within

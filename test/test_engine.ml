@@ -556,6 +556,22 @@ let test_left_outer_join_all_match () =
     (Relation.cardinality inner + 1)
     (Relation.cardinality outer)
 
+(* A WHERE conjunct over the outer-joined table filters the outer
+   join's output: pushed below it, [e.eid is null] would drop every emp
+   row and pad every dept *)
+let test_left_outer_join_where () =
+  let names sql =
+    List.map (fun r -> Value.to_string r.(0)) (Relation.row_list (run sql))
+  in
+  Alcotest.(check (list string)) "qualified" [ "empty" ]
+    (names "select d.dname from dept d left join emp e on e.dept = d.did where e.eid is null");
+  Alcotest.(check (list string)) "unqualified" [ "empty" ]
+    (names "select dname from dept left join emp on dept = did where eid is null");
+  Alcotest.(check (list string)) "beside an inner-table conjunct" [ "eng" ]
+    (names
+       "select d.dname from dept d left join emp e on e.dept = d.did \
+        where e.salary > 150 and d.did < 20")
+
 let test_outer_join_not_rewritable () =
   let db = Fixtures.figure2_db () in
   let s = Conquer.Clean.create db in
@@ -712,8 +728,6 @@ let rec joins (plan : Engine.Plan.t) =
   | Hash_join { left; right; keep; _ } ->
     ((`Hash, keep) :: joins left) @ joins right
   | Index_join { left; keep; _ } -> (`Index, keep) :: joins left
-  | Left_outer_join { left; right; _ } | Cross (left, right) ->
-    joins left @ joins right
 
 let join_keeps plan = List.map snd (joins plan)
 
@@ -736,10 +750,6 @@ let rec strip_keeps (plan : Engine.Plan.t) : Engine.Plan.t =
         keep = None;
       }
   | Index_join j -> Index_join { j with left = strip_keeps j.left; keep = None }
-  | Left_outer_join j ->
-    Left_outer_join
-      { j with left = strip_keeps j.left; right = strip_keeps j.right }
-  | Cross (a, b) -> Cross (strip_keeps a, strip_keeps b)
 
 let keeps = Alcotest.(list (option (list string)))
 
@@ -1096,14 +1106,19 @@ let chain_cols = [ "k"; "a"; "b"; "v" ]
 let tname i = Printf.sprintf "t%d" i
 let qcol i n : Sql.Ast.expr = Col { table = Some (tname i); name = n }
 
+(* how a step joins: a hash or an index join, a cross product (no
+   keys), or a left outer hash join whose ON also holds [t<i>.v >= c]
+   when [Outer (Some c)] *)
+type kind = Hash | Index | Cross | Outer of int option
+
 (* join step [i] adds table [i] on [t<j>.a = t<i>.k], and also
-   [t<j>.b = t<i>.b] when [two_keys]; [drop_k] narrows [t<i>.k] out of
-   the join's output; [above = Some c] filters the join's output on
-   [t<i>.a >= c] *)
+   [t<j>.b = t<i>.b] when [two_keys] (a cross step has no keys);
+   [drop_k] narrows [t<i>.k] out of the join's output; [above = Some
+   c] filters the join's output on [t<i>.a >= c] *)
 type step = {
   j : int;
   two_keys : bool;
-  use_index : bool;
+  kind : kind;
   drop_k : bool;
   above : int option;
 }
@@ -1129,15 +1144,23 @@ let chain_gen =
   let row = map (fun (k, a, b, v) -> [| k; a; b; v |]) (quad key key key value) in
   let* n = int_range 3 4 in
   let* tables = array_repeat n (list_size (int_range 0 9) row) in
+  let kind =
+    frequency
+      [
+        (3, return Hash);
+        (3, return Index);
+        (1, return Cross);
+        (2, map (fun c -> Outer c) (opt (int_range 0 1)));
+      ]
+  in
   let* steps =
     flatten_l
       (List.init (n - 1) (fun i ->
            let i = i + 1 in
            map2
-             (fun (j, two_keys, use_index, drop_k) above ->
-               { j; two_keys; use_index; drop_k; above })
-             (quad (int_range 0 (i - 1)) bool bool bool)
-             (opt (int_range 0 3))))
+             (fun (j, two_keys, kind, drop_k) above -> { j; two_keys; kind; drop_k; above })
+             (quad (int_range 0 (i - 1)) bool kind bool)
+             (opt ~ratio:0.5 (int_range 0 3))))
   in
   let* top = oneofl [ Rows; Grouped; Ungrouped; Projected ] in
   return { tables; steps; top }
@@ -1157,7 +1180,12 @@ let print_chain c =
         (fun i s ->
           Printf.sprintf "step %d: t%d.a = t%d.k%s %s%s%s" (i + 1) s.j (i + 1)
             (if s.two_keys then " and b" else "")
-            (if s.use_index then "index" else "hash")
+            (match s.kind with
+            | Hash -> "hash"
+            | Index -> "index"
+            | Cross -> "cross"
+            | Outer None -> "left outer"
+            | Outer (Some c) -> Printf.sprintf "left outer and t%d.v >= %d" (i + 1) c)
             (if s.drop_k then " drop k" else "")
             (match s.above with
             | Some c -> Printf.sprintf " then t%d.a >= %d" (i + 1) c
@@ -1193,19 +1221,20 @@ let chain_plan c : Engine.Plan.t =
         let keep = if s.drop_k then Some (kept @ right) else None in
         let left_keys = qcol s.j "a" :: (if s.two_keys then [ qcol s.j "b" ] else []) in
         let right_attrs = "k" :: (if s.two_keys then [ "b" ] else []) in
+        let hash ?(outer = false) ?residual left_keys right_keys : Engine.Plan.t =
+          Hash_join { left = plan; right = scan i; left_keys; right_keys; outer; residual; keep }
+        in
         let node : Engine.Plan.t =
-          if s.use_index then
+          match s.kind with
+          | Index ->
             Index_join
               { left = plan; table = tname i; alias = tname i; left_keys; right_attrs; keep }
-          else
-            Hash_join
-              {
-                left = plan;
-                right = scan i;
-                left_keys;
-                right_keys = List.map (qcol i) right_attrs;
-                keep;
-              }
+          | Hash -> hash left_keys (List.map (qcol i) right_attrs)
+          | Cross -> hash [] []
+          | Outer c ->
+            hash ~outer:true
+              ?residual:(Option.map (fun c -> Sql.Ast.Binop (Ge, qcol i "v", Lit (v_i c))) c)
+              left_keys (List.map (qcol i) right_attrs)
         in
         let node : Engine.Plan.t =
           match s.above with
@@ -1235,7 +1264,8 @@ let chain_plan c : Engine.Plan.t =
       }
 
 (* the reference: rows are association lists from qualified names,
-   joined by nested loops in left-row, then right-row, order *)
+   joined by nested loops in left-row, then right-row, order; an outer
+   step pads a left row none of whose pairs passes with NULLs *)
 let chain_reference c =
   let assoc i r = List.map2 (fun n v -> (tname i ^ "." ^ n, v)) chain_cols (Array.to_list r) in
   let eq l r ln rn =
@@ -1246,22 +1276,33 @@ let chain_reference c =
     List.fold_left
       (fun acc (i, s) ->
         let tj n = tname s.j ^ "." ^ n and ti n = tname i ^ "." ^ n in
-        let passes l =
-          match s.above, List.assoc (ti "a") l with
-          | None, _ -> true
-          | Some _, Value.Null -> false
-          | Some c, x -> Value.compare x (v_i c) >= 0
+        let at_least n c l =
+          match List.assoc n l with Value.Null -> false | x -> Value.compare x (v_i c) >= 0
         in
+        let passes l = match s.above with None -> true | Some c -> at_least (ti "a") c l in
+        let keys_match l r =
+          s.kind = Cross
+          || (eq l r (tj "a") (ti "k") && ((not s.two_keys) || eq l r (tj "b") (ti "b")))
+        in
+        let on_passes out =
+          match s.kind with Outer (Some c) -> at_least (ti "v") c out | _ -> true
+        in
+        let narrow r = if s.drop_k then List.remove_assoc (ti "k") r else r in
+        let rights = List.map (assoc i) c.tables.(i) in
+        let nulls = narrow (List.map (fun n -> (ti n, Value.Null)) chain_cols) in
         List.concat_map
           (fun l ->
-            List.filter_map
-              (fun r ->
-                if eq l r (tj "a") (ti "k") && ((not s.two_keys) || eq l r (tj "b") (ti "b"))
-                then
-                  let out = l @ if s.drop_k then List.remove_assoc (ti "k") r else r in
-                  if passes out then Some out else None
-                else None)
-              (List.map (assoc i) c.tables.(i)))
+            let matches =
+              List.filter_map
+                (fun r ->
+                  let out = l @ narrow r in
+                  if keys_match l r && on_passes out then Some out else None)
+                rights
+            in
+            let outs =
+              match s.kind, matches with Outer _, [] -> [ l @ nulls ] | _ -> matches
+            in
+            List.filter passes outs)
           acc)
       (List.map (assoc 0) c.tables.(0))
       (List.mapi (fun i s -> (i + 1, s)) c.steps)
@@ -1319,8 +1360,8 @@ let run_chain ?budget c = Engine.Database.run_plan ?budget (chain_engine c) (cha
 let prop_streamed_joins =
   QCheck.Test.make ~count:300
     ~name:
-      "streamed index/hash join chains, with filters between the joins and a project \
-       on top, equal a nested-loop reference, bitwise"
+      "streamed index/hash join chains, with cross and left outer steps, filters between \
+       the joins and a project on top, equal a nested-loop reference, bitwise"
     (QCheck.make ~print:print_chain chain_gen)
     (fun c ->
       let expected = chain_reference c in
@@ -1333,8 +1374,10 @@ let prop_streamed_joins =
       || QCheck.Test.fail_reportf "%d rows, reference %d rows" (List.length got)
            (List.length expected))
 
-(* a fixed three-join chain with enough rows that budgets cut it at
-   every operator: t0 (hash t1) (index t2, then a filter) (index t3) *)
+(* a fixed four-join chain with enough rows that budgets cut it at
+   every operator: t0 (hash t1) (index t2, then a filter) (index t3)
+   (left outer t4 on t0.a = t4.k and t4.v >= 1, where key 0's matches
+   all fail the residual, key 3 has none, and keys 1 and 2 keep one) *)
 let budget_chain () =
   let rows n f = List.init n (fun r -> f r) in
   let row k a b v = [| v_i k; v_i a; v_i b; v_f v |] in
@@ -1345,12 +1388,14 @@ let budget_chain () =
         rows 8 (fun r -> row (r mod 4) (r mod 3) 0 0.5);
         rows 6 (fun r -> row (r mod 3) r 1 0.25);
         rows 10 (fun r -> row (r mod 5) 0 0 1.0);
+        rows 6 (fun r -> row (r mod 3) 0 0 (0.25 *. float_of_int r));
       |];
     steps =
       [
-        { j = 0; two_keys = false; use_index = false; drop_k = false; above = None };
-        { j = 1; two_keys = false; use_index = true; drop_k = true; above = Some 2 };
-        { j = 2; two_keys = false; use_index = true; drop_k = false; above = None };
+        { j = 0; two_keys = false; kind = Hash; drop_k = false; above = None };
+        { j = 1; two_keys = false; kind = Index; drop_k = true; above = Some 2 };
+        { j = 2; two_keys = false; kind = Index; drop_k = false; above = None };
+        { j = 0; two_keys = false; kind = Outer (Some 1); drop_k = false; above = None };
       ];
     top = Rows;
   }
@@ -1397,8 +1442,8 @@ let test_streamed_spans () =
       (budget_chain ()) with
       steps =
         [
-          { j = 0; two_keys = false; use_index = false; drop_k = false; above = None };
-          { j = 1; two_keys = false; use_index = true; drop_k = false; above = None };
+          { j = 0; two_keys = false; kind = Hash; drop_k = false; above = None };
+          { j = 1; two_keys = false; kind = Index; drop_k = false; above = None };
         ];
       top = Grouped;
     }
@@ -1676,6 +1721,8 @@ let () =
             test_left_outer_join_paths_agree;
           Alcotest.test_case "outer join keeps dangling rows" `Quick
             test_left_outer_join_all_match;
+          Alcotest.test_case "outer join WHERE reads the outer table" `Quick
+            test_left_outer_join_where;
           Alcotest.test_case "outer join not rewritable" `Quick
             test_outer_join_not_rewritable;
         ] );
