@@ -90,25 +90,34 @@ let infer_column_ty rows j =
 let infer_schema names rows =
   Schema.make (List.mapi (fun j name -> (name, infer_column_ty rows j)) names)
 
-(* the output row of the compiled items [fns] over [row] *)
-let project_row fns row =
+(* the output row of the compiled items [fns] over the tuple [t] *)
+let project_row fns t =
   let out = Array.make (Array.length fns) Value.Null in
   for c = 0 to Array.length fns - 1 do
-    out.(c) <- fns.(c) row
+    out.(c) <- fns.(c) t
   done;
   out
 
-let compile schema e =
-  try Expr.compile schema e with
+let compile schema layout e =
+  try Expr.compile schema layout e with
   | Expr.Unbound_column c -> exec_errorf "unbound column %s" c
   | Expr.Ambiguous_column c -> exec_errorf "ambiguous column %s" c
   | Expr.Type_error msg -> raise (Exec_error msg)
 
-let predicate schema e =
-  try Expr.compile_pred schema e with
+let predicate schema layout e =
+  try Expr.compile_pred schema layout e with
   | Expr.Unbound_column c -> exec_errorf "unbound column %s" c
   | Expr.Ambiguous_column c -> exec_errorf "ambiguous column %s" c
   | Expr.Type_error msg -> raise (Exec_error msg)
+
+(* [f], a function of a tuple, over the rows of a materialized
+   relation: each row is the one slot of a tuple reused from row to row
+   (the layout [Expr.rows]) *)
+let on_rows f =
+  let t = Array.make 1 [||] in
+  fun row ->
+    t.(0) <- row;
+    f t
 
 (* ---- aggregation ---- *)
 
@@ -191,18 +200,19 @@ let aggregate_output ~group_by ~items ~having ~aggs finished_rows =
     in
     let inter_schema = infer_schema inter_names finished_rows in
     let inter = Relation.of_array inter_schema finished_rows in
+    let layout = Expr.rows (Schema.arity inter_schema) in
     let inter =
       match having with
       | None -> inter
       | Some h ->
         let h' = rewrite_grouped ~group_by ~aggs h in
-        Relation.filter (predicate inter_schema h') inter
+        Relation.filter (on_rows (predicate inter_schema layout h')) inter
     in
     let out_names = List.map snd items in
     let out_fns =
-      Array.of_list (List.map (fun (e, _) -> compile inter_schema e) rewritten_items)
+      Array.of_list (List.map (fun (e, _) -> compile inter_schema layout e) rewritten_items)
     in
-    let out_rows = Array.map (project_row out_fns) (Relation.rows inter) in
+    let out_rows = Array.map (on_rows (project_row out_fns)) (Relation.rows inter) in
     Relation.of_array (infer_schema out_names out_rows) out_rows
   end
 
@@ -371,70 +381,96 @@ let group_row g gid =
   row
 
 (* an aggregate argument: count-star or a compiled expression *)
-type agg_arg = Star_arg | Expr_arg of (Relation.row -> Value.t)
+type agg_arg = Star_arg | Expr_arg of (Expr.tuple -> Value.t)
 
-(* evaluate [fns] over [row] into [scratch]; false when a part is NULL
-   (which, in a join key, matches nothing) *)
-let eval_key fns scratch row =
+(* evaluate [fns] over the tuple [t] into [scratch]; false when a part
+   is NULL (which, in a join key, matches nothing) *)
+let eval_key fns scratch t =
   let known = ref true in
   for j = 0 to Array.length fns - 1 do
-    let v = fns.(j) row in
+    let v = fns.(j) t in
     scratch.(j) <- v;
     if Value.is_null v then known := false
   done;
   !known
 
-let feed_row g gid args row =
+let feed_row g gid args t =
   for a = 0 to Array.length args - 1 do
     match args.(a) with
     | Star_arg -> count_star g.accs.(a) gid
-    | Expr_arg f -> feed g.accs.(a) gid (f row)
+    | Expr_arg f -> feed g.accs.(a) gid (f t)
   done
 
 (* ---- streams ----
 
    Filter and every join (inner, outer, cross and index joins) push
    their rows, in order, into their consumer: a [sink], called once
-   with the stream's schema before any row, returns the function that
-   takes the rows.  So a pipeline runs as one loop from one
-   materialized source (Scan, Sort, an Aggregate's output, Distinct,
-   Limit), which {!drain} pushes, to one breaker (after Neumann, VLDB
-   2011):
-   Aggregate groups the rows, Project fills its output array, and any
-   other consumer collects them into one growable array. *)
+   with the stream's schema and layout before any row, returns the
+   function that takes the rows.  So a pipeline runs as one loop from
+   one materialized source (Scan, Sort, an Aggregate's output,
+   Distinct, Limit), which {!drain} pushes, to one breaker (after
+   Neumann, VLDB 2011): Aggregate groups the rows, Project fills its
+   output array, and any other consumer collects them into one
+   growable array.
 
-type sink = Schema.t -> Relation.row -> unit
+   A pushed row is a tuple (late materialization, after Abadi et al.,
+   ICDE 2007): one array per pipeline, reused for every row, with one
+   slot per input the pipeline joins.  The source writes slot 0 and
+   each join writes its right row into its own slot, so no stage copies
+   a row; expressions read the columns where the layout puts them.  A
+   tuple is valid only while it is pushed: whoever keeps a row gathers
+   it ({!Expr.gather}), and only {!collect} keeps rows. *)
+
+type sink = Schema.t -> Expr.layout -> Expr.tuple -> unit
 
 let streams (plan : Plan.t) =
   match plan with
   | Filter _ | Hash_join _ | Index_join _ -> true
   | Scan _ | Project _ | Aggregate _ | Sort _ | Distinct _ | Limit _ -> false
 
-(* Push a materialized relation into [sink].  This is the loop that
-   drives a stream, so a Truncate stop raised by any stage above ends
-   the whole stream here, and every consumer keeps what it received.
-   With a budget it also checks the clock and the cancellation token
-   every 1024 rows: a stage that pushes nothing on (a selective filter)
-   charges nothing, yet a deadline inside it must still stop it. *)
-let drain budget rel (sink : sink) =
-  let push = sink (Relation.schema rel) in
+(* the slots of the tuple a stream whose top stage is [plan] pushes:
+   one for its source and one per join *)
+let rec slots (plan : Plan.t) =
+  match plan with
+  | Filter { input; _ } -> slots input
+  | Hash_join { left; _ } | Index_join { left; _ } -> slots left + 1
+  | Scan _ | Project _ | Aggregate _ | Sort _ | Distinct _ | Limit _ -> 1
+
+(* Push a materialized relation, row by row in slot 0 of [tuple], into
+   [sink].  This is the loop that drives a stream, so a Truncate stop
+   raised by any stage above ends the whole stream here, and every
+   consumer keeps what it received.  With a budget it also checks the
+   clock and the cancellation token every 1024 rows: a stage that
+   pushes nothing on (a selective filter) charges nothing, yet a
+   deadline inside it must still stop it. *)
+let drain budget tuple rel (sink : sink) =
+  let schema = Relation.schema rel in
+  let push = sink schema (Expr.rows (Schema.arity schema)) in
   let poll = function
     | Some b ->
       Budget.check_time b;
       if Budget.exhausted b then raise_notrace Budget_stop
     | None -> ()
   in
-  try Array.iteri (fun i row -> if i land 1023 = 0 then poll budget; push row) (Relation.rows rel)
+  try
+    Array.iteri
+      (fun i row ->
+        if i land 1023 = 0 then poll budget;
+        tuple.(0) <- row;
+        push tuple)
+      (Relation.rows rel)
   with Budget_stop -> ()
 
-(* The rows of the stream [produce], kept in one growable array.  A
-   cancelled execution's partial rows are discarded at every node
-   boundary above anyway, so it answers none. *)
+(* The rows of the stream [produce], each gathered out of its tuple
+   into one growable array.  A cancelled execution's partial rows are
+   discarded at every node boundary above anyway, so it answers
+   none. *)
 let collect budget (produce : sink -> unit) =
   let schema = ref None and out = new_buf () in
-  produce (fun s ->
+  produce (fun s layout ->
       schema := Some s;
-      push_row out);
+      let gather = Expr.gather layout in
+      fun t -> push_row out (gather t));
   let cancelled = match budget with Some b -> Budget.cancelled b | None -> false in
   Relation.of_array (Option.get !schema) (if cancelled then [||] else buf_rows out)
 
@@ -442,9 +478,9 @@ let collect budget (produce : sink -> unit) =
    output array; the schema is inferred from the rows *)
 let run_project (produce : sink -> unit) items =
   let out = new_buf () in
-  produce (fun schema ->
-      let fns = Array.of_list (List.map (fun (e, _) -> compile schema e) items) in
-      fun row -> push_row out (project_row fns row));
+  produce (fun schema layout ->
+      let fns = Array.of_list (List.map (fun (e, _) -> compile schema layout e) items) in
+      fun t -> push_row out (project_row fns t));
   let rows = buf_rows out in
   Relation.of_array (infer_schema (List.map snd items) rows) rows
 
@@ -456,22 +492,22 @@ let run_aggregate (produce : sink -> unit) ~group_by ~items ~having =
     match e with Agg (f, _) -> f | _ -> assert false
   in
   let g = new_groups (List.length group_by) (Array.of_list (List.map agg_fun aggs)) in
-  produce (fun schema ->
-      let key_fns = Array.of_list (List.map (compile schema) group_by) in
+  produce (fun schema layout ->
+      let key_fns = Array.of_list (List.map (compile schema layout) group_by) in
       let args =
         Array.of_list
           (List.map
              (fun (e : Sql.Ast.expr) ->
                match e with
                | Agg (_, None) -> Star_arg
-               | Agg (_, Some arg) -> Expr_arg (compile schema arg)
+               | Agg (_, Some arg) -> Expr_arg (compile schema layout arg)
                | _ -> assert false)
              aggs)
       in
       let scratch = Array.make g.arity Value.Null in
-      fun row ->
-        ignore (eval_key key_fns scratch row);
-        feed_row g (group_of g scratch) args row);
+      fun t ->
+        ignore (eval_key key_fns scratch t);
+        feed_row g (group_of g scratch) args t);
   (* SQL semantics: an ungrouped aggregate over an empty input yields
      a single row of initial aggregate values *)
   if g.arity = 0 && Index.Keys.count g.keys = 0 then ignore (group_of g [||]);
@@ -481,15 +517,16 @@ let run_aggregate (produce : sink -> unit) ~group_by ~items ~having =
 (* ---- joins ---- *)
 
 (* A join's output: the schema of [ls @ rs] narrowed to [keep] (see
-   {!Plan.t}), and the function building one output row from a left
-   and a right row.  Built once per node, so the per-row work is one
-   allocation of the narrowed width. *)
-let join_output keep ls rs =
+   {!Plan.t}), and its layout: the left input's columns, then the
+   right row's in [slot], narrowed alike.  Built once per node; a match
+   writes its right row into [slot] and copies nothing. *)
+let join_output keep ls llayout rs ~slot =
   let full = Schema.append ls rs in
+  let layout = Expr.append llayout ~slot (Schema.arity rs) in
   match keep with
-  | None -> (full, Array.append)
+  | None -> (full, layout)
   | Some names ->
-    let idx =
+    let positions =
       Array.of_list
         (List.map
            (fun n ->
@@ -498,16 +535,7 @@ let join_output keep ls rs =
              | None -> exec_errorf "join keeps unknown column %s" n)
            names)
     in
-    let nl = Schema.arity ls and width = Array.length idx in
-    let gather lrow rrow =
-      let out = Array.make width Value.Null in
-      for j = 0 to width - 1 do
-        let i = idx.(j) in
-        out.(j) <- (if i < nl then lrow.(i) else rrow.(i - nl))
-      done;
-      out
-    in
-    (Schema.project full names, gather)
+    (Schema.project full names, Expr.narrow layout positions)
 
 (* ---- ORDER BY ----
 
@@ -523,8 +551,8 @@ let join_output keep ls rs =
    keys, and a permutation of the rows for two keys (two permutations
    for three keys or more). *)
 
-(* Write each row's rank under the key [f] into [ids]; the number of
-   distinct values *)
+(* Write each row's rank under the key [f] (a function of a row) into
+   [ids]; the number of distinct values *)
 let rank_key f desc rows ids =
   let keys = Index.Keys.create 1 and cell = [| Value.Null |] in
   for i = 0 to Array.length rows - 1 do
@@ -657,59 +685,69 @@ and run_child ctx plan =
   | Some b when Budget.exhausted b -> Relation.of_array (Relation.schema rel) [||]
   | _ -> rel
 
-(* [plan]'s rows as a stream: a streamed stage streams; any other node
-   is evaluated now and drained once the stream starts *)
+(* [plan]'s rows as a new pipeline's stream, pushed in a tuple of its
+   own *)
 and source ctx (plan : Plan.t) : sink -> unit =
-  if streams plan then stream ctx plan else drain ctx.budget (run_child ctx plan)
+  source_in ctx (Array.make (slots plan) [||]) plan
+
+(* [plan]'s rows pushed in [tuple]: a streamed stage streams; any other
+   node is evaluated now and drained once the stream starts *)
+and source_in ctx tuple (plan : Plan.t) : sink -> unit =
+  if streams plan then stream ctx tuple plan
+  else drain ctx.budget tuple (run_child ctx plan)
 
 (* A streamed stage under its span: the span counts the rows it pushes
    into [sink] *)
-and stream ctx (plan : Plan.t) (sink : sink) =
+and stream ctx tuple (plan : Plan.t) (sink : sink) =
   check_time ctx;
   let rows = ref 0 and cols = ref 0 in
-  let counted schema =
+  let counted schema layout =
     cols := Schema.arity schema;
-    let push = sink schema in
-    fun row ->
+    let push = sink schema layout in
+    fun t ->
       incr rows;
-      push row
+      push t
   in
   observed plan
     (fun () -> (!rows, !cols))
     (fun () ->
       match resolve_node ctx plan with
-      | Filter { input; pred } -> filter ctx ~input ~pred counted
+      | Filter { input; pred } -> filter ctx tuple ~input ~pred counted
       | Hash_join { left; right; left_keys; right_keys; outer; residual; keep } ->
-        hash_join ctx ~left ~right ~left_keys ~right_keys ~outer ~residual ~keep counted
+        hash_join ctx tuple ~left ~right ~left_keys ~right_keys ~outer ~residual ~keep
+          counted
       | Index_join { left; table; alias; left_keys; right_attrs; keep } ->
-        index_join ctx ~left ~table ~alias ~left_keys ~right_attrs ~keep counted
+        index_join ctx tuple ~left ~table ~alias ~left_keys ~right_attrs ~keep counted
       | _ -> invalid_arg "Exec.stream: not a streamed stage")
 
 (* Pass the input's matching rows on, each charged as it passes *)
-and filter ctx ~input ~pred sink =
-  source ctx input (fun schema ->
-      let p = predicate schema pred in
-      let push = sink schema in
-      fun row ->
-        if p row then begin
+and filter ctx tuple ~input ~pred sink =
+  source_in ctx tuple input (fun schema layout ->
+      let p = predicate schema layout pred in
+      let push = sink schema layout in
+      fun t ->
+        if p t then begin
           tick ctx.budget;
-          push row
+          push t
         end)
 
 (* Index the right input on all its keys, then stream the left input
    through it.  The build side must be complete before the first probe,
    so its spans precede the probe side's.  With no keys, every right
    row is filed under the one empty key, in build order. *)
-and hash_join ctx ~left ~right ~left_keys ~right_keys ~outer ~residual ~keep sink =
+and hash_join ctx tuple ~left ~right ~left_keys ~right_keys ~outer ~residual ~keep sink =
   let rrel = run_child ctx right in
   let rs = Relation.schema rrel and rrows = Relation.rows rrel in
-  let index = Index.of_rows (Array.of_list (List.map (compile rs) right_keys)) rrows in
-  probe_join ctx ~left ~left_keys ~index ~rrows ~rs ~rest:[||] ~outer ~residual ~keep sink
+  let layout = Expr.rows (Schema.arity rs) in
+  let keys = List.map (fun e -> on_rows (compile rs layout e)) right_keys in
+  let index = Index.of_rows (Array.of_list keys) rrows in
+  probe_join ctx tuple ~left ~left_keys ~index ~rrows ~rs ~rest:[||] ~outer ~residual ~keep
+    sink
 
 (* Stream the left input through the base table's persistent index on
    its first key attribute; the remaining key attributes are checked
    on each match. *)
-and index_join ctx ~left ~table ~alias ~left_keys ~right_attrs ~keep sink =
+and index_join ctx tuple ~left ~table ~alias ~left_keys ~right_attrs ~keep sink =
   let base =
     try ctx.catalog.relation table
     with Not_found -> exec_errorf "unknown table %s" table
@@ -724,58 +762,64 @@ and index_join ctx ~left ~table ~alias ~left_keys ~right_attrs ~keep sink =
     | Some index -> index
   in
   let rest = Array.of_list (List.map (Schema.index_of schema) (List.tl right_attrs)) in
-  probe_join ctx ~left ~left_keys ~index ~rrows:(Relation.rows base)
+  probe_join ctx tuple ~left ~left_keys ~index ~rrows:(Relation.rows base)
     ~rs:(Schema.rename ~prefix:alias schema) ~rest ~outer:false ~residual:None ~keep sink
 
-(* The probe loop of every join.  Each left row's [left_keys] are
-   evaluated into one scratch array; a key with a NULL part matches
-   nothing, so it is rejected before the lookup.  The first keys are
-   looked up in [index] over [rrows]; the last [Array.length rest] must
-   each equal its right row's column in [rest].  What a match does
-   (an outer join's [residual] checked on its output row or not) and
-   what a left row with no passing match does (padded with NULLs when
-   [outer], dropped otherwise) are chosen once per node.  A probe
-   writes only to the scratch array, so an index the daemon's domains
-   share is only read. *)
-and probe_join ctx ~left ~left_keys ~index ~rrows ~rs ~rest ~outer ~residual ~keep sink =
-  source ctx left (fun ls ->
-      let fns = Array.of_list (List.map (compile ls) left_keys) in
+(* The probe loop of every join.  The left input's tuples fill the
+   slots below [slot], the join's own; each match writes its right row
+   into [slot] and pushes the same tuple on.  Each left tuple's
+   [left_keys] are evaluated into one scratch array; a key with a NULL
+   part matches nothing, so it is rejected before the lookup.  The
+   first keys are looked up in [index] over [rrows]; the last
+   [Array.length rest] must each equal its right row's column in
+   [rest].  What a match does (an outer join's [residual] checked on
+   the tuple or not) and what a left row with no passing match does
+   (pushed with a NULL row in [slot] when [outer], dropped otherwise)
+   are chosen once per node.  A probe writes only to the scratch array
+   and the tuple, so an index the daemon's domains share is only
+   read. *)
+and probe_join ctx tuple ~left ~left_keys ~index ~rrows ~rs ~rest ~outer ~residual ~keep
+    sink =
+  let slot = slots left in
+  source_in ctx tuple left (fun ls llayout ->
+      let fns = Array.of_list (List.map (compile ls llayout) left_keys) in
       let scratch = Array.make (Array.length fns) Value.Null in
       let nrest = Array.length rest in
       let first_rest = Array.length fns - nrest in
-      let out_schema, emit = join_output keep ls rs in
-      let push = sink out_schema in
-      (* push a matching pair's row if it passes; whether it did *)
+      let out_schema, layout = join_output keep ls llayout rs ~slot in
+      let push = sink out_schema layout in
+      (* push the tuple, its match in [slot], if it passes; whether it
+         did *)
       let matched =
         match residual with
         | None ->
-          fun lrow rrow ->
+          fun t ->
             tick ctx.budget;
-            push (emit lrow rrow);
+            push t;
             true
         | Some e ->
-          let passes = predicate out_schema e in
-          fun lrow rrow ->
-            let out = emit lrow rrow in
-            passes out
+          let passes = predicate out_schema layout e in
+          fun t ->
+            passes t
             && begin
               tick ctx.budget;
-              push out;
+              push t;
               true
             end
       in
       let unmatched =
         if outer then begin
           let nulls = Array.make (Schema.arity rs) Value.Null in
-          fun lrow ->
+          fun t ->
+            t.(slot) <- nulls;
             tick ctx.budget;
-            push (emit lrow nulls)
+            push t
         end
         else fun _ -> ()
       in
-      fun lrow ->
+      fun t ->
         let any = ref false in
-        if eval_key fns scratch lrow then begin
+        if eval_key fns scratch t then begin
           let k = Index.find index scratch in
           if k >= 0 then
             for p = index.offsets.(k) to index.offsets.(k + 1) - 1 do
@@ -784,10 +828,13 @@ and probe_join ctx ~left ~left_keys ~index ~rrows ~rs ~rest ~outer ~residual ~ke
               while !j < nrest && Value.equal scratch.(first_rest + !j) rrow.(rest.(!j)) do
                 incr j
               done;
-              if !j = nrest && matched lrow rrow then any := true
+              if !j = nrest then begin
+                t.(slot) <- rrow;
+                if matched t then any := true
+              end
             done
         end;
-        if not !any then unmatched lrow)
+        if not !any then unmatched t)
 
 (* ---- uncorrelated subqueries ----
 
@@ -891,14 +938,18 @@ and eval ctx (plan : Plan.t) : Relation.t =
       with Not_found -> exec_errorf "unknown table %s" table
     in
     Relation.with_schema (Schema.rename ~prefix:alias (Relation.schema rel)) rel
-  | Filter _ | Hash_join _ | Index_join _ -> collect budget (stream ctx plan)
+  | Filter _ | Hash_join _ | Index_join _ -> collect budget (source ctx plan)
   | Project { input; items } -> run_project (source ctx input) items
   | Aggregate { input; group_by; items; having } ->
     run_aggregate (source ctx input) ~group_by ~items ~having
   | Sort { input; keys } ->
     let rel = run_child ctx input in
     let schema = Relation.schema rel in
-    let compiled = Array.of_list (List.map (fun (e, desc) -> (compile schema e, desc)) keys) in
+    let layout = Expr.rows (Schema.arity schema) in
+    let compiled =
+      Array.of_list
+        (List.map (fun (e, desc) -> (on_rows (compile schema layout e), desc)) keys)
+    in
     Relation.of_array schema (sort_rows compiled (Relation.rows rel))
   | Distinct input -> Relation.distinct (run_child ctx input)
   | Limit (input, n) ->

@@ -6,10 +6,13 @@
     output, ...) to one breaker: an Aggregate groups the rows as they
     arrive, a Project builds its output array from them, and the plan
     root, a hash join's build side and the input of any other node
-    collect them into a full {!Dirty.Relation.t}.  Joins are
-    hash-based; aggregation is hash-grouped; ORDER BY is a stable
-    radix sort over each key's rank among its distinct values, with no
-    comparator. *)
+    collect them into a full {!Dirty.Relation.t}.  Inside a pipeline
+    a row is an {!Expr.tuple}, one array reused for every row with one
+    slot per joined input, so no join copies a row; a row is gathered
+    out of its tuple, through the stream's {!Expr.layout}, only where
+    it is collected.  Joins are hash-based; aggregation is
+    hash-grouped; ORDER BY is a stable radix sort over each key's rank
+    among its distinct values, with no comparator. *)
 
 type catalog = {
   relation : string -> Dirty.Relation.t;

@@ -49,6 +49,54 @@ let resolve schema (c : Sql.Ast.column) =
       | Some i -> i
       | None -> raise (Unbound_column (column_display c)))
 
+(* ---- tuples and layouts ----
+
+   Inside a pipeline a row is a tuple: one row per joined input, slot
+   0 holding the pipeline's source row.  A layout says where each
+   column of a schema is read: its slot and its column there.  A
+   materialized row is the one slot of a tuple, under {!rows}. *)
+
+type tuple = Relation.row array
+
+type layout = {
+  slots : int array;
+  cols : int array;
+  whole : bool;  (** every column of slot 0, in order, and nothing else *)
+}
+
+let rows n = { slots = Array.make n 0; cols = Array.init n Fun.id; whole = true }
+
+let append l ~slot n =
+  {
+    slots = Array.append l.slots (Array.make n slot);
+    cols = Array.append l.cols (Array.init n Fun.id);
+    whole = false;
+  }
+
+let narrow l positions =
+  {
+    slots = Array.map (fun i -> l.slots.(i)) positions;
+    cols = Array.map (fun i -> l.cols.(i)) positions;
+    whole = false;
+  }
+
+(* the reader of column [i]: one closure, one read *)
+let cell l i : tuple -> Value.t =
+  let s = l.slots.(i) and c = l.cols.(i) in
+  fun t -> t.(s).(c)
+
+let gather l : tuple -> Relation.row =
+  if l.whole then fun t -> t.(0)
+  else
+    let slots = l.slots and cols = l.cols in
+    let width = Array.length slots in
+    fun t ->
+      let out = Array.make width Value.Null in
+      for j = 0 to width - 1 do
+        out.(j) <- t.(slots.(j)).(cols.(j))
+      done;
+      out
+
 let truth = function
   | Value.Bool b -> b
   | Value.Null -> false
@@ -174,62 +222,65 @@ let rec arith_kind schema (e : Sql.Ast.expr) =
     | _ -> None)
   | _ -> None
 
-let rec int_arith schema (e : Sql.Ast.expr) : Relation.row -> int =
+let rec int_arith schema layout (e : Sql.Ast.expr) : tuple -> int =
   match e with
   | Lit (Value.Int i) -> fun _ -> i
   | Col c ->
     let i = resolve schema c in
-    fun row -> (match row.(i) with Value.Int x -> x | _ -> raise_notrace Mismatch)
+    let s = layout.slots.(i) and c = layout.cols.(i) in
+    fun t -> (match t.(s).(c) with Value.Int x -> x | _ -> raise_notrace Mismatch)
   | Binop (Add, a, b) ->
-    let fa = int_arith schema a and fb = int_arith schema b in
-    fun row -> fa row + fb row
+    let fa = int_arith schema layout a and fb = int_arith schema layout b in
+    fun t -> fa t + fb t
   | Binop (Sub, a, b) ->
-    let fa = int_arith schema a and fb = int_arith schema b in
-    fun row -> fa row - fb row
+    let fa = int_arith schema layout a and fb = int_arith schema layout b in
+    fun t -> fa t - fb t
   | Binop (Mul, a, b) ->
-    let fa = int_arith schema a and fb = int_arith schema b in
-    fun row -> fa row * fb row
+    let fa = int_arith schema layout a and fb = int_arith schema layout b in
+    fun t -> fa t * fb t
   | _ -> assert false (* [arith_kind] admitted only the cases above *)
 
-(* an operand of a float chain; int ones convert where the generic
-   evaluator would, at the operator that meets a float *)
+(* an operand of a float chain, a column by its slot and column; int
+   ones convert where the generic evaluator would, at the operator that
+   meets a float *)
 type operand =
-  | Float_col of int
-  | Int_col of int
+  | Float_col of int * int
+  | Int_col of int * int
   | Const of float
-  | Int_tree of (Relation.row -> int)
-  | Float_tree of (Relation.row -> float)
+  | Int_tree of (tuple -> int)
+  | Float_tree of (tuple -> float)
 
 (* inlined into the loop below, so a converted int operand is never
    boxed *)
-let operand_value o row =
+let operand_value o t =
   match o with
-  | Float_col i -> (match row.(i) with Value.Float x -> x | _ -> raise_notrace Mismatch)
-  | Int_col i -> (
-    match row.(i) with Value.Int x -> float_of_int x | _ -> raise_notrace Mismatch)
+  | Float_col (s, c) -> (
+    match t.(s).(c) with Value.Float x -> x | _ -> raise_notrace Mismatch)
+  | Int_col (s, c) -> (
+    match t.(s).(c) with Value.Int x -> float_of_int x | _ -> raise_notrace Mismatch)
   | Const c -> c
-  | Int_tree f -> float_of_int (f row)
-  | Float_tree f -> f row
+  | Int_tree f -> float_of_int (f t)
+  | Float_tree f -> f t
 [@@inline]
 
 (* A float subtree flattens along its left spine into one closure:
    [((x op1 y) op2 z) ...] runs as a loop over the right operands with
    an unboxed accumulator, left to right, as the tree nests. *)
-let rec float_arith schema (e : Sql.Ast.expr) : Relation.row -> float =
+let rec float_arith schema layout (e : Sql.Ast.expr) : tuple -> float =
   let rec spine (e : Sql.Ast.expr) rights =
     match e with
     | Binop (((Add | Sub | Mul) as op), a, b)
       when arith_kind schema e = Some Float_kind ->
-      spine a ((op, operand schema b) :: rights)
-    | _ -> (operand schema e, rights)
+      spine a ((op, operand schema layout b) :: rights)
+    | _ -> (operand schema layout e, rights)
   in
   let head, rights = spine e [] in
   let ops = Array.of_list (List.map fst rights) in
   let args = Array.of_list (List.map snd rights) in
-  fun row ->
-    let acc = ref (operand_value head row) in
+  fun t ->
+    let acc = ref (operand_value head t) in
     for k = 0 to Array.length ops - 1 do
-      let x = operand_value args.(k) row in
+      let x = operand_value args.(k) t in
       acc :=
         match ops.(k) with
         | Sql.Ast.Add -> !acc +. x
@@ -238,114 +289,115 @@ let rec float_arith schema (e : Sql.Ast.expr) : Relation.row -> float =
     done;
     !acc
 
-and operand schema (e : Sql.Ast.expr) =
+and operand schema layout (e : Sql.Ast.expr) =
   match e with
   | Lit (Value.Int i) -> Const (float_of_int i)
   | Lit (Value.Float f) -> Const f
   | Col c -> (
     let i = resolve schema c in
+    let s = layout.slots.(i) and c = layout.cols.(i) in
     match (Schema.attribute_at schema i).ty with
-    | Value.TInt -> Int_col i
-    | _ -> Float_col i)
+    | Value.TInt -> Int_col (s, c)
+    | _ -> Float_col (s, c))
   | _ -> (
     match arith_kind schema e with
-    | Some Int_kind -> Int_tree (int_arith schema e)
-    | _ -> Float_tree (float_arith schema e))
+    | Some Int_kind -> Int_tree (int_arith schema layout e)
+    | _ -> Float_tree (float_arith schema layout e))
 
 (* [generic] evaluates [e] (an Add/Sub/Mul node) on boxed values; the
-   unboxed closure defers to it on any row it does not cover *)
-let arith schema e generic =
+   unboxed closure defers to it on any tuple it does not cover *)
+let arith schema layout e generic =
   match arith_kind schema e with
   | None -> generic
   | Some Int_kind ->
-    let f = int_arith schema e in
-    fun row -> (match f row with x -> Value.Int x | exception Mismatch -> generic row)
+    let f = int_arith schema layout e in
+    fun t -> (match f t with x -> Value.Int x | exception Mismatch -> generic t)
   | Some Float_kind ->
-    let f = float_arith schema e in
-    fun row -> (match f row with x -> Value.Float x | exception Mismatch -> generic row)
+    let f = float_arith schema layout e in
+    fun t -> (match f t with x -> Value.Float x | exception Mismatch -> generic t)
 
-let rec compile schema (e : Sql.Ast.expr) : Relation.row -> Value.t =
+let rec compile schema layout (e : Sql.Ast.expr) : tuple -> Value.t =
   match e with
   | Binop ((Add | Sub | Mul), _, _) ->
     (* compiled first, so it raises any resolution error *)
-    let g = generic schema e in
-    arith schema e g
-  | _ -> generic schema e
+    let g = generic schema layout e in
+    arith schema layout e g
+  | _ -> generic schema layout e
 
-and generic schema (e : Sql.Ast.expr) : Relation.row -> Value.t =
+and generic schema layout (e : Sql.Ast.expr) : tuple -> Value.t =
   match e with
   | Lit v -> fun _ -> v
-  | Col c ->
-    let i = resolve schema c in
-    fun row -> row.(i)
+  | Col c -> cell layout (resolve schema c)
   | Unop (Not, e) ->
-    let f = compile schema e in
-    fun row ->
-      (match f row with
+    let f = compile schema layout e in
+    fun t ->
+      (match f t with
       | Value.Bool b -> Value.Bool (not b)
       | Value.Null -> Value.Bool false
       | v -> type_errorf "NOT: expected boolean, got %s" (Value.to_string v))
   | Unop (Neg, e) ->
-    let f = compile schema e in
-    fun row ->
-      (match f row with
+    let f = compile schema layout e in
+    fun t ->
+      (match f t with
       | Value.Int i -> Value.Int (-i)
       | Value.Float x -> Value.Float (-.x)
       | Value.Null -> Value.Null
       | v -> type_errorf "unary -: expected number, got %s" (Value.to_string v))
   | Binop (And, a, b) ->
-    let fa = compile schema a and fb = compile schema b in
-    fun row -> Value.Bool (truth (fa row) && truth (fb row))
+    let fa = compile schema layout a and fb = compile schema layout b in
+    fun t -> Value.Bool (truth (fa t) && truth (fb t))
   | Binop (Or, a, b) ->
-    let fa = compile schema a and fb = compile schema b in
-    fun row -> Value.Bool (truth (fa row) || truth (fb row))
+    let fa = compile schema layout a and fb = compile schema layout b in
+    fun t -> Value.Bool (truth (fa t) || truth (fb t))
   | Binop (Add, a, b) ->
-    let fa = compile schema a and fb = compile schema b in
-    fun row -> add (fa row) (fb row)
+    let fa = compile schema layout a and fb = compile schema layout b in
+    fun t -> add (fa t) (fb t)
   | Binop (Sub, a, b) ->
-    let fa = compile schema a and fb = compile schema b in
-    fun row -> sub (fa row) (fb row)
+    let fa = compile schema layout a and fb = compile schema layout b in
+    fun t -> sub (fa t) (fb t)
   | Binop (Mul, a, b) ->
-    let fa = compile schema a and fb = compile schema b in
-    fun row -> mul (fa row) (fb row)
+    let fa = compile schema layout a and fb = compile schema layout b in
+    fun t -> mul (fa t) (fb t)
   | Binop (Div, a, b) ->
-    let fa = compile schema a and fb = compile schema b in
-    fun row -> div (fa row) (fb row)
+    let fa = compile schema layout a and fb = compile schema layout b in
+    fun t -> div (fa t) (fb t)
   | Binop (((Eq | Neq | Lt | Le | Gt | Ge) as op), a, b) ->
-    let fa = compile schema a and fb = compile schema b in
-    fun row -> comparison op (fa row) (fb row)
+    let fa = compile schema layout a and fb = compile schema layout b in
+    fun t -> comparison op (fa t) (fb t)
   | Like (e, pattern) ->
-    let f = compile schema e in
+    let f = compile schema layout e in
     let matcher = like_matcher pattern in
-    fun row ->
-      (match string_of (f row) with
+    fun t ->
+      (match string_of (f t) with
       | None -> Value.Bool false
       | Some s -> Value.Bool (matcher s))
   | Not_like (e, pattern) ->
-    let f = compile schema e in
+    let f = compile schema layout e in
     let matcher = like_matcher pattern in
-    fun row ->
-      (match string_of (f row) with
+    fun t ->
+      (match string_of (f t) with
       | None -> Value.Bool false
       | Some s -> Value.Bool (not (matcher s)))
   | In_list (e, values) ->
-    let f = compile schema e in
-    fun row ->
-      let v = f row in
+    let f = compile schema layout e in
+    fun t ->
+      let v = f t in
       if Value.is_null v then Value.Bool false
       else Value.Bool (List.exists (Value.equal v) values)
   | Between (e, lo, hi) ->
-    let f = compile schema e and flo = compile schema lo and fhi = compile schema hi in
-    fun row ->
-      let v = f row and l = flo row and h = fhi row in
+    let f = compile schema layout e
+    and flo = compile schema layout lo
+    and fhi = compile schema layout hi in
+    fun t ->
+      let v = f t and l = flo t and h = fhi t in
       if Value.is_null v || Value.is_null l || Value.is_null h then Value.Bool false
       else Value.Bool (Value.compare l v <= 0 && Value.compare v h <= 0)
   | Is_null e ->
-    let f = compile schema e in
-    fun row -> Value.Bool (Value.is_null (f row))
+    let f = compile schema layout e in
+    fun t -> Value.Bool (Value.is_null (f t))
   | Is_not_null e ->
-    let f = compile schema e in
-    fun row -> Value.Bool (not (Value.is_null (f row)))
+    let f = compile schema layout e in
+    fun t -> Value.Bool (not (Value.is_null (f t)))
   | Agg _ ->
     type_errorf "aggregate in scalar context: %s" (Sql.Pretty.expr_to_string e)
   | In_query _ | Exists _ | Scalar_subquery _ ->
@@ -354,8 +406,8 @@ and generic schema (e : Sql.Ast.expr) : Relation.row -> Value.t =
 
 (* ---- predicates ----
 
-   [compile_pred e] is [fun row -> truth (compile e row)], node for
-   node: each case evaluates the same operands in the same order (each
+   [compile_pred e] is [fun t -> truth (compile e t)], node for node:
+   each case evaluates the same operands in the same order (each
    mirrors its [generic] case's shape, so the compiler orders them
    alike), short-circuits where [generic] does, and raises the same
    [Type_error]s.  What it saves is the boxed [Value.Bool] per node
@@ -382,28 +434,31 @@ let compares test a b =
    column's schema type, a cell of that type is compared directly.  An
    INTEGER literal meets a FLOAT column as its float image only within
    2^53, where [Value.compare] agrees with [Float.compare] on it. *)
-let column_vs_literal schema test c (lit : Value.t) : Relation.row -> bool =
+let column_vs_literal schema layout test c (lit : Value.t) : tuple -> bool =
   let i = resolve schema c in
+  let s = layout.slots.(i) and j = layout.cols.(i) in
   let generic v = compares test v lit in
-  let floats k row =
-    match row.(i) with Value.Float x -> test (Float.compare x k) | v -> generic v
+  let floats k t =
+    match t.(s).(j) with Value.Float x -> test (Float.compare x k) | v -> generic v
   in
   match (Schema.attribute_at schema i).ty, lit with
-  | TInt, Int k -> fun row -> (match row.(i) with Value.Int x -> test (Int.compare x k) | v -> generic v)
+  | TInt, Int k ->
+    fun t -> (match t.(s).(j) with Value.Int x -> test (Int.compare x k) | v -> generic v)
   | TDate, Date k ->
-    fun row -> (match row.(i) with Value.Date x -> test (Int.compare x k) | v -> generic v)
+    fun t -> (match t.(s).(j) with Value.Date x -> test (Int.compare x k) | v -> generic v)
   | TString, String k ->
-    fun row -> (match row.(i) with Value.String x -> test (String.compare x k) | v -> generic v)
+    fun t ->
+      (match t.(s).(j) with Value.String x -> test (String.compare x k) | v -> generic v)
   | TFloat, Float k -> floats k
   | TFloat, Int k when k >= -(1 lsl 53) && k <= 1 lsl 53 -> floats (float_of_int k)
-  | _ -> fun row -> generic row.(i)
+  | _ -> fun t -> generic t.(s).(j)
 
 (* [x op y] as [y op' x]: only the sign of a comparison matters, and
    [Value.compare] is antisymmetric in sign *)
 let flip (op : Sql.Ast.binop) : Sql.Ast.binop =
   match op with Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | op -> op
 
-(* the node returns a [Bool] on every row it does not raise on *)
+(* the node returns a [Bool] on every tuple it does not raise on *)
 let never_null (e : Sql.Ast.expr) =
   match e with
   | Lit (Value.Bool _)
@@ -418,59 +473,61 @@ let rec mem_value v = function [] -> false | x :: rest -> Value.equal v x || mem
 let like_value matcher (v : Value.t) =
   match v with String s -> matcher s | Null -> false | v -> matcher (Value.to_string v)
 
-let rec compile_pred schema (e : Sql.Ast.expr) : Relation.row -> bool =
+let rec compile_pred schema layout (e : Sql.Ast.expr) : tuple -> bool =
   match e with
   | Lit (Value.Bool b) -> fun _ -> b
   | Lit Value.Null -> fun _ -> false
   | Unop (Not, a) when never_null a ->
-    let p = compile_pred schema a in
-    fun row -> not (p row)
+    let p = compile_pred schema layout a in
+    fun t -> not (p t)
   | Binop (And, a, b) ->
-    let pa = compile_pred schema a and pb = compile_pred schema b in
-    fun row -> pa row && pb row
+    let pa = compile_pred schema layout a and pb = compile_pred schema layout b in
+    fun t -> pa t && pb t
   | Binop (Or, a, b) ->
-    let pa = compile_pred schema a and pb = compile_pred schema b in
-    fun row -> pa row || pb row
+    let pa = compile_pred schema layout a and pb = compile_pred schema layout b in
+    fun t -> pa t || pb t
   | Binop (((Eq | Neq | Lt | Le | Gt | Ge) as op), a, b) -> (
-    let fa = compile schema a and fb = compile schema b in
+    let fa = compile schema layout a and fb = compile schema layout b in
     match a, b with
-    | Col c, Lit v -> column_vs_literal schema (holds op) c v
-    | Lit v, Col c -> column_vs_literal schema (holds (flip op)) c v
+    | Col c, Lit v -> column_vs_literal schema layout (holds op) c v
+    | Lit v, Col c -> column_vs_literal schema layout (holds (flip op)) c v
     | _ ->
       let test = holds op in
-      fun row -> compares test (fa row) (fb row))
+      fun t -> compares test (fa t) (fb t))
   | Like (a, pattern) ->
-    let f = compile schema a in
+    let f = compile schema layout a in
     let matcher = like_matcher pattern in
-    fun row -> like_value matcher (f row)
+    fun t -> like_value matcher (f t)
   | Not_like (a, pattern) ->
-    let f = compile schema a in
+    let f = compile schema layout a in
     let matcher = like_matcher pattern in
-    fun row -> (match f row with Value.Null -> false | v -> not (like_value matcher v))
+    fun t -> (match f t with Value.Null -> false | v -> not (like_value matcher v))
   | In_list (a, values) ->
-    let f = compile schema a in
-    fun row ->
-      let v = f row in
+    let f = compile schema layout a in
+    fun t ->
+      let v = f t in
       (not (Value.is_null v)) && mem_value v values
   | Between (a, lo, hi) -> (
-    let f = compile schema a and flo = compile schema lo and fhi = compile schema hi in
+    let f = compile schema layout a
+    and flo = compile schema layout lo
+    and fhi = compile schema layout hi in
     match a, lo, hi with
     | Col c, Lit l, Lit h ->
       (* [l <= cell] and [cell <= h], each false on NULL, as the whole is *)
-      let above = column_vs_literal schema (fun x -> x >= 0) c l
-      and below = column_vs_literal schema (fun x -> x <= 0) c h in
-      fun row -> above row && below row
+      let above = column_vs_literal schema layout (fun x -> x >= 0) c l
+      and below = column_vs_literal schema layout (fun x -> x <= 0) c h in
+      fun t -> above t && below t
     | _ ->
-      fun row ->
-        let v = f row and l = flo row and h = fhi row in
+      fun t ->
+        let v = f t and l = flo t and h = fhi t in
         if Value.is_null v || Value.is_null l || Value.is_null h then false
         else Value.compare l v <= 0 && Value.compare v h <= 0)
   | Is_null a ->
-    let f = compile schema a in
-    fun row -> Value.is_null (f row)
+    let f = compile schema layout a in
+    fun t -> Value.is_null (f t)
   | Is_not_null a ->
-    let f = compile schema a in
-    fun row -> not (Value.is_null (f row))
+    let f = compile schema layout a in
+    fun t -> not (Value.is_null (f t))
   | _ ->
-    let f = compile schema e in
-    fun row -> truth (f row)
+    let f = compile schema layout e in
+    fun t -> truth (f t)

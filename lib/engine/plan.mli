@@ -22,11 +22,14 @@ type t =
               emitted once, its right columns NULL *)
       residual : Sql.Ast.expr option;
           (** the rest of an outer join's ON, checked on each matching
-              pair's output row *)
+              pair before it is pushed *)
       keep : string list option;
           (** the output columns some operator above reads (and the
               columns [residual] reads), as qualified names in input
-              order; [None] keeps them all *)
+              order; [None] keeps them all.  They are the columns the
+              join's stream shows to the stages above it, and the ones
+              gathered into a row where that stream is kept (the plan
+              root, a build side, a Sort's input, ...) *)
     }
       (** Every join but the index join: builds a hash table on the
           right input's keys and streams the left input through it,

@@ -43,9 +43,44 @@ let run ?config sql = Engine.Database.query ?config (db ()) sql
 
 (* ---- expression evaluation ---- *)
 
+(* [compiler schema layout e] over a materialized row: the one slot of
+   a tuple *)
+let on_row compiler schema e =
+  let f = compiler schema (Engine.Expr.rows (Schema.arity schema)) e in
+  fun row -> f [| row |]
+
+(* [compiler schema layout e] over the same row spread across 2-4
+   slots: slot [s] holds one junk cell, then the columns from [cuts]'s
+   [s]-th cut point to the next (possibly none), and the layout narrows
+   the junk away *)
+let on_slots compiler schema cuts e =
+  let n = Schema.arity schema in
+  let bounds = Array.of_list ((0 :: cuts) @ [ n ]) in
+  let nslots = Array.length bounds - 1 in
+  let width s = bounds.(s + 1) - bounds.(s) in
+  let layout = ref (Engine.Expr.rows (width 0 + 1)) in
+  for s = 1 to nslots - 1 do
+    layout := Engine.Expr.append !layout ~slot:s (width s + 1)
+  done;
+  (* column [j] of slot [s] sits at position [bounds.(s) + s + 1 + j] *)
+  let positions =
+    Array.concat
+      (List.init nslots (fun s -> Array.init (width s) (fun j -> bounds.(s) + s + 1 + j)))
+  in
+  let f = compiler schema (Engine.Expr.narrow !layout positions) e in
+  fun row ->
+    f
+      (Array.init nslots (fun s ->
+           Array.append [| Value.String "junk" |] (Array.sub row bounds.(s) (width s))))
+
+(* 1-3 sorted cut points in [0, n], so 2-4 slots *)
+let cuts_gen n = QCheck.Gen.(map (List.sort compare) (list_size (int_range 1 3) (int_range 0 n)))
+
+let print_cuts cuts = String.concat "," (List.map string_of_int cuts)
+
 let eval_expr expr_sql row schema =
   let e = Sql.Parser.parse_expr expr_sql in
-  Engine.Expr.compile schema e row
+  on_row Engine.Expr.compile schema e row
 
 let one_row_schema = Schema.make [ ("x", Value.TInt); ("y", Value.TFloat); ("s", Value.TString); ("n", Value.TInt) ]
 let one_row = [| v_i 6; v_f 2.5; v_s "hello"; Value.Null |]
@@ -195,48 +230,50 @@ let arith_case_gen =
       list_size (int_range 1 12)
         (map Array.of_list (flatten_l (List.map cell_gen tys)))
     in
-    return (tys, e, rows))
-
-let bits_equal a b =
-  match (a : Value.t), (b : Value.t) with
-  | Float x, Float y -> Int64.bits_of_float x = Int64.bits_of_float y
-  | Int x, Int y -> x = y
-  | Date x, Date y -> x = y
-  | Null, Null -> true
-  | _ -> false
+    let* cuts = cuts_gen ncols in
+    return (tys, e, rows, cuts))
 
 let eval_result f row =
   match f row with v -> Ok v | exception Engine.Expr.Type_error m -> Error m
 
+let same_result a b =
+  match a, b with
+  | Ok a, Ok b -> Testutil.cell_bits_equal a b
+  | Error a, Error b -> a = b
+  | _ -> false
+
+(* also compiled over the row spread across slots, which must read the
+   same cells: typed and boxed alike *)
 let prop_unboxed_arith =
   QCheck.Test.make ~count:1000 ~name:"unboxed arithmetic = generic, bitwise"
     QCheck.(
       make
-        ~print:(fun (tys, e, rows) ->
-          Printf.sprintf "%s over [%s] rows %s"
+        ~print:(fun (tys, e, rows, cuts) ->
+          Printf.sprintf "%s over [%s] rows %s, slots cut at %s"
             (Sql.Pretty.expr_to_string e)
             (String.concat ", " (List.map Value.ty_name tys))
             (String.concat "; "
                (List.map
                   (fun r -> String.concat "," (Array.to_list (Array.map Value.to_sql r)))
-                  rows)))
+                  rows))
+            (print_cuts cuts))
         arith_case_gen)
-    (fun (tys, e, rows) ->
+    (fun (tys, e, rows, cuts) ->
       let names = List.mapi (fun i _ -> Printf.sprintf "c%d" i) tys in
-      let typed = Engine.Expr.compile (Schema.make (List.combine names tys)) e in
-      let boxed =
-        Engine.Expr.compile
-          (Schema.make (List.map (fun n -> (n, Value.TString)) names))
-          e
-      in
+      let typed_schema = Schema.make (List.combine names tys)
+      and boxed_schema = Schema.make (List.map (fun n -> (n, Value.TString)) names) in
+      let typed = on_row Engine.Expr.compile typed_schema e
+      and boxed = on_row Engine.Expr.compile boxed_schema e
+      and typed_slots = on_slots Engine.Expr.compile typed_schema cuts e
+      and boxed_slots = on_slots Engine.Expr.compile boxed_schema cuts e in
       List.for_all
         (fun row ->
-          match eval_result typed row, eval_result boxed row with
-          | Ok a, Ok b when bits_equal a b -> true
-          | Error a, Error b when a = b -> true
-          | _ ->
-            QCheck.Test.fail_reportf "row %s differs"
-              (String.concat "," (Array.to_list (Array.map Value.to_sql row))))
+          let r = eval_result typed row in
+          (same_result r (eval_result boxed row)
+          && same_result r (eval_result typed_slots row)
+          && same_result r (eval_result boxed_slots row))
+          || QCheck.Test.fail_reportf "row %s differs"
+               (String.concat "," (Array.to_list (Array.map Value.to_sql row))))
         rows)
 
 (* ---- compiled predicates ----
@@ -341,22 +378,26 @@ let pred_case_gen =
     list_size (int_range 1 12)
       (flatten_a (Array.map cell tys))
   in
-  return (Array.to_list tys, e, rows)
+  let* cuts = cuts_gen pred_arity in
+  return (Array.to_list tys, e, rows, cuts)
 
+(* also compiled over the row spread across slots: the same values and
+   the same bools, errors included *)
 let prop_compile_pred =
   QCheck.Test.make ~count:2000 ~name:"compile_pred = truth of compile, errors included"
     QCheck.(
       make
-        ~print:(fun (tys, e, rows) ->
-          Printf.sprintf "%s over [%s] rows %s"
+        ~print:(fun (tys, e, rows, cuts) ->
+          Printf.sprintf "%s over [%s] rows %s, slots cut at %s"
             (Sql.Pretty.expr_to_string e)
             (String.concat ", " (List.map Value.ty_name tys))
             (String.concat "; "
                (List.map
                   (fun r -> String.concat "," (Array.to_list (Array.map Value.to_sql r)))
-                  rows)))
+                  rows))
+            (print_cuts cuts))
         pred_case_gen)
-    (fun (tys, e, rows) ->
+    (fun (tys, e, rows, cuts) ->
       let schema =
         Schema.make (List.mapi (fun i ty -> (Printf.sprintf "c%d" i, ty)) tys)
       in
@@ -365,18 +406,23 @@ let prop_compile_pred =
         | p -> fun row -> (match p row with b -> Ok b | exception Engine.Expr.Type_error m -> Error m)
         | exception Engine.Expr.Type_error m -> fun _ -> Error ("compile: " ^ m)
       in
+      let value = compiled (on_row Engine.Expr.compile)
+      and value_slots = compiled (fun schema -> on_slots Engine.Expr.compile schema cuts) in
       let reference =
         compiled (fun schema e ->
-            let f = Engine.Expr.compile schema e in
+            let f = on_row Engine.Expr.compile schema e in
             fun row -> Engine.Expr.truth (f row))
-      and pred = compiled Engine.Expr.compile_pred in
+      and pred = compiled (on_row Engine.Expr.compile_pred)
+      and pred_slots = compiled (fun schema -> on_slots Engine.Expr.compile_pred schema cuts) in
+      let show = function Ok b -> string_of_bool b | Error m -> m in
       List.for_all
         (fun row ->
-          reference row = pred row
-          || QCheck.Test.fail_reportf "row %s: %s, compile_pred %s"
+          (reference row = pred row
+          && pred row = pred_slots row
+          && same_result (value row) (value_slots row))
+          || QCheck.Test.fail_reportf "row %s: %s, compile_pred %s, over slots %s"
                (String.concat "," (Array.to_list (Array.map Value.to_sql row)))
-               (match reference row with Ok b -> string_of_bool b | Error m -> m)
-               (match pred row with Ok b -> string_of_bool b | Error m -> m))
+               (show (reference row)) (show (pred row)) (show (pred_slots row)))
         rows)
 
 (* a FLOAT column against INTEGER literals around 2^53, where an int
@@ -387,11 +433,11 @@ let test_compile_pred_float_int_edge () =
   List.iter
     (fun (sql, cell) ->
       let e = Sql.Parser.parse_expr sql in
-      let f = Engine.Expr.compile schema e in
+      let f = on_row Engine.Expr.compile schema e in
       Alcotest.(check bool)
         (Printf.sprintf "%s over %s" sql (Value.to_sql cell))
         (Engine.Expr.truth (f [| cell |]))
-        (Engine.Expr.compile_pred schema e [| cell |]))
+        (on_row Engine.Expr.compile_pred schema e [| cell |]))
     (List.concat_map
        (fun k ->
          List.map
@@ -402,12 +448,12 @@ let test_compile_pred_float_int_edge () =
 let test_arith_mismatched_schema () =
   (* declared INTEGER, FLOAT and NULL values: every row falls back *)
   let schema = Schema.make [ ("a", Value.TInt); ("b", Value.TInt) ] in
-  let f = Engine.Expr.compile schema (Sql.Parser.parse_expr "a * b + 1") in
+  let f = on_row Engine.Expr.compile schema (Sql.Parser.parse_expr "a * b + 1") in
   check_value "floats under an int schema" (v_f 4.0) (f [| v_f 1.5; v_f 2.0 |]);
   check_value "null under an int schema" Value.Null (f [| Value.Null; v_i 2 |]);
   check_value "ints wrap" (v_i min_int) (f [| v_i max_int; v_i 1 |]);
   check_value "date + int" (Value.Date 11)
-    (Engine.Expr.compile
+    (on_row Engine.Expr.compile
        (Schema.make [ ("d", Value.TInt) ])
        (Sql.Parser.parse_expr "d + 1")
        [| Value.Date 10 |])
@@ -1123,8 +1169,12 @@ type step = {
   above : int option;
 }
 
-(* [Projected] is a Project of [t0.k] and [t0.v + 1.0] *)
-type top = Rows | Grouped | Ungrouped | Projected
+(* [Projected] is a Project of [t0.k] and [t0.v + 1.0]; [Sorted]
+   orders the chain's rows by its last table's [v] DESC, then [t0.a];
+   [Built] makes the chain the build side of a hash join probed by the
+   three rows of [probe_table] on [p.k = t0.a].  Sort and the build
+   side keep the rows the chain pushes. *)
+type top = Rows | Grouped | Ungrouped | Projected | Sorted | Built
 
 type chain = { tables : Value.t array list array; steps : step list; top : top }
 
@@ -1162,7 +1212,7 @@ let chain_gen =
              (quad (int_range 0 (i - 1)) bool kind bool)
              (opt ~ratio:0.5 (int_range 0 3))))
   in
-  let* top = oneofl [ Rows; Grouped; Ungrouped; Projected ] in
+  let* top = oneofl [ Rows; Grouped; Ungrouped; Projected; Sorted; Built ] in
   return { tables; steps; top }
 
 let print_chain c =
@@ -1196,11 +1246,18 @@ let print_chain c =
         | Rows -> "rows"
         | Grouped -> "grouped"
         | Ungrouped -> "ungrouped"
-        | Projected -> "projected");
+        | Projected -> "projected"
+        | Sorted -> "sorted"
+        | Built -> "built");
       ])
+
+(* the probe side of [Built]; [Float 1.0] equals [Int 1] *)
+let probe_table = [ [| v_i 1; v_i 10 |]; [| v_i 3; v_i 20 |]; [| v_f 1.0; v_i 30 |] ]
 
 let chain_engine c =
   let engine = Engine.Database.create () in
+  Engine.Database.add_relation engine ~name:"p"
+    (Relation.create (Schema.make [ ("k", Value.TInt); ("w", Value.TInt) ]) probe_table);
   let schema =
     Schema.make [ ("k", Value.TInt); ("a", Value.TInt); ("b", Value.TInt); ("v", Value.TFloat) ]
   in
@@ -1261,6 +1318,19 @@ let chain_plan c : Engine.Plan.t =
       {
         input = joined;
         items = [ (qcol 0 "k", "x"); (Binop (Add, qcol 0 "v", Lit (v_f 1.0)), "y") ];
+      }
+  | Sorted ->
+    Sort { input = joined; keys = [ (qcol (List.length c.steps) "v", true); (qcol 0 "a", false) ] }
+  | Built ->
+    Hash_join
+      {
+        left = Scan { table = "p"; alias = "p" };
+        right = joined;
+        left_keys = [ Col { table = Some "p"; name = "k" } ];
+        right_keys = [ qcol 0 "a" ];
+        outer = false;
+        residual = None;
+        keep = None;
       }
 
 (* the reference: rows are association lists from qualified names,
@@ -1338,6 +1408,23 @@ let chain_reference c =
   in
   match c.top with
   | Rows -> List.map row joined
+  | Sorted ->
+    let key l = (List.assoc (tname (List.length c.steps) ^ ".v") l, List.assoc "t0.a" l) in
+    let compare_rows l r =
+      let (lv, la), (rv, ra) = (key l, key r) in
+      match Value.compare rv lv with 0 -> Value.compare la ra | c -> c
+    in
+    List.map row (List.stable_sort compare_rows joined)
+  | Built ->
+    List.concat_map
+      (fun p ->
+        List.filter_map
+          (fun l ->
+            let a = List.assoc "t0.a" l in
+            if (not (Value.is_null a)) && Value.equal p.(0) a then Some (Array.append p (row l))
+            else None)
+          joined)
+      probe_table
   | Projected ->
     List.map
       (fun l ->
@@ -1361,7 +1448,8 @@ let prop_streamed_joins =
   QCheck.Test.make ~count:300
     ~name:
       "streamed index/hash join chains, with cross and left outer steps, filters between \
-       the joins and a project on top, equal a nested-loop reference, bitwise"
+       the joins and a project, sort or hash join on top, equal a nested-loop reference, \
+       bitwise"
     (QCheck.make ~print:print_chain chain_gen)
     (fun c ->
       let expected = chain_reference c in
@@ -1473,6 +1561,49 @@ let test_streamed_spans () =
   match roots with
   | [ root ] -> Alcotest.(check string) "span tree" expected (shape root)
   | _ -> Alcotest.failf "expected one root span, got %d" (List.length roots)
+
+(* t0 (hash t1 on t0.a = t1.k) (index t2 on t1.a = t2.k), grouped on
+   t0.k with count( * ): each of t0's 2,000 rows matches 3 of t1's,
+   and each of those 4 of t2's, so 24,000 rows reach the Aggregate.  A
+   pushed row is a tuple, so the joins copy nothing: the whole run,
+   set-up and output included, allocates under one minor word per
+   row that reaches the Aggregate *)
+let test_streamed_joins_allocate_nothing () =
+  let row k a = [| v_i k; v_i a; v_i 0; v_f 0.0 |] in
+  let step kind j = { j; two_keys = false; kind; drop_k = false; above = None } in
+  let c =
+    {
+      tables =
+        [|
+          List.init 2000 (fun i -> row (i mod 50) (i mod 10));
+          List.init 30 (fun i -> row (i mod 10) (i mod 5));
+          List.init 20 (fun i -> row (i mod 5) 0);
+        |];
+      steps = [ step Hash 0; step Index 1 ];
+      top = Rows;
+    }
+  in
+  let engine = chain_engine c in
+  let plan : Engine.Plan.t =
+    Aggregate
+      {
+        input = chain_plan c;
+        group_by = [ qcol 0 "k" ];
+        items = [ (qcol 0 "k", "k"); (Agg (Count, None), "c") ];
+        having = None;
+      }
+  in
+  Telemetry.Control.with_disabled (fun () ->
+      ignore (Engine.Database.run_plan engine plan);
+      let before = Gc.minor_words () in
+      let rel = Engine.Database.run_plan engine plan in
+      let words = Gc.minor_words () -. before in
+      let pushed =
+        Relation.fold (fun n r -> match r.(1) with Value.Int c -> n + c | _ -> n) 0 rel
+      in
+      Alcotest.(check int) "rows reaching the Aggregate" 24_000 pushed;
+      if words >= float_of_int pushed then
+        Alcotest.failf "%.0f minor words for %d pushed rows" words pushed)
 
 (* ---- indexes ---- *)
 
@@ -1660,7 +1791,8 @@ let prop_sort =
       let got = Relation.rows (Engine.Exec.run catalog plan) in
       let fns =
         List.map
-          (fun (e, desc) -> (Engine.Expr.compile (Schema.rename ~prefix:"t" schema) e, desc))
+          (fun (e, desc) ->
+            (on_row Engine.Expr.compile (Schema.rename ~prefix:"t" schema) e, desc))
           plan_keys
       in
       let rec cmp fns a b =
@@ -1799,6 +1931,8 @@ let () =
           Alcotest.test_case "budget prefixes through a filter" `Quick
             test_streamed_budget_prefixes;
           Alcotest.test_case "span tree and row counts" `Quick test_streamed_spans;
+          Alcotest.test_case "joins allocate nothing per row" `Quick
+            test_streamed_joins_allocate_nothing;
         ] );
       ( "index",
         [
